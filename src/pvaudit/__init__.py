@@ -57,15 +57,31 @@ from .counting import (
     serialize_search_space_csv,
     summarize_spaces,
 )
-from .sim import (
-    ReplicateOutcome,
-    SimConfig,
-    SimOutcome,
-    generate_literature,
-    generate_study_effects,
-    greenwald_censor_rate,
-    run_experiment,
+
+# The simulator needs numpy and scipy; every other module runs on the
+# standard library alone. Its names are resolved on first access (PEP 562)
+# so that importing the package, or running any command but simulate, never
+# loads them.
+_SIM_NAMES = frozenset(
+    {
+        "ReplicateOutcome",
+        "SimConfig",
+        "SimOutcome",
+        "generate_literature",
+        "generate_study_effects",
+        "greenwald_censor_rate",
+        "run_experiment",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -35,8 +35,14 @@ from .model import (
     parse_dataset,
 )
 from .report import build_audit_report, build_sim_report, dumps, format_number
-from .sim import SimConfig, greenwald_censor_rate, run_experiment
-from .stats import P_FLOOR, derive_dataset, pool_dl, rank_pvalues, effects_from_dataset
+from .stats import (
+    P_FLOOR,
+    derive_dataset,
+    effects_from_dataset,
+    pool_dl,
+    rank_pvalues,
+    two_sided_critical_value,
+)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -357,11 +363,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
         space_entries = entries
         space_summary = summarize_spaces(entries)
     config = {
-        "confidence_level": args.confidence_level,
+        "confidence_level": ds.confidence_level,
         "critical_value": (
             resolved["critical_value"]
             if resolved["critical_value"] is not None
-            else 1.96
+            else two_sided_critical_value(ds.confidence_level)
         ),
         "scale": resolved["scale"],
         "p_threshold": resolved["p_threshold"],
@@ -393,6 +399,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # Imported here: sim is the one module that loads numpy and scipy.
+    from .sim import SimConfig, greenwald_censor_rate, run_experiment
+
     if args.censor_rate is not None and args.censor_preset is not None:
         print(
             "error: --censor-rate and --censor-preset are mutually exclusive",

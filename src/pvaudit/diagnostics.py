@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import kolmogorov
+from itertools import accumulate
 
 from .model import Dataset
 from .stats import loo_influence, effects_from_dataset
@@ -190,56 +188,145 @@ def ks_uniform(pvalues) -> tuple[float, float]:
     -------
     (statistic, pvalue)
         The exact ECDF sup-distance D and the asymptotic tail probability of
-        the Kolmogorov distribution at ``sqrt(n) * D``. The asymptotic tail
-        is slightly conservative at small n.
+        the Kolmogorov distribution at ``lam = sqrt(n) * D``. The asymptotic
+        tail is slightly conservative at small n.
+
+    Notes
+    -----
+    The tail is summed from one of two series, cut over at ``lam = 0.82``
+    where both converge within a few terms. Below it, the Jacobi-theta form
+    of the CDF, ``sqrt(2 pi)/lam * sum_k exp(-(2k-1)^2 pi^2 / (8 lam^2))``,
+    is subtracted from one. Above it, the alternating series
+    ``2 * sum_k (-1)^(k-1) exp(-2 k^2 lam^2)`` gives the tail directly.
     """
-    ps = np.asarray(list(pvalues), dtype=float)
-    n = ps.size
+    ps = sorted(float(p) for p in pvalues)
+    n = len(ps)
     if n < 5:
         raise ValueError(f"KS test needs at least 5 values, got {n}")
-    if not np.all((ps > 0.0) & (ps <= 1.0)):
+    if not all(0.0 < p <= 1.0 for p in ps):
         raise ValueError("KS test requires every value in (0, 1]")
-    u = np.sort(ps)
-    i = np.arange(1, n + 1, dtype=float)
-    d_plus = np.max(i / n - u)
-    d_minus = np.max(u - (i - 1.0) / n)
-    d = float(max(d_plus, d_minus))
-    pvalue = float(kolmogorov(math.sqrt(n) * d))
-    return d, pvalue
+    d_plus = max(i / n - u for i, u in enumerate(ps, start=1))
+    d_minus = max(u - (i - 1) / n for i, u in enumerate(ps, start=1))
+    d = max(d_plus, d_minus)
+    return d, _kolmogorov_sf(math.sqrt(n) * d)
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line y ~ a + b x; returns (intercept, slope, sse)."""
-    design = np.column_stack([np.ones_like(x), x])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    return float(coef[0]), float(coef[1]), float(resid @ resid)
+_KS_CUTOVER = 0.82
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _two_segment_fit(x: np.ndarray, y: np.ndarray) -> tuple[int, float, float, float]:
-    """Best continuous two-segment fit with the join at an interior rank.
+def _kolmogorov_sf(x: float) -> float:
+    """Tail P(K > x) of the Kolmogorov distribution; see :func:`ks_uniform`."""
+    if not x > 0.0:
+        return 1.0
+    if x <= _KS_CUTOVER:
+        a = -math.pi * math.pi / (8.0 * x * x)
+        cdf_sum = 0.0
+        k = 1
+        while True:
+            term = math.exp(a * (2 * k - 1) ** 2)
+            cdf_sum += term
+            if term <= 1e-17 * cdf_sum:
+                return 1.0 - _SQRT_2PI / x * cdf_sum
+            k += 1
+    a = -2.0 * x * x
+    tail = 0.0
+    k = 1
+    while True:
+        term = math.exp(a * k * k)
+        tail += term if k % 2 else -term
+        if term <= 1e-17 * tail:
+            return 2.0 * tail
+        k += 1
 
-    The model is ``y = a + s1 * min(x - xb, 0) + s2 * max(x - xb, 0)`` with
-    the join ``xb`` placed at each candidate rank b in 2..n-2 (so both
-    segments keep at least two points), solved by least squares at each
-    candidate. Returns (breakpoint rank, left slope, right slope, sse) of
-    the best candidate; earlier ranks win ties.
+
+def _line_fit(y: list[float]) -> tuple[float, float]:
+    """Least-squares line through sorted values against x_i = i/(n+1).
+
+    Returns (slope, sse). The sums run over centred ranks and values with
+    ``math.fsum``; sum((i - (n+1)/2)^2) = n(n^2 - 1)/12 exactly.
     """
-    n = x.size
-    best: tuple[int, float, float, float] | None = None
-    ones = np.ones_like(x)
+    n = len(y)
+    ybar = math.fsum(y) / n
+    tbar = (n + 1) / 2.0
+    slope = math.fsum((i - tbar) * (v - ybar) for i, v in enumerate(y, 1)) / (
+        n * (n * n - 1) / 12.0
+    )
+    sse = math.fsum(
+        (v - ybar - slope * (i - tbar)) ** 2 for i, v in enumerate(y, 1)
+    )
+    return slope * (n + 1), sse
+
+
+def _hinge_moments(n: int, b: int) -> tuple[float, float, float, float, float]:
+    """Moments of the hinge columns u_i = min(i-b, 0), v_i = max(i-b, 0).
+
+    Returns (sum u, sum u^2, sum v, sum v^2, d) with d the Schur complement
+    n - (sum u)^2/sum u^2 - (sum v)^2/sum v^2 of the intercept, which is at
+    least 1 for 2 <= b <= n-2.
+    """
+    m = n - b
+    su = -(b - 1) * b / 2.0
+    suu = (b - 1) * b * (2 * b - 1) / 6.0
+    sv = m * (m + 1) / 2.0
+    svv = m * (m + 1) * (2 * m + 1) / 6.0
+    return su, suu, sv, svv, n - su * su / suu - sv * sv / svv
+
+
+def _two_segment_fit(y: list[float]) -> tuple[int, float, float, float]:
+    """Best continuous two-segment fit of sorted values, joined at a rank.
+
+    The model is ``y = a + s1 * min(x - xb, 0) + s2 * max(x - xb, 0)`` on
+    x_i = i/(n+1), with the join ``xb`` at each candidate rank b in 2..n-2
+    (so both segments keep at least two points). Returns (breakpoint rank,
+    left slope, right slope, sse) of the candidate with the least SSE;
+    earlier ranks win ties.
+
+    Closed form: work in rank units u_i = min(i-b, 0), v_i = max(i-b, 0)
+    (slopes scale by n+1) and centre y to c. The columns have disjoint
+    support, so sum u*v = 0 and the 3x3 normal equations reduce to
+
+        SSE(b) = sum c^2 - (r1^2/U + r2^2/V + e^2/d),
+        e = P r1/U + Q r2/V,
+
+    with P, U, Q, V the sums of u, u^2, v, v^2 (closed-form in n and b),
+    d as in :func:`_hinge_moments`, and r1 = sum u*c, r2 = sum v*c read in
+    O(1) from prefix sums of c and i*c. One pass over b is O(n) in total.
+    The prefix-sum SSE loses digits to cancellation, so the chosen
+    breakpoint is refit: its coefficients come from ``math.fsum`` moments
+    and its SSE from the explicit residuals.
+    """
+    n = len(y)
+    ybar = math.fsum(y) / n
+    c = [v - ybar for v in y]
+    cum_c = list(accumulate(c))
+    cum_ic = list(accumulate(i * v for i, v in enumerate(c, 1)))
+    total_c, total_ic = cum_c[-1], cum_ic[-1]
+    scc = math.fsum(v * v for v in c)
+
+    best_b, best_sse = 0, math.inf
     for b in range(2, n - 1):
-        xb = x[b - 1]
-        design = np.column_stack(
-            [ones, np.minimum(x - xb, 0.0), np.maximum(x - xb, 0.0)]
-        )
-        coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-        resid = y - design @ coef
-        sse = float(resid @ resid)
-        if best is None or sse < best[3]:
-            best = (b, float(coef[1]), float(coef[2]), sse)
-    assert best is not None
-    return best
+        su, suu, sv, svv, d = _hinge_moments(n, b)
+        r1 = cum_ic[b - 1] - b * cum_c[b - 1]
+        r2 = (total_ic - cum_ic[b - 1]) - b * (total_c - cum_c[b - 1])
+        e = su * r1 / suu + sv * r2 / svv
+        sse = scc - (r1 * r1 / suu + r2 * r2 / svv + e * e / d)
+        if sse < best_sse:
+            best_b, best_sse = b, sse
+
+    b = best_b
+    su, suu, sv, svv, d = _hinge_moments(n, b)
+    r0 = math.fsum(c)
+    r1 = math.fsum((i - b) * v for i, v in enumerate(c[:b], 1))
+    r2 = math.fsum((i - b) * v for i, v in enumerate(c[b:], b + 1))
+    a = (r0 - (su * r1 / suu + sv * r2 / svv)) / d
+    left = (r1 - su * a) / suu
+    right = (r2 - sv * a) / svv
+    sse = math.fsum(
+        (v - a - (left if i <= b else right) * (i - b)) ** 2
+        for i, v in enumerate(c, 1)
+    )
+    return b, left * (n + 1), right * (n + 1), sse
 
 
 def classify_pvalues(pvalues, thresholds: ShapeThresholds | None = None) -> ShapeVerdict:
@@ -263,22 +350,21 @@ def classify_pvalues(pvalues, thresholds: ShapeThresholds | None = None) -> Shap
     two-segment model, so ``bic_delta = n*log(SSE1/SSE2) - 2*log(n)``.
     """
     t = thresholds or DEFAULT_THRESHOLDS
-    ps = np.sort(np.asarray(list(pvalues), dtype=float))
-    n = int(ps.size)
-    if n > 0 and not (np.all(ps > 0.0) and np.all(ps <= 1.0)):
+    ps = sorted(float(p) for p in pvalues)
+    n = len(ps)
+    if not all(0.0 < p <= 1.0 for p in ps):
         raise ValueError("classification requires every p-value in (0, 1]")
 
     slope = 0.0
     sse1 = 0.0
     if n >= 2:
-        x = np.arange(1, n + 1, dtype=float) / (n + 1.0)
-        _, slope, sse1 = _line_fit(x, ps)
+        slope, sse1 = _line_fit(ps)
 
     breakpoint_rank: int | None = None
     left = right = 0.0
     sse2 = sse1
     if n >= 5:
-        breakpoint_rank, left, right, sse2 = _two_segment_fit(x, ps)
+        breakpoint_rank, left, right, sse2 = _two_segment_fit(ps)
         # The line is nested in the two-segment model; clamp float noise so
         # the inequality holds exactly.
         sse2 = min(sse2, sse1)
@@ -300,7 +386,7 @@ def classify_pvalues(pvalues, thresholds: ShapeThresholds | None = None) -> Shap
         if ks_p >= t.ks_alpha and t.slope_band[0] <= slope <= t.slope_band[1]:
             verdict = "uniform_null"
         elif (
-            float(np.mean(ps < t.small_p)) >= t.small_p_majority
+            sum(p < t.small_p for p in ps) / n >= t.small_p_majority
             and math.sqrt(sse1 / n) <= t.adequate_rmse
         ):
             verdict = "significant_effect"

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .counting import SearchSpaceEntry, SpaceSummary
 from .diagnostics import OutlierReport, ShapeThresholds, ShapeVerdict
 from .model import Dataset, record_as_dict
 from .stats import PoolResult
-from .sim import RNG_ALGORITHM, RNG_COUNTER_LAYOUT, SimOutcome
+
+if TYPE_CHECKING:
+    from .sim import SimOutcome
 
 TOOL_NAME = "pvaudit"
 
@@ -182,6 +184,8 @@ def build_audit_report(
 
 def build_sim_report(outcome: SimOutcome) -> dict:
     """Assemble the simulation report: config echo, RNG scheme, verdict table."""
+    from .sim import RNG_ALGORITHM, RNG_COUNTER_LAYOUT
+
     cfg = outcome.config
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},

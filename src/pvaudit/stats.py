@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Iterable, Sequence
-
-from scipy.special import ndtri
 
 from .model import Dataset, DerivedStats, StudyRecord
 
@@ -66,7 +65,7 @@ def two_sided_critical_value(confidence_level: float, exact: bool = False) -> fl
         )
     if not exact and abs(confidence_level - 0.95) < 1e-12:
         return DEFAULT_CRITICAL_VALUE
-    return float(ndtri(0.5 + confidence_level / 2.0))
+    return NormalDist().inv_cdf(0.5 + confidence_level / 2.0)
 
 
 def derive_stats(

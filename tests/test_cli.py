@@ -4,11 +4,21 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from pvaudit import SimConfig, generate_study_effects, normal_sf
+from pvaudit import (
+    SimConfig,
+    dataset_to_json,
+    generate_study_effects,
+    normal_sf,
+    parse_dataset,
+    two_sided_critical_value,
+)
 from pvaudit.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -286,6 +296,71 @@ def test_audit_influence_threshold_flag(workdir):
     flagged = report["outliers"]["flagged"]
     assert flagged, "strong studies should exceed a 0.2 influence threshold"
     assert all(f["reason"] == "high_influence" for f in flagged)
+
+
+@pytest.mark.parametrize("source", ["csv", "json"])
+def test_audit_echoes_the_level_and_critical_value_it_used(workdir, source):
+    # A 90% interval is unwound with z* = 1.645; the config echo must say so
+    # rather than repeat the 95% defaults.
+    if source == "csv":
+        src = workdir / "toy.csv"
+        flags = ["--confidence-level", "0.9"]
+    else:
+        src = workdir / "toy90.json"
+        ds = parse_dataset(TOY, label="toy", confidence_level=0.9)
+        src.write_text(dataset_to_json(ds), encoding="utf-8")
+        flags = []
+    out = workdir / "audit90.json"
+    rc = main(["audit", "--input", str(src), *flags, "--output", str(out)])
+    assert rc == EXIT_OK
+    report = _read_json(out)
+    config = report["config"]
+    assert config["confidence_level"] == 0.9
+    assert config["critical_value"] == pytest.approx(
+        two_sided_critical_value(0.9), rel=1e-8
+    )
+    for row in report["studies"]:
+        width = row["cl_high"] - row["cl_low"]
+        assert row["se"] == pytest.approx(
+            width / (2.0 * config["critical_value"]), rel=1e-8
+        )
+
+
+# ------------------------------------------------------------ cold start
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    proc = _fresh_python(
+        "import sys, pvaudit, pvaudit.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_sim_names_still_import_from_the_package():
+    proc = _fresh_python(
+        "from pvaudit import SimConfig, run_experiment\n"
+        "print(run_experiment(SimConfig(n_studies=5)).config.n_studies)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "5"
 
 
 # -------------------------------------------------------------------- count

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import kolmogorov
 
 from pvaudit import (
     Dataset,
@@ -23,7 +24,12 @@ from pvaudit import (
     smallest_p_marker,
     volcano_plot,
 )
-from pvaudit.diagnostics import VERDICTS
+from pvaudit.diagnostics import (
+    VERDICTS,
+    _kolmogorov_sf,
+    _line_fit,
+    _two_segment_fit,
+)
 
 
 def _ds_from_ps(ps: list[float], rrs: list[float] | None = None) -> Dataset:
@@ -149,6 +155,123 @@ def test_ks_uniform_tail_matches_series_oracle():
         d, p = ks_uniform(u)
         lam = math.sqrt(n) * d
         assert p == pytest.approx(_ks_tail_series(lam), rel=1e-9, abs=1e-12)
+
+
+def test_kolmogorov_sf_matches_scipy_on_dense_grid():
+    # Both series meet at the 0.82 cutover; pack extra points around it.
+    grid = np.concatenate(
+        [np.linspace(8.5 / 40000, 8.5, 40000), np.linspace(0.80, 0.84, 4001)]
+    )
+    worst = 0.0
+    for x in grid:
+        ref = float(kolmogorov(x))
+        if ref > 1e-300:
+            worst = max(worst, abs(_kolmogorov_sf(float(x)) - ref) / ref)
+    assert worst <= 1e-13
+    assert _kolmogorov_sf(0.0) == 1.0
+    assert _kolmogorov_sf(1e-3) == 1.0
+    assert _kolmogorov_sf(40.0) == 0.0
+
+
+# ------------------------------------------- line and two-segment fit oracle
+
+def _lstsq_line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Reference least-squares line y ~ a + b x; returns (intercept, slope, sse)."""
+    design = np.column_stack([np.ones_like(x), x])
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    return float(coef[0]), float(coef[1]), float(resid @ resid)
+
+
+def _lstsq_hinge(x: np.ndarray, y: np.ndarray, b: int) -> tuple[float, float, float]:
+    """Reference continuous hinge fit joined at rank b; (left, right, sse)."""
+    xb = x[b - 1]
+    design = np.column_stack(
+        [np.ones_like(x), np.minimum(x - xb, 0.0), np.maximum(x - xb, 0.0)]
+    )
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    return float(coef[1]), float(coef[2]), float(resid @ resid)
+
+
+def _lstsq_two_segment_fit(x: np.ndarray, y: np.ndarray) -> tuple[int, float, float, float]:
+    """Reference search: one lstsq per candidate rank 2..n-2, earliest wins ties."""
+    best: tuple[int, float, float, float] | None = None
+    for b in range(2, x.size - 1):
+        left, right, sse = _lstsq_hinge(x, y, b)
+        if best is None or sse < best[3]:
+            best = (b, left, right, sse)
+    assert best is not None
+    return best
+
+
+def _close(a: float, b: float, rel: float = 1e-12, abs_: float = 1e-15) -> bool:
+    return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_)
+
+
+@st.composite
+def _sorted_pvalue_sets(draw) -> list[float]:
+    """Sorted p-value sets as published tables produce them: some rounded to
+    a few decimals (so values tie), some with a block of near-zero values."""
+    n = draw(st.integers(min_value=5, max_value=400))
+    tiny = draw(st.integers(min_value=0, max_value=n // 2))
+    body = draw(
+        st.lists(
+            st.floats(min_value=1e-6, max_value=1.0),
+            min_size=n - tiny,
+            max_size=n - tiny,
+        )
+    )
+    digits = draw(st.sampled_from((None, 1, 2, 3)))
+    if digits is not None:
+        floor = 10.0 ** -digits
+        body = [max(round(p, digits), floor) for p in body]
+    block = draw(
+        st.lists(
+            st.floats(min_value=5e-324, max_value=1e-12),
+            min_size=tiny,
+            max_size=tiny,
+        )
+    )
+    return sorted(body + block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sorted_pvalue_sets())
+def test_closed_form_fits_match_lstsq_oracle(ps):
+    n = len(ps)
+    x = np.arange(1, n + 1, dtype=float) / (n + 1.0)
+    y = np.asarray(ps)
+    _, slope_ref, sse1_ref = _lstsq_line_fit(x, y)
+    b_ref, _, _, sse2_ref = _lstsq_two_segment_fit(x, y)
+
+    b, _, _, sse2 = _two_segment_fit(ps)
+    if b != b_ref:
+        # A different rank is only acceptable where the oracle itself cannot
+        # order the two: its own SSEs there agree to the tolerance.
+        assert _close(_lstsq_hinge(x, y, b)[2], sse2_ref), (b, b_ref)
+    assert _close(sse2, sse2_ref)
+
+    verdict = classify_pvalues(ps)
+    sse2_ref = min(sse2_ref, sse1_ref)
+    bic_ref = n * math.log(max(sse1_ref, 1e-300) / max(sse2_ref, 1e-300)) - 2.0 * math.log(n)
+    assert _close(verdict.slope_single, slope_ref)
+    assert _close(verdict.sse_single, sse1_ref)
+    assert _close(verdict.sse_two_segment, sse2_ref)
+    if sse2_ref > 1e-15:
+        # n*log(SSE1/SSE2) moves by n times the SSEs' relative error.
+        assert _close(verdict.bic_delta, bic_ref, abs_=2e-12 * n)
+
+
+def test_two_segment_fit_recovers_exact_hinge():
+    n = 40
+    ps = [0.001 * i if i <= 12 else 0.012 + 0.03 * (i - 12) for i in range(1, n + 1)]
+    b, left, right, sse = _two_segment_fit(ps)
+    assert b == 12
+    assert left == pytest.approx(0.001 * (n + 1), rel=1e-12)
+    assert right == pytest.approx(0.03 * (n + 1), rel=1e-12)
+    assert sse == pytest.approx(0.0, abs=1e-28)
+    assert _line_fit(ps)[1] > 0.01
 
 
 # ----------------------------------------------------------- classification

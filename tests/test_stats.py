@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from pvaudit import (
     Dataset,
@@ -93,6 +94,16 @@ def test_critical_value_convention_and_exact():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             two_sided_critical_value(bad)
+
+
+def test_exact_critical_value_matches_scipy_ndtri():
+    levels = np.concatenate(
+        [np.linspace(1e-6, 1.0 - 1e-6, 2001), [0.8, 0.9, 0.95, 0.99, 0.999999]]
+    )
+    for c in levels:
+        ref = float(ndtri(0.5 + c / 2.0))
+        got = two_sided_critical_value(float(c), exact=True)
+        assert abs(got - ref) <= 1e-14 * ref, c
 
 
 def test_derive_stats_linear_hand_computed():
