@@ -28,6 +28,7 @@ from .diagnostics import (
 )
 from .model import (
     CSV_COLUMNS,
+    DEFAULT_CONFIDENCE_LEVEL,
     Dataset,
     ParseError,
     SchemaError,
@@ -68,14 +69,19 @@ class _NoRecords(Exception):
     pass
 
 
+class _UsageError(Exception):
+    pass
+
+
 def _add_dataset_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--input", required=True, help="input CSV (or JSON mirror) path")
     sp.add_argument("--label", default=None, help="dataset label (default: file stem)")
     sp.add_argument(
         "--confidence-level",
         type=float,
-        default=0.95,
-        help="confidence level of the reported intervals (default 0.95)",
+        default=None,
+        help="confidence level of the reported intervals (default 0.95, or "
+        "the level a JSON mirror records)",
     )
     sp.add_argument(
         "--critical-value",
@@ -222,14 +228,22 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     path = Path(args.input)
     text = path.read_text(encoding="utf-8")
     label = args.label if args.label is not None else path.stem
+    level = args.confidence_level
     if path.suffix.lower() == ".json":
         ds = dataset_from_json(text)
+        if level is not None and level != ds.confidence_level:
+            raise _UsageError(
+                f"--confidence-level {level} differs from the level "
+                f"{ds.confidence_level} recorded in {args.input}"
+            )
         if args.label is not None:
             ds = Dataset(
                 records=ds.records, label=label, confidence_level=ds.confidence_level
             )
     else:
-        ds = parse_dataset(text, label=label, confidence_level=args.confidence_level)
+        if level is None:
+            level = DEFAULT_CONFIDENCE_LEVEL
+        ds = parse_dataset(text, label=label, confidence_level=level)
     if len(ds) == 0:
         raise _NoRecords(f"{args.input}: data section is empty")
     return ds
@@ -240,12 +254,13 @@ def _derived_dataset(args: argparse.Namespace, resolved: dict) -> Dataset:
     ds = derive_dataset(
         ds, critical_value=resolved["critical_value"], scale=resolved["scale"]
     )
-    for i, d in enumerate(ds.derived):
-        if d.p_floored:
-            print(
-                f"warning: row {i}: p-value underflowed and was floored at {P_FLOOR}",
-                file=sys.stderr,
-            )
+    floored = [str(i) for i, d in enumerate(ds.derived) if d.p_floored]
+    if floored:
+        print(
+            f"warning: {len(floored)} p-value(s) underflowed and were floored at "
+            f"{P_FLOOR}: rows {', '.join(floored)}",
+            file=sys.stderr,
+        )
     return rank_pvalues(ds)
 
 
@@ -455,6 +470,9 @@ def main(argv: list[str] | None = None) -> int:
     except _NoRecords as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_RECORDS
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

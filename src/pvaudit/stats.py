@@ -253,6 +253,42 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
     )
 
 
+# loo_influence trusts a downdated sum only while cancellation costs it at most
+# ten bits more than summing the subset directly would, and a q_i this far
+# (relative to its rounding scale) below k-2 clamps tau^2 for certain. The
+# random-weight series is used only while each term is at most half the last,
+# and cut once r**M is below 2**-55, where its tail is under a rounding unit.
+_MAX_CANCELLATION = 2.0**10
+_CLAMP_MARGIN = 2.0**-48
+_MAX_SERIES_RATIO = 0.5
+_LOG_SERIES_TOL = -55.0 * math.log(2.0)
+
+
+def _downdated_tau2(
+    k: int, sw: float, sw2: float, fixed: float, q: float, wi: float, yi: float
+) -> float | None:
+    """DL tau^2 of the k-1 studies left without (yi, wi), from full-set sums.
+
+    Returns None where cancellation would cost more than ten bits; the
+    caller then pools the subset directly.
+    """
+    sw_i = sw - wi
+    if not sw <= _MAX_CANCELLATION * sw_i:
+        return None
+    denom = sw_i - (sw2 - wi * wi) / sw_i
+    if not sw + sw2 / sw_i <= _MAX_CANCELLATION * denom:
+        return None
+    g = wi * sw / sw_i * abs(yi - fixed)
+    q_i = q - g * abs(yi - fixed)
+    # the scale of q_i's rounding error, the fixed mean's own error included
+    q_scale = q + g * (abs(yi - fixed) + 2.0 * abs(fixed))
+    if q_i - (k - 2) + _CLAMP_MARGIN * q_scale < 0.0:
+        return 0.0
+    if q_scale <= _MAX_CANCELLATION * q_i:
+        return max(0.0, (q_i - (k - 2)) / denom)
+    return None
+
+
 def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     """Leave-one-out influence of each study on the random-effects mean.
 
@@ -260,15 +296,82 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     re-estimated on the reduced set) and the absolute shift is expressed in
     units of the full-set random-effects standard error. Needs k >= 3 so
     every leave-one-out subset can still be pooled.
+
+    Notes
+    -----
+    The values are those of calling :func:`pool_dl` on every subset, found
+    without doing so:
+
+    - Fixed part, by downdating the full-set sums in O(1) per study:
+      ``W_i = W - w_i``, ``Q_i = Q - w_i (y_i - f)^2 W / W_i`` and
+      ``tau2_i = max(0, (Q_i - (k-2)) / (W_i - (sum w^2 - w_i^2) / W_i))``,
+      clamped as in :func:`pool_dl`; a denominator that is not safely
+      positive sends the study to the direct path, which applies the
+      ``denom > 0`` rule itself.
+    - Random part, by a power series around the full-set ``tau2``. With
+      ``u_j = 1/(v_j + tau2)`` and ``d = tau2_i - tau2``,
+      ``sum_j 1/(v_j + tau2_i) = sum_m (-d)^m sum_j u_j^(m+1)``, and the
+      sum weighted by ``y_j - mean`` has the same form. Terms shrink by
+      ``r = |d| max u`` each, so M terms with ``r^M < 2^-55`` reach rounding;
+      the study's own term is then subtracted. (The power sums are taken of
+      ``u_j / max u``, which cannot overflow; the scale cancels in the mean.)
+
+    The power sums are taken once, so the cost is O(k M), with M at most 55
+    and about 11 on typical sets. A study is pooled directly, at O(k), where
+    ``r >= 1/2`` (as when a homogeneous set, tau2 = 0, has a heterogeneous
+    subset, or a subset clamps a large tau2 to zero), or where a downdate
+    would lose more than ten bits to cancellation (one study carrying nearly
+    all the weight, or nearly all of Q, near the tau2 clamp).
     """
-    pairs = list(effects)
+    pairs = [(float(y), float(s)) for y, s in effects]
     k = len(pairs)
     if k < 3:
         raise ValueError(f"influence needs at least three studies, got {k}")
     full = pool_dl(pairs)
+
+    ys = [y for y, _ in pairs]
+    vs = [s * s for _, s in pairs]
+    w = [1.0 / v for v in vs]
+    sw = math.fsum(w)
+    sw2 = math.fsum(wi * wi for wi in w)
+    u = [1.0 / (v + full.tau2) for v in vs]
+    u_max = max(u)
+
+    # Per study: the leave-one-out tau^2 and series length, or None to pool
+    # that study directly.
+    plan: list[tuple[float, int] | None] = []
+    for wi, yi in zip(w, ys):
+        tau2_i = _downdated_tau2(k, sw, sw2, full.fixed_mean, full.q, wi, yi)
+        r = math.inf if tau2_i is None else abs(tau2_i - full.tau2) * u_max
+        if r < _MAX_SERIES_RATIO:
+            terms = 1 if r == 0.0 else math.ceil(_LOG_SERIES_TOL / math.log(r))
+            plan.append((tau2_i, terms))
+        else:
+            plan.append(None)
+
+    centred = [y - full.random_mean for y in ys]
+    p_sums: list[float] = []
+    y_sums: list[float] = []
+    scaled = powers = [x / u_max for x in u]
+    for _ in range(max((step[1] for step in plan if step is not None), default=0)):
+        p_sums.append(math.fsum(powers))
+        y_sums.append(math.fsum(c * x for c, x in zip(centred, powers)))
+        powers = [x * s for x, s in zip(powers, scaled)]
+
     out = []
-    for i in range(k):
-        rest = pairs[:i] + pairs[i + 1 :]
-        dropped = pool_dl(rest)
+    for i, step in enumerate(plan):
+        if step is not None:
+            tau2_i, terms = step
+            ratio = (tau2_i - full.tau2) * u_max
+            b = a = 0.0
+            for m in reversed(range(terms)):
+                b = p_sums[m] - ratio * b
+                a = y_sums[m] - ratio * a
+            own = 1.0 / ((vs[i] + tau2_i) * u_max)
+            b_i = b - own
+            if own <= _MAX_CANCELLATION * b_i:
+                out.append(abs(a - centred[i] * own) / b_i / full.random_se)
+                continue
+        dropped = pool_dl(pairs[:i] + pairs[i + 1 :])
         out.append(abs(full.random_mean - dropped.random_mean) / full.random_se)
     return out

@@ -4,11 +4,17 @@ import csv
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from pvaudit import derive_dataset, rank_pvalues
 from pvaudit.datasets import load_soy_ldl_studies
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Property tests draw the same examples on every run, with no example
+# database carried between runs, so a tier-1 rerun repeats byte for byte.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -326,6 +326,44 @@ def test_audit_echoes_the_level_and_critical_value_it_used(workdir, source):
         )
 
 
+@pytest.mark.parametrize("command", ["audit", "derive", "plot"])
+def test_json_mirror_refuses_a_different_confidence_level(workdir, capsys, command):
+    # The mirror records its own level; an explicit flag that disagrees with
+    # it must not be ignored silently.
+    src = workdir / "soy.json"
+    src.write_text(dataset_to_json(parse_dataset(soy_ldl_studies_csv())), encoding="utf-8")
+    extra = ["--kind", "pvalue"] if command == "plot" else []
+    out = workdir / ("out.svg" if command == "plot" else "out.txt")
+    base = [command, "--input", str(src), *extra, "--output", str(out)]
+    capsys.readouterr()
+
+    assert main(base + ["--confidence-level", "0.9"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--confidence-level" in err
+    assert not out.exists()
+
+    assert main(base + ["--confidence-level", "0.95"]) == EXIT_OK
+    assert main(base) == EXIT_OK
+
+
+def test_floored_pvalues_warn_once(workdir, capsys):
+    # Intervals this narrow put |z| near 2000, so p underflows to zero.
+    rows = [TOY] + [
+        f"Tight{i},2001,,{10 + i},2.00,1.999,2.001\n" for i in range(4)
+    ]
+    src = workdir / "tight.csv"
+    src.write_text("".join(rows), encoding="utf-8")
+    out = workdir / "tight.json"
+    capsys.readouterr()
+    assert main(["audit", "--input", str(src), "--output", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: 4 p-value(s) underflowed and were floored at 5e-324: rows 3, 4, 5, 6"
+    ]
+    studies = _read_json(out)["studies"]
+    assert [row["p_floored"] for row in studies] == [False] * 3 + [True] * 4
+
+
 # ------------------------------------------------------------ cold start
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -345,13 +383,23 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_cli_import_loads_neither_numpy_nor_scipy():
+def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
+    # Also runs an audit with influence screening: leave-one-out stays
+    # stdlib-only too.
+    soy = tmp_path / "soy.csv"
+    soy.write_text(soy_ldl_studies_csv(), encoding="utf-8")
+    report = tmp_path / "report.json"
     proc = _fresh_python(
         "import sys, pvaudit, pvaudit.cli\n"
+        f"rc = pvaudit.cli.main(['audit', '--input', {str(soy)!r}, "
+        f"'--influence-threshold', '0.2', '--output', {str(report)!r}])\n"
+        "assert rc == 0, rc\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    flagged = _read_json(report)["outliers"]["flagged"]
+    assert any(f["reason"] == "high_influence" for f in flagged)
 
 
 def test_sim_names_still_import_from_the_package():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +273,46 @@ def test_two_segment_fit_recovers_exact_hinge():
     assert right == pytest.approx(0.03 * (n + 1), rel=1e-12)
     assert sse == pytest.approx(0.0, abs=1e-28)
     assert _line_fit(ps)[1] > 0.01
+
+
+def _mp_sse(columns: list[list], y: list) -> mp.mpf:
+    """Least-squares SSE of y on the given columns, from the normal equations."""
+    gram = mp.matrix(
+        [[mp.fsum(a * b for a, b in zip(c1, c2)) for c2 in columns] for c1 in columns]
+    )
+    rhs = mp.matrix([mp.fsum(a * b for a, b in zip(c, y)) for c in columns])
+    coef = mp.lu_solve(gram, rhs)
+    return mp.fsum(
+        (v - mp.fsum(coef[j] * columns[j][i] for j in range(len(columns)))) ** 2
+        for i, v in enumerate(y)
+    )
+
+
+def test_fits_match_mpmath_on_bundled_pvalues(soy):
+    ps = sorted(soy.pvalues)
+    n = len(ps)
+    with mp.workdps(60):
+        x = [mp.mpf(i) / (n + 1) for i in range(1, n + 1)]
+        y = [mp.mpf(p) for p in ps]
+        ones = [mp.mpf(1)] * n
+        sse1_ref = _mp_sse([ones, x], y)
+        b_ref, sse2_ref = None, None
+        for b in range(2, n - 1):
+            xb = x[b - 1]
+            sse = _mp_sse(
+                [ones, [min(v - xb, 0) for v in x], [max(v - xb, 0) for v in x]], y
+            )
+            if sse2_ref is None or sse < sse2_ref:
+                b_ref, sse2_ref = b, sse
+        b, _, _, sse2 = _two_segment_fit(ps)
+        _, sse1 = _line_fit(ps)
+        assert b == b_ref
+        assert abs(sse1 - sse1_ref) <= 1e-12 * sse1_ref
+        assert abs(sse2 - sse2_ref) <= 1e-12 * sse2_ref
+        verdict = classify_pvalues(ps)
+        assert verdict.breakpoint == b_ref
+        assert verdict.sse_single == sse1
+        assert verdict.sse_two_segment == sse2
 
 
 # ----------------------------------------------------------- classification

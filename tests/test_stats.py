@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -342,3 +342,68 @@ def test_loo_influence_matches_direct_recomputation():
         rest = effects[:i] + effects[i + 1 :]
         expected = abs(full.random_mean - pool_dl(rest).random_mean) / full.random_se
         assert values[i] == pytest.approx(expected, rel=1e-12)
+
+
+def _loo_oracle(effects):
+    """Leave-one-out influence by pooling every subset from scratch."""
+    full = pool_dl(effects)
+    return [
+        abs(full.random_mean - pool_dl(effects[:i] + effects[i + 1 :]).random_mean)
+        / full.random_se
+        for i in range(len(effects))
+    ]
+
+
+@st.composite
+def _loo_sets(draw):
+    """(effect, se) sets with se in [e^-6, e] and effects in [-1, 1].
+
+    Beside plain heterogeneous sets: homogeneous sets (Q < k-1, so tau^2 is
+    zero), sets scaled so Q sits within half a unit of k-1 (subsets' tau^2
+    at the clamp), one narrow study dominating the weight, and sets drawn
+    with replacement from a few (effect, se) pairs.
+    """
+    k = draw(st.integers(min_value=3, max_value=30))
+    kind = draw(st.sampled_from(("spread", "homogeneous", "clamp", "dominant", "repeated")))
+    log_se = st.floats(min_value=-6.0, max_value=1.0)
+    effect = st.floats(min_value=-1.0, max_value=1.0)
+    if kind == "repeated":
+        pool = draw(st.lists(st.tuples(effect, log_se), min_size=1, max_size=3))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+        return [(y, math.exp(t)) for y, t in picks]
+    ses = [math.exp(t) for t in draw(st.lists(log_se, min_size=k, max_size=k))]
+    ys = draw(st.lists(effect, min_size=k, max_size=k))
+    if kind == "dominant":
+        ses = [math.exp(-6.0)] + [max(se, math.exp(-1.0)) for se in ses[1:]]
+    elif kind in ("homogeneous", "clamp"):
+        centre = ys[0]
+        shifts = draw(
+            st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=k, max_size=k)
+        )
+        spread = [z * se for z, se in zip(shifts, ses)]
+        q = pool_dl(list(zip(spread, ses))).q
+        if q > 1e-3:
+            target = (
+                draw(st.floats(min_value=0.0, max_value=0.9)) * (k - 1)
+                if kind == "homogeneous"
+                else draw(st.floats(min_value=k - 1.5, max_value=k - 0.5))
+            )
+            scale = math.sqrt(target / q)
+            ys = [centre + scale * d for d in spread]
+        else:
+            ys = [centre] * k
+    return list(zip(ys, ses))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_loo_sets())
+@example([(0.12, 0.06), (-0.05, 0.11), (0.33, 0.09)])
+@example([(0.2, 0.1), (0.25, 0.12), (0.18, 0.3)])
+@example([(0.0, 0.1)] * 6 + [(2.0, 0.1)])
+@example([(0.3, 1e-8), (0.1, 1.0), (-0.4, 0.7), (0.5, 1.2), (0.2, 0.9)])
+def test_loo_influence_matches_per_subset_pooling(effects):
+    got = loo_influence(effects)
+    want = _loo_oracle(effects)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-10 * abs(w) + 1e-12, (i, g, w)
