@@ -36,14 +36,7 @@ from .model import (
     parse_dataset,
 )
 from .report import build_audit_report, build_sim_report, dumps, format_number
-from .stats import (
-    P_FLOOR,
-    derive_dataset,
-    effects_from_dataset,
-    pool_dl,
-    rank_pvalues,
-    two_sided_critical_value,
-)
+from .stats import P_FLOOR, derive_dataset, effects_from_dataset, pool_dl
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -171,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--counting", default=None, help="optional search-space counting CSV"
     )
-    sp.add_argument("--seed", type=int, default=None, help="echoed into the report")
     sp.add_argument("--output", default=None, help="output JSON path (default stdout)")
 
     sp = sub.add_parser("count", help="compute analysis search-space sizes")
@@ -203,27 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge profile defaults with explicit flags (explicit flags win)."""
-    profile = PROFILES.get(getattr(args, "profile", None) or "", {})
-    scale = args.scale or profile.get("scale") or "linear"
-    critical_value = (
-        args.critical_value
-        if args.critical_value is not None
-        else profile.get("critical_value")
-    )
-    p_threshold = getattr(args, "p_threshold", None)
-    if p_threshold is None:
-        p_threshold = profile.get("p_threshold", 1e-3)
-    return {
-        "profile": getattr(args, "profile", None),
-        "scale": scale,
-        "critical_value": critical_value,
-        "p_threshold": p_threshold,
-        "manual_studies": profile.get("manual_studies", ()),
-    }
-
-
 def _load_dataset(args: argparse.Namespace) -> Dataset:
     path = Path(args.input)
     text = path.read_text(encoding="utf-8")
@@ -249,10 +220,22 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     return ds
 
 
-def _derived_dataset(args: argparse.Namespace, resolved: dict) -> Dataset:
-    ds = _load_dataset(args)
+def _resolve(args: argparse.Namespace) -> tuple[Dataset, dict]:
+    """Load and derive the input, and resolve the outlier rules for it.
+
+    Profile defaults fill in whatever the flags leave unset (explicit flags
+    win). The rules are keyword arguments of ``flag_outliers``.
+    """
+    profile = PROFILES.get(args.profile or "", {})
+    critical_value = (
+        args.critical_value
+        if args.critical_value is not None
+        else profile.get("critical_value")
+    )
     ds = derive_dataset(
-        ds, critical_value=resolved["critical_value"], scale=resolved["scale"]
+        _load_dataset(args),
+        critical_value=critical_value,
+        scale=args.scale or profile.get("scale") or "linear",
     )
     floored = [str(i) for i, d in enumerate(ds.derived) if d.p_floored]
     if floored:
@@ -261,18 +244,22 @@ def _derived_dataset(args: argparse.Namespace, resolved: dict) -> Dataset:
             f"{P_FLOOR}: rows {', '.join(floored)}",
             file=sys.stderr,
         )
-    return rank_pvalues(ds)
-
-
-def _manual_rows(ds: Dataset, args: argparse.Namespace, resolved: dict) -> tuple[int, ...]:
-    rows = list(getattr(args, "manual_outlier", []) or [])
-    for author, year in resolved["manual_studies"]:
-        rows.extend(
+    p_threshold = getattr(args, "p_threshold", None)
+    if p_threshold is None:
+        p_threshold = profile.get("p_threshold", 1e-3)
+    influence = getattr(args, "influence_threshold", None)
+    manual = list(getattr(args, "manual_outlier", []))
+    for author, year in profile.get("manual_studies", ()):
+        manual.extend(
             i
             for i, rec in enumerate(ds.records)
             if rec.author == author and rec.year == year
         )
-    return tuple(dict.fromkeys(rows))
+    return ds, {
+        "p_threshold": p_threshold,
+        "influence_threshold": math.inf if influence is None else influence,
+        "manual": tuple(dict.fromkeys(manual)),
+    }
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -283,8 +270,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    ds = _derived_dataset(args, resolved)
+    ds, _ = _resolve(args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(CSV_COLUMNS) + ["se", "z", "p", "rank"])
@@ -311,8 +297,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     from .svgplot import reference_lines_csv, render_series, series_csv
 
-    resolved = _resolve(args)
-    ds = _derived_dataset(args, resolved)
+    ds, rules = _resolve(args)
     exclude: list[int] = []
     if args.exclude.strip():
         try:
@@ -326,19 +311,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         series = expectation_plot(ds)
     else:
         if args.exclude_flagged:
-            influence = (
-                args.influence_threshold
-                if args.influence_threshold is not None
-                else math.inf
-            )
-            flags = flag_outliers(
-                ds,
-                p_threshold=resolved["p_threshold"],
-                influence_threshold=influence,
-                manual=_manual_rows(ds, args, resolved),
-                scale=resolved["scale"],
-            )
-            exclude.extend(f.row for f in flags.flagged)
+            exclude.extend(f.row for f in flag_outliers(ds, **rules).flagged)
         series = volcano_plot(ds, exclude=tuple(dict.fromkeys(exclude)))
     title = args.title if args.title is not None else f"{ds.label}: {args.kind}"
     out = Path(args.output)
@@ -351,23 +324,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    ds = _derived_dataset(args, resolved)
+    ds, rules = _resolve(args)
     thresholds = ShapeThresholds()
     shape = classify_shape(ds, thresholds)
-    influence = (
-        args.influence_threshold if args.influence_threshold is not None else math.inf
-    )
-    outliers = flag_outliers(
-        ds,
-        p_threshold=resolved["p_threshold"],
-        influence_threshold=influence,
-        manual=_manual_rows(ds, args, resolved),
-        scale=resolved["scale"],
-    )
-    pool = (
-        pool_dl(effects_from_dataset(ds, resolved["scale"])) if len(ds) >= 2 else None
-    )
+    outliers = flag_outliers(ds, **rules)
+    pool = pool_dl(effects_from_dataset(ds)) if len(ds) >= 2 else None
     space_entries = space_summary = None
     if args.counting:
         entries = parse_search_space_csv(
@@ -379,17 +340,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
         space_summary = summarize_spaces(entries)
     config = {
         "confidence_level": ds.confidence_level,
-        "critical_value": (
-            resolved["critical_value"]
-            if resolved["critical_value"] is not None
-            else two_sided_critical_value(ds.confidence_level)
+        "critical_value": ds.critical_value,
+        "scale": ds.scale,
+        "p_threshold": rules["p_threshold"],
+        "influence_threshold": (
+            None
+            if math.isinf(rules["influence_threshold"])
+            else rules["influence_threshold"]
         ),
-        "scale": resolved["scale"],
-        "p_threshold": resolved["p_threshold"],
-        "influence_threshold": None if math.isinf(influence) else influence,
-        "manual_rows": list(_manual_rows(ds, args, resolved)),
-        "profile": resolved["profile"],
-        "seed": args.seed,
+        "manual_rows": list(rules["manual"]),
+        "profile": args.profile,
     }
     report = build_audit_report(
         ds, shape, outliers, pool, space_entries, space_summary, config, thresholds

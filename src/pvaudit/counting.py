@@ -8,7 +8,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .model import ParseError, SchemaError
+from .model import ParseError, _csv_rows
 
 COUNT_COLUMNS = ("ref", "author", "year", "outcomes", "causes", "covariates")
 OUTPUT_COLUMNS = COUNT_COLUMNS + ("tests", "models", "space")
@@ -89,19 +89,8 @@ def summarize_spaces(entries: Iterable[SearchSpaceEntry]) -> SpaceSummary:
 
 def parse_search_space_csv(text: str) -> list[SearchSpaceEntry]:
     """Parse a counting CSV with header ref,author,year,outcomes,causes,covariates."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise SchemaError("empty input: no header row", missing=COUNT_COLUMNS)
-    header = [name.strip().lstrip("﻿") for name in reader.fieldnames]
-    missing = tuple(c for c in COUNT_COLUMNS if c not in header)
-    if missing:
-        raise SchemaError(
-            "missing required column(s): " + ", ".join(missing), missing=missing
-        )
     entries = []
-    for i, raw in enumerate(reader):
-        fields = {k.strip().lstrip("﻿"): (v or "") for k, v in raw.items() if k}
-
+    for i, fields in enumerate(_csv_rows(text, COUNT_COLUMNS)):
         def grab(name: str) -> int:
             try:
                 return int(fields[name].strip())

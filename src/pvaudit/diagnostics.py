@@ -110,11 +110,6 @@ class OutlierReport:
     influence_threshold: float
 
 
-def _sorted_pvalues(ds: Dataset) -> list[float]:
-    derived = ds.require_ranks()
-    return [d.p for d in sorted(derived, key=lambda d: d.rank)]
-
-
 def smallest_p_marker(n: int) -> float:
     """-log10 of 1/(n+1), the expected magnitude of the smallest of n p-values."""
     if n < 1:
@@ -123,8 +118,8 @@ def smallest_p_marker(n: int) -> float:
 
 
 def pvalue_plot(ds: Dataset) -> PlotSeries:
-    """Sorted p-values against their ranks 1..n. Requires ranks to be assigned."""
-    ps = _sorted_pvalues(ds)
+    """Sorted p-values against their ranks 1..n."""
+    ps = sorted(ds.pvalues)
     n = len(ps)
     points = tuple((float(i), p) for i, p in enumerate(ps, start=1))
     return PlotSeries(kind="pvalue_rank", points=points, reference_lines=(), n=n)
@@ -139,7 +134,7 @@ def expectation_plot(ds: Dataset) -> PlotSeries:
     sample should fall, and a marker at -log10(1/(n+1)) for the expected
     magnitude of the smallest p-value.
     """
-    ps = _sorted_pvalues(ds)
+    ps = sorted(ds.pvalues)
     n = len(ps)
     points = tuple(
         (-math.log10(i / (n + 1.0)), -math.log10(p))
@@ -416,15 +411,14 @@ def flag_outliers(
     p_threshold: float = 1e-3,
     influence_threshold: float = math.inf,
     manual: tuple[int, ...] = (),
-    *,
-    scale: str = "linear",
 ) -> OutlierReport:
     """Flag rows for exclusion by extreme p-value, pooling influence, or hand.
 
     Parameters
     ----------
     ds : Dataset
-        With derived stats.
+        With derived stats; the influence rule pools on the scale they were
+        derived on.
     p_threshold : float
         Rows with p strictly below this are flagged ``extreme_p``. Must lie
         in [0, 1); zero disables the rule (no p can be below zero).
@@ -434,9 +428,6 @@ def flag_outliers(
         only evaluated when finite and the dataset has at least 3 rows.
     manual : tuple of int
         0-based row indices to flag ``manual``.
-    scale : str
-        Effect scale for the influence computation; must match the scale the
-        stats were derived on.
 
     Returns
     -------
@@ -467,7 +458,7 @@ def flag_outliers(
         if d.p < p_threshold:
             claim(i, "extreme_p")
     if math.isfinite(influence_threshold) and n >= 3:
-        influence = loo_influence(effects_from_dataset(ds, scale))
+        influence = loo_influence(effects_from_dataset(ds))
         for i, value in enumerate(influence):
             if value > influence_threshold:
                 claim(i, "high_influence")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 CSV_COLUMNS = ("author", "year", "comment", "ref", "rr", "cl_low", "cl_high")
 REQUIRED_COLUMNS = ("author", "year", "ref", "rr", "cl_low", "cl_high")
@@ -80,13 +80,16 @@ class Dataset:
 
     Row order is the source-file order and is preserved by every operation
     that does not explicitly sort. ``derived``, when present, parallels
-    ``records`` one-to-one.
+    ``records`` one-to-one. ``scale`` and ``critical_value`` record how the
+    derived stats were computed; only derivation sets them.
     """
 
     records: tuple[StudyRecord, ...]
     derived: tuple[DerivedStats, ...] | None = None
     label: str = ""
     confidence_level: float = DEFAULT_CONFIDENCE_LEVEL
+    scale: str = "linear"
+    critical_value: float | None = None
 
     def __post_init__(self) -> None:
         if self.derived is not None and len(self.derived) != len(self.records):
@@ -95,19 +98,10 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def with_derived(self, derived: tuple[DerivedStats, ...]) -> "Dataset":
-        return replace(self, derived=tuple(derived))
-
     def require_derived(self) -> tuple[DerivedStats, ...]:
         if self.derived is None:
             raise DatasetStateError("derived statistics missing; derive them first")
         return self.derived
-
-    def require_ranks(self) -> tuple[DerivedStats, ...]:
-        derived = self.require_derived()
-        if any(d.rank is None for d in derived):
-            raise DatasetStateError("ranks missing; rank the p-values first")
-        return derived
 
     @property
     def pvalues(self) -> tuple[float, ...]:
@@ -179,6 +173,27 @@ def _make_record(row: int, fields: dict) -> StudyRecord:
     return rec
 
 
+def _csv_rows(text: str, required: tuple[str, ...]) -> list[dict[str, str]]:
+    """CSV data rows keyed by column name, names stripped of spaces and BOM.
+
+    Missing cells read as "". Raises SchemaError when there is no header or
+    it lacks a ``required`` column.
+    """
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None:
+        raise SchemaError("empty input: no header row", missing=required)
+    header = [name.strip().lstrip("\ufeff") for name in reader.fieldnames]
+    missing = tuple(c for c in required if c not in header)
+    if missing:
+        raise SchemaError(
+            "missing required column(s): " + ", ".join(missing), missing=missing
+        )
+    return [
+        {k.strip().lstrip("\ufeff"): v or "" for k, v in raw.items() if k is not None}
+        for raw in reader
+    ]
+
+
 def parse_dataset(
     text: str,
     label: str = "",
@@ -191,24 +206,11 @@ def parse_dataset(
     required columns are missing and ParseError (with 0-based row index and
     field name) on the first malformed or invariant-violating row.
     """
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        raise SchemaError("empty input: no header row", missing=REQUIRED_COLUMNS)
-    header = [name.strip().lstrip("﻿") for name in reader.fieldnames]
-    missing = tuple(c for c in REQUIRED_COLUMNS if c not in header)
-    if missing:
-        raise SchemaError(
-            "missing required column(s): " + ", ".join(missing), missing=missing
-        )
-    records = []
-    for i, raw in enumerate(reader):
-        fields = {
-            key.strip().lstrip("﻿"): value
-            for key, value in raw.items()
-            if key is not None
-        }
-        records.append(_make_record(i, fields))
-    return Dataset(records=tuple(records), label=label, confidence_level=confidence_level)
+    records = tuple(
+        _make_record(i, fields)
+        for i, fields in enumerate(_csv_rows(text, REQUIRED_COLUMNS))
+    )
+    return Dataset(records=records, label=label, confidence_level=confidence_level)
 
 
 def serialize_dataset(ds: Dataset) -> str:

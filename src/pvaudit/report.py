@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
@@ -77,46 +78,6 @@ def dumps(value: Any) -> str:
     return "".join(out) + "\n"
 
 
-def _shape_dict(shape: ShapeVerdict) -> dict:
-    return {
-        "verdict": shape.verdict,
-        "slope_single": shape.slope_single,
-        "breakpoint": shape.breakpoint,
-        "sse_single": shape.sse_single,
-        "sse_two_segment": shape.sse_two_segment,
-        "bic_delta": shape.bic_delta,
-        "ks_statistic": shape.ks_statistic,
-        "ks_pvalue": shape.ks_pvalue,
-    }
-
-
-def _thresholds_dict(t: ShapeThresholds) -> dict:
-    return {
-        "ks_alpha": t.ks_alpha,
-        "slope_band": list(t.slope_band),
-        "small_p": t.small_p,
-        "small_p_majority": t.small_p_majority,
-        "adequate_rmse": t.adequate_rmse,
-        "bic_evidence": t.bic_evidence,
-        "slope_ratio_max": t.slope_ratio_max,
-        "min_points": t.min_points,
-    }
-
-
-def _pool_dict(pool: PoolResult) -> dict:
-    return {
-        "k": pool.k,
-        "fixed_mean": pool.fixed_mean,
-        "q": pool.q,
-        "tau2": pool.tau2,
-        "random_mean": pool.random_mean,
-        "random_se": pool.random_se,
-        "i2": pool.i2,
-        "weights_fixed": list(pool.weights_fixed),
-        "weights_random": list(pool.weights_random),
-    }
-
-
 def build_audit_report(
     ds: Dataset,
     shape: ShapeVerdict,
@@ -128,7 +89,7 @@ def build_audit_report(
     thresholds: ShapeThresholds | None = None,
 ) -> dict:
     """Assemble the audit report structure (dataset table, verdict, flags, pool)."""
-    derived = ds.require_ranks()
+    derived = ds.require_derived()
     studies = []
     for rec, d in zip(ds.records, derived):
         row = record_as_dict(rec)
@@ -140,10 +101,10 @@ def build_audit_report(
         "tool": {"name": TOOL_NAME, "version": __version__},
         "label": ds.label,
         "config": config,
-        "shape_thresholds": _thresholds_dict(thresholds or ShapeThresholds()),
+        "shape_thresholds": asdict(thresholds or ShapeThresholds()),
         "n_studies": len(ds),
         "studies": studies,
-        "shape": _shape_dict(shape),
+        "shape": asdict(shape),
         "outliers": {
             "p_threshold": outliers.p_threshold,
             "influence_threshold": (
@@ -151,11 +112,9 @@ def build_audit_report(
                 if math.isinf(outliers.influence_threshold)
                 else outliers.influence_threshold
             ),
-            "flagged": [
-                {"row": f.row, "reason": f.reason} for f in outliers.flagged
-            ],
+            "flagged": [asdict(f) for f in outliers.flagged],
         },
-        "pool": None if pool is None else _pool_dict(pool),
+        "pool": None if pool is None else asdict(pool),
     }
     if space_entries is not None and space_summary is not None:
         report["search_space"] = {
@@ -189,15 +148,7 @@ def build_sim_report(outcome: SimOutcome) -> dict:
     cfg = outcome.config
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},
-        "config": {
-            "n_studies": cfg.n_studies,
-            "effect_fraction": cfg.effect_fraction,
-            "noncentrality": cfg.noncentrality,
-            "censor_rate": cfg.censor_rate,
-            "hack_k": cfg.hack_k,
-            "seed": cfg.seed,
-            "replicates": cfg.replicates,
-        },
+        "config": asdict(cfg),
         "rng": {
             "algorithm": RNG_ALGORITHM,
             "key": cfg.seed,

@@ -132,17 +132,22 @@ def derive_dataset(
     critical_value: float | None = None,
     scale: str = "linear",
 ) -> Dataset:
-    """Derive stats for every record, preserving row order. Ranks stay unset."""
+    """Derive and rank the stats of every record, preserving row order.
+
+    z* is resolved once, from ``ds.confidence_level`` unless
+    ``critical_value`` overrides it, and the result records it with
+    ``scale``; pooling, flagging and reports read both from the dataset.
+    Ranks are those :func:`rank_pvalues` assigns.
+    """
+    if critical_value is None:
+        critical_value = two_sided_critical_value(ds.confidence_level)
     derived = tuple(
-        derive_stats(
-            rec,
-            ds.confidence_level,
-            critical_value=critical_value,
-            scale=scale,
-        )
+        derive_stats(rec, critical_value=critical_value, scale=scale)
         for rec in ds.records
     )
-    return ds.with_derived(derived)
+    return rank_pvalues(
+        replace(ds, derived=derived, scale=scale, critical_value=critical_value)
+    )
 
 
 def rank_pvalues(ds: Dataset) -> Dataset:
@@ -155,19 +160,16 @@ def rank_pvalues(ds: Dataset) -> Dataset:
     order = sorted(range(len(derived)), key=lambda i: (derived[i].p, i))
     for rank, i in enumerate(order, start=1):
         derived[i] = replace(derived[i], rank=rank)
-    return ds.with_derived(tuple(derived))
+    return replace(ds, derived=tuple(derived))
 
 
-def effects_from_dataset(ds: Dataset, scale: str = "linear") -> list[tuple[float, float]]:
-    """Per-study (effect, se) pairs for pooling: (rr - 1, se) or (log rr, se).
+def effects_from_dataset(ds: Dataset) -> list[tuple[float, float]]:
+    """Per-study (effect, se) pairs for pooling, on the scale ``ds`` was derived on.
 
-    The scale must match the one used when the stats were derived, since the
-    stored standard errors live on that scale.
+    (rr - 1, se) on the linear scale, (log rr, se) on the log scale.
     """
-    if scale not in SCALES:
-        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     derived = ds.require_derived()
-    if scale == "linear":
+    if ds.scale == "linear":
         return [(rec.rr - 1.0, d.se) for rec, d in zip(ds.records, derived)]
     return [(math.log(rec.rr), d.se) for rec, d in zip(ds.records, derived)]
 
@@ -198,7 +200,8 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
     Parameters
     ----------
     effects : sequence of (estimate, se)
-        At least two studies; every se must be positive and finite.
+        At least two studies; every se must be positive and finite, and
+        large enough that its inverse variance is finite.
 
     Returns
     -------
@@ -228,6 +231,10 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
             raise ValueError(f"study {i}: non-finite effect or se")
         if not s > 0:
             raise ValueError(f"study {i}: se must be positive, got {s!r}")
+        if not s * s > 0 or not math.isfinite(1.0 / (s * s)):
+            raise ValueError(
+                f"study {i}: se {s!r} is too small to pool (1/se^2 overflows)"
+            )
     w = [1.0 / (s * s) for _, s in pairs]
     sw = math.fsum(w)
     fixed = math.fsum(wi * y for wi, (y, _) in zip(w, pairs)) / sw

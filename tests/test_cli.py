@@ -326,6 +326,41 @@ def test_audit_echoes_the_level_and_critical_value_it_used(workdir, source):
         )
 
 
+def test_audit_echoes_the_scale_and_critical_value_override(workdir):
+    out = workdir / "log.json"
+    rc = main(["audit", "--input", str(workdir / "toy.csv"), "--scale", "log",
+               "--critical-value", "2.0", "--output", str(out)])
+    assert rc == EXIT_OK
+    report = _read_json(out)
+    assert report["config"]["scale"] == "log"
+    assert report["config"]["critical_value"] == 2
+    for row in report["studies"]:
+        width = math.log(row["cl_high"]) - math.log(row["cl_low"])
+        assert row["se"] == pytest.approx(width / 4.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("flags", [[], ["--influence-threshold", "0.1"]])
+@pytest.mark.parametrize(
+    "limits",
+    # se squares to zero; se squares to a subnormal whose inverse overflows
+    ["1e-200,1e-200,2e-200", "1e-155,1e-155,2e-155"],
+)
+def test_audit_refuses_an_se_too_small_to_pool(workdir, capsys, limits, flags):
+    header, alpha, beta, _ = TOY.splitlines()
+    src = workdir / "tiny.csv"
+    src.write_text(
+        "\n".join([header, f"Tiny,2000,,1,{limits}", alpha, beta]) + "\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    rc = main(["audit", "--input", str(src), *flags, "--output", str(workdir / "t.json")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "study 0" in errors[0]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["audit", "derive", "plot"])
 def test_json_mirror_refuses_a_different_confidence_level(workdir, capsys, command):
     # The mirror records its own level; an explicit flag that disagrees with

@@ -56,15 +56,6 @@ def test_pvalue_plot_ranks_and_sorting():
     assert series.reference_lines == ()
 
 
-def test_pvalue_plot_requires_ranks():
-    ds = Dataset(
-        records=(StudyRecord("A", 2000, 1, 1.0, 0.9, 1.1),),
-        derived=(DerivedStats(se=0.1, z=0.0, p=1.0),),
-    )
-    with pytest.raises(DatasetStateError):
-        pvalue_plot(ds)
-
-
 def test_expectation_plot_hand_computed():
     ds = _ds_from_ps([0.5, 0.02, 0.2])
     series = expectation_plot(ds)

@@ -176,6 +176,27 @@ def _toy_ds(ps_like: list[tuple[float, float, float]]) -> Dataset:
     )
 
 
+@pytest.mark.parametrize(
+    "level, override, zstar",
+    [(0.95, None, 1.96), (0.9, None, 1.64485363), (0.9, 2.0, 2.0)],
+)
+@pytest.mark.parametrize("scale", ["linear", "log"])
+def test_derive_dataset_ranks_and_records_its_parameters(level, override, zstar, scale):
+    text = "author,year,comment,ref,rr,cl_low,cl_high\n" + "".join(
+        f"S{i},2000,,{i},{rr},{lo},{hi}\n"
+        for i, (rr, lo, hi) in enumerate([(1.1, 0.9, 1.3), (1.4, 1.0, 1.8), (1.1, 0.9, 1.3)])
+    )
+    ds = parse_dataset(text, confidence_level=level)
+    derived = derive_dataset(ds, critical_value=override, scale=scale)
+    assert derived.scale == scale
+    assert derived.critical_value == pytest.approx(zstar, rel=1e-8)
+    assert [d.rank for d in derived.derived] == [2, 1, 3]
+    assert derived == rank_pvalues(derived)
+    for rec, d in zip(derived.records, derived.derived):
+        alone = derive_stats(rec, critical_value=derived.critical_value, scale=scale)
+        assert (d.se, d.z, d.p) == (alone.se, alone.z, alone.p)
+
+
 def test_rank_pvalues_orders_by_p():
     ds = _toy_ds([(1.0, 0.5, 1.5), (1.4, 1.0, 1.8), (1.1, 0.9, 1.3)])
     ranked = rank_pvalues(ds)
@@ -300,17 +321,12 @@ def test_pool_dl_rejects_bad_input():
 
 
 def test_effects_from_dataset_scales():
-    ds = derive_dataset(
-        parse_dataset("author,year,comment,ref,rr,cl_low,cl_high\nA,2000,,1,1.2,1.0,1.4\n")
-    )
-    (effect, se), = effects_from_dataset(ds, "linear")
+    # the effects come out on the scale the dataset was derived on
+    ds = parse_dataset("author,year,comment,ref,rr,cl_low,cl_high\nA,2000,,1,1.2,1.0,1.4\n")
+    (effect, se), = effects_from_dataset(derive_dataset(ds))
     assert effect == pytest.approx(0.2, rel=1e-12)
     assert se == pytest.approx(0.4 / 3.92, rel=1e-12)
-    ds_log = derive_dataset(
-        parse_dataset("author,year,comment,ref,rr,cl_low,cl_high\nA,2000,,1,1.2,1.0,1.4\n"),
-        scale="log",
-    )
-    (effect_log, se_log), = effects_from_dataset(ds_log, "log")
+    (effect_log, se_log), = effects_from_dataset(derive_dataset(ds, scale="log"))
     assert effect_log == pytest.approx(math.log(1.2), rel=1e-12)
     assert se_log == pytest.approx(math.log(1.4) / 3.92, rel=1e-12)
 
