@@ -36,6 +36,7 @@ from .model import (
     parse_dataset,
 )
 from .report import build_audit_report, build_sim_report, dumps, format_number
+from .sim import SimConfig, greenwald_censor_rate, run_experiment
 from .stats import P_FLOOR, derive_dataset, effects_from_dataset, pool_dl
 
 EXIT_OK = 0
@@ -374,9 +375,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # Imported here: sim is the one module that loads numpy and scipy.
-    from .sim import SimConfig, greenwald_censor_rate, run_experiment
-
     if args.censor_rate is not None and args.censor_preset is not None:
         print(
             "error: --censor-rate and --censor-preset are mutually exclusive",

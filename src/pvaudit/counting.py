@@ -10,6 +10,15 @@ from typing import Iterable, NamedTuple
 
 from .model import ParseError, _csv_rows
 
+__all__ = [
+    "SearchSpaceEntry",
+    "SpaceSummary",
+    "parse_search_space_csv",
+    "search_space",
+    "serialize_search_space_csv",
+    "summarize_spaces",
+]
+
 COUNT_COLUMNS = ("ref", "author", "year", "outcomes", "causes", "covariates")
 OUTPUT_COLUMNS = COUNT_COLUMNS + ("tests", "models", "space")
 
@@ -39,6 +48,17 @@ class SpaceSummary(NamedTuple):
     max: int
 
 
+def _count_problem(name: str, value: int) -> str | None:
+    """Why ``value`` is not a valid count for field ``name``, or None."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        return f"must be an integer, got {value!r}"
+    if value < 0:
+        return f"must be non-negative, got {value}"
+    if name == "covariates" and value > MAX_COVARIATES:
+        return f"must be at most {MAX_COVARIATES}, got {value}"
+    return None
+
+
 def search_space(
     outcomes: int,
     causes: int,
@@ -54,14 +74,9 @@ def search_space(
     at most 62.
     """
     for name, value in (("outcomes", outcomes), ("causes", causes), ("covariates", covariates)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
-    if covariates > MAX_COVARIATES:
-        raise ValueError(
-            f"covariates must be at most {MAX_COVARIATES}, got {covariates}"
-        )
+        problem = _count_problem(name, value)
+        if problem:
+            raise ValueError(f"{name} {problem}")
     tests = outcomes * causes
     models = 2 ** covariates
     return SearchSpaceEntry(
@@ -103,14 +118,9 @@ def parse_search_space_csv(text: str) -> list[SearchSpaceEntry]:
         counts = {}
         for name in ("outcomes", "causes", "covariates"):
             counts[name] = grab(name)
-            if counts[name] < 0:
-                raise ParseError(i, name, f"must be non-negative, got {counts[name]}")
-        if counts["covariates"] > MAX_COVARIATES:
-            raise ParseError(
-                i,
-                "covariates",
-                f"must be at most {MAX_COVARIATES}, got {counts['covariates']}",
-            )
+            problem = _count_problem(name, counts[name])
+            if problem:
+                raise ParseError(i, name, problem)
         entries.append(
             search_space(
                 counts["outcomes"],

@@ -19,6 +19,23 @@ from itertools import accumulate
 from .model import Dataset
 from .stats import loo_influence, effects_from_dataset
 
+__all__ = [
+    "OutlierFlag",
+    "OutlierReport",
+    "PlotSeries",
+    "ReferenceLine",
+    "ShapeThresholds",
+    "ShapeVerdict",
+    "classify_pvalues",
+    "classify_shape",
+    "expectation_plot",
+    "flag_outliers",
+    "ks_uniform",
+    "pvalue_plot",
+    "smallest_p_marker",
+    "volcano_plot",
+]
+
 PLOT_KINDS = ("pvalue_rank", "expectation", "volcano")
 VERDICTS = ("uniform_null", "significant_effect", "bilinear_mixture", "indeterminate")
 FLAG_REASONS = ("extreme_p", "high_influence", "manual")

@@ -7,6 +7,21 @@ import io
 import json
 from dataclasses import asdict, dataclass
 
+__all__ = [
+    "Dataset",
+    "DatasetStateError",
+    "DerivedStats",
+    "ParseError",
+    "SchemaError",
+    "StudyRecord",
+    "Violation",
+    "dataset_from_json",
+    "dataset_to_json",
+    "parse_dataset",
+    "serialize_dataset",
+    "validate_dataset",
+]
+
 CSV_COLUMNS = ("author", "year", "comment", "ref", "rr", "cl_low", "cl_high")
 REQUIRED_COLUMNS = ("author", "year", "ref", "rr", "cl_low", "cl_high")
 DEFAULT_CONFIDENCE_LEVEL = 0.95

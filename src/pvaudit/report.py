@@ -12,16 +12,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from . import __version__
 from .counting import SearchSpaceEntry, SpaceSummary
 from .diagnostics import OutlierReport, ShapeThresholds, ShapeVerdict
 from .model import Dataset, record_as_dict
+from .sim import RNG_ALGORITHM, RNG_COUNTER_LAYOUT, SimOutcome
 from .stats import PoolResult
-
-if TYPE_CHECKING:
-    from .sim import SimOutcome
 
 TOOL_NAME = "pvaudit"
 
@@ -143,8 +141,6 @@ def build_audit_report(
 
 def build_sim_report(outcome: SimOutcome) -> dict:
     """Assemble the simulation report: config echo, RNG scheme, verdict table."""
-    from .sim import RNG_ALGORITHM, RNG_COUNTER_LAYOUT
-
     cfg = outcome.config
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},

@@ -18,26 +18,51 @@ draws in order:
 Every draw is consumed whether or not its branch is taken, so changing one
 parameter never shifts another study's randomness. The whole scheme is
 echoed into the simulation report.
+
+The generator is Philox4x64-10 as defined by Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3" (SC'11), which gives the two round multipliers
+and the two Weyl key increments below. Counter word 0 is incremented before
+each four-word block, so the first block of replicate r is computed from
+``(1, 0, r, 0)``, and each 64-bit word x becomes the double
+``(x >> 11) * 2**-53``. That is the convention of numpy's ``Philox`` bit
+generator and ``Generator.random``, whose streams these are, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
-from numpy.random import Generator, Philox
-from scipy.special import ndtr, ndtri
+from dataclasses import dataclass
+from statistics import NormalDist
 
 from .diagnostics import ShapeThresholds, ShapeVerdict, classify_pvalues
+from .stats import normal_sf
+
+__all__ = [
+    "ReplicateOutcome",
+    "SimConfig",
+    "SimOutcome",
+    "generate_literature",
+    "generate_study_effects",
+    "greenwald_censor_rate",
+    "run_experiment",
+]
 
 RNG_ALGORITHM = "philox4x64"
 RNG_COUNTER_LAYOUT = "(0, 0, replicate_index, 0)"
 SIGNIFICANCE = 0.05
 
+_MASK64 = (1 << 64) - 1
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+
 # Keep uniforms strictly inside (0, 1) before the normal quantile transform;
 # the generator emits multiples of 2**-53, so only an exact zero needs lifting.
 _U_MIN = 2.0 ** -53
+
+_normal_quantile = NormalDist().inv_cdf
 
 
 @dataclass(frozen=True)
@@ -117,38 +142,57 @@ def greenwald_censor_rate(hack_k: int = 1, ratio: float = 10.0) -> float:
     return min(1.0, ratio * s / (1.0 - s))
 
 
-def _uniform_block(cfg: SimConfig, replicate_index: int) -> np.ndarray:
-    """The (n_studies, hack_k + 2) matrix of uniforms for one replicate."""
-    if replicate_index < 0:
-        raise ValueError(f"replicate_index must be non-negative, got {replicate_index}")
-    bitgen = Philox(key=cfg.seed, counter=[0, 0, replicate_index, 0])
-    rng = Generator(bitgen)
-    u = rng.random((cfg.n_studies, cfg.hack_k + 2))
-    return np.maximum(u, _U_MIN)
+def _philox_uniforms(seed: int, replicate_index: int, count: int) -> list[float]:
+    """The first ``count`` doubles of the Philox4x64-10 stream keyed by ``seed``
+    with counter ``(0, 0, replicate_index, 0)``."""
+    # round i is keyed by the seed's two words plus i times the Weyl increments
+    keys = [
+        ((seed + i * _PHILOX_W0) & _MASK64, ((seed >> 64) + i * _PHILOX_W1) & _MASK64)
+        for i in range(_PHILOX_ROUNDS)
+    ]
+    out: list[float] = []
+    for block in range(1, (count + 3) // 4 + 1):
+        x0, x1, x2, x3 = block, 0, replicate_index, 0
+        for k0, k1 in keys:
+            p0 = _PHILOX_M0 * x0
+            p1 = _PHILOX_M1 * x2
+            x0, x1, x2, x3 = (
+                (p1 >> 64) ^ x1 ^ k0,
+                p1 & _MASK64,
+                (p0 >> 64) ^ x3 ^ k1,
+                p0 & _MASK64,
+            )
+        out += [(x >> 11) * 2.0 ** -53 for x in (x0, x1, x2, x3)]
+    del out[count:]
+    return out
 
 
-def _simulate_replicate(
-    cfg: SimConfig, replicate_index: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reported mask, best p per study, and the signed z behind each best p."""
-    u = _uniform_block(cfg, replicate_index)
-    has_effect = u[:, 0] < cfg.effect_fraction
-    z = ndtri(u[:, 1 : 1 + cfg.hack_k])
-    z = z + np.where(has_effect, cfg.noncentrality, 0.0)[:, None]
-    p_all = 2.0 * ndtr(-np.abs(z))
-    best = np.argmin(p_all, axis=1)
-    rows = np.arange(cfg.n_studies)
-    p = p_all[rows, best]
-    z_best = z[rows, best]
-    censor_draw = u[:, 1 + cfg.hack_k]
-    suppressed = (p > SIGNIFICANCE) & (censor_draw < cfg.censor_rate)
-    return ~suppressed, p, z_best
+def _simulate_replicate(cfg: SimConfig, replicate_index: int) -> list[tuple[float, float]]:
+    """Best p and the signed z behind it for each reported study, in study order."""
+    if not 0 <= replicate_index < 2 ** 64:
+        raise ValueError(
+            f"replicate_index must lie in [0, 2**64), got {replicate_index}"
+        )
+    width = cfg.hack_k + 2
+    draws = _philox_uniforms(cfg.seed, replicate_index, cfg.n_studies * width)
+    u = [max(v, _U_MIN) for v in draws]
+    reported = []
+    for j in range(0, len(u), width):
+        shift = cfg.noncentrality if u[j] < cfg.effect_fraction else 0.0
+        best_p = best_z = math.inf
+        for v in u[j + 1 : j + 1 + cfg.hack_k]:
+            z = _normal_quantile(v) + shift
+            p = 2.0 * normal_sf(abs(z))
+            if p < best_p:
+                best_p, best_z = p, z
+        if not (best_p > SIGNIFICANCE and u[j + width - 1] < cfg.censor_rate):
+            reported.append((best_p, best_z))
+    return reported
 
 
 def generate_literature(cfg: SimConfig, replicate_index: int = 0) -> list[float]:
     """The reported p-values of one replicate, in study order."""
-    reported, p, _ = _simulate_replicate(cfg, replicate_index)
-    return [float(v) for v in p[reported]]
+    return [p for p, _ in _simulate_replicate(cfg, replicate_index)]
 
 
 def generate_study_effects(
@@ -169,11 +213,8 @@ def generate_study_effects(
         raise ValueError(f"se must be positive, got {se!r}")
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    reported, p, z_best = _simulate_replicate(cfg, replicate_index)
-    rr = 1.0 + direction * se * z_best
-    return [
-        (float(r), float(q)) for r, q in zip(rr[reported], p[reported])
-    ]
+    scale = direction * se
+    return [(1.0 + scale * z, p) for p, z in _simulate_replicate(cfg, replicate_index)]
 
 
 def run_experiment(
@@ -191,21 +232,20 @@ def run_experiment(
     ks_total = 0
     ks_rejected = 0
     for r in range(cfg.replicates):
-        reported, p, _ = _simulate_replicate(cfg, r)
-        kept = p[reported]
+        kept = generate_literature(cfg, r)
         verdict = classify_pvalues(kept, thresholds)
-        n_suppressed = int(cfg.n_studies - kept.size)
+        n_suppressed = cfg.n_studies - len(kept)
         outcomes.append(
             ReplicateOutcome(
                 index=r,
-                pvalues=tuple(float(v) for v in kept),
+                pvalues=tuple(kept),
                 suppressed=n_suppressed,
                 verdict=verdict,
             )
         )
         counts[verdict.verdict] += 1
         suppressed_fracs.append(n_suppressed / cfg.n_studies)
-        if kept.size >= 5:
+        if len(kept) >= 5:
             ks_total += 1
             if verdict.ks_pvalue < SIGNIFICANCE:
                 ks_rejected += 1
@@ -213,6 +253,6 @@ def run_experiment(
         config=cfg,
         replicates=tuple(outcomes),
         verdict_counts=counts,
-        mean_suppressed_fraction=float(np.mean(suppressed_fracs)),
+        mean_suppressed_fraction=math.fsum(suppressed_fracs) / len(suppressed_fracs),
         ks_rejection_rate=(ks_rejected / ks_total) if ks_total else 0.0,
     )

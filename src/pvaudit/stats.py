@@ -18,6 +18,18 @@ from typing import Iterable, Sequence
 
 from .model import Dataset, DerivedStats, StudyRecord
 
+__all__ = [
+    "PoolResult",
+    "derive_dataset",
+    "derive_stats",
+    "effects_from_dataset",
+    "loo_influence",
+    "normal_sf",
+    "pool_dl",
+    "rank_pvalues",
+    "two_sided_critical_value",
+]
+
 DEFAULT_CRITICAL_VALUE = 1.96
 SCALES = ("linear", "log")
 
@@ -201,7 +213,8 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
     ----------
     effects : sequence of (estimate, se)
         At least two studies; every se must be positive and finite, and
-        large enough that its inverse variance is finite.
+        large enough that its inverse variance, and the weighted sums, are
+        finite (``ValueError`` otherwise).
 
     Returns
     -------
@@ -213,7 +226,7 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
 
     - fixed mean  = sum(w y) / sum(w)
     - Q           = sum(w (y - fixed)^2)
-    - tau^2       = max(0, (Q - (k-1)) / (sum(w) - sum(w^2)/sum(w)))
+    - tau^2       = max(0, (Q - (k-1)) / (sum(w) - sum(w (w/sum(w)))))
     - random weights ``1/(se_i^2 + tau^2)`` give the random mean and its
       standard error ``(sum w*)^(-1/2)``
     - I^2         = max(0, (Q - (k-1)) / Q), zero when Q is zero.
@@ -236,15 +249,28 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
                 f"study {i}: se {s!r} is too small to pool (1/se^2 overflows)"
             )
     w = [1.0 / (s * s) for _, s in pairs]
-    sw = math.fsum(w)
-    fixed = math.fsum(wi * y for wi, (y, _) in zip(w, pairs)) / sw
-    q = math.fsum(wi * (y - fixed) ** 2 for wi, (y, _) in zip(w, pairs))
-    sw2 = math.fsum(wi * wi for wi in w)
-    denom = sw - sw2 / sw
-    tau2 = max(0.0, (q - (k - 1)) / denom) if denom > 0 else 0.0
-    wr = [1.0 / (s * s + tau2) for _, s in pairs]
-    swr = math.fsum(wr)
-    random_mean = math.fsum(wi * y for wi, (y, _) in zip(wr, pairs)) / swr
+    try:
+        sw = math.fsum(w)
+        fixed = math.fsum(wi * y for wi, (y, _) in zip(w, pairs)) / sw
+        q = math.fsum(wi * (y - fixed) ** 2 for wi, (y, _) in zip(w, pairs))
+        # w * (w / sw) rather than w**2, which overflows for se below ~1e-77
+        denom = sw - math.fsum(wi * (wi / sw) for wi in w)
+        tau2 = max(0.0, (q - (k - 1)) / denom) if denom > 0 else 0.0
+        wr = [1.0 / (s * s + tau2) for _, s in pairs]
+        swr = math.fsum(wr)
+        random_mean = math.fsum(wi * y for wi, (y, _) in zip(wr, pairs)) / swr
+        sums_finite = all(map(math.isfinite, (fixed, q, tau2, random_mean)))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        # The inputs are finite and positive, so only a value out of range
+        # gets here: fsum overflowing or meeting inf + -inf, or a zero total
+        # of weights after every se^2 (or se^2 + tau^2) overflowed.
+        sums_finite = False
+    if not sums_finite:
+        i = max(range(k), key=w.__getitem__)
+        raise ValueError(
+            f"weighted sums overflow; cannot pool (study {i}, se {pairs[i][1]!r},"
+            " has the largest weight)"
+        )
     random_se = swr ** -0.5
     i2 = max(0.0, (q - (k - 1)) / q) if q > 0 else 0.0
     return PoolResult(

@@ -342,14 +342,19 @@ def test_audit_echoes_the_scale_and_critical_value_override(workdir):
 @pytest.mark.parametrize("flags", [[], ["--influence-threshold", "0.1"]])
 @pytest.mark.parametrize(
     "limits",
-    # se squares to zero; se squares to a subnormal whose inverse overflows
-    ["1e-200,1e-200,2e-200", "1e-155,1e-155,2e-155"],
+    # se squares to zero; se squares to a subnormal whose inverse overflows;
+    # each inverse variance (about 1e308) is finite but two of them sum past
+    # the largest double
+    ["1e-200,1e-200,2e-200", "1e-155,1e-155,2e-155", "1e-153,1e-153,1.4e-153"],
 )
 def test_audit_refuses_an_se_too_small_to_pool(workdir, capsys, limits, flags):
     header, alpha, beta, _ = TOY.splitlines()
     src = workdir / "tiny.csv"
     src.write_text(
-        "\n".join([header, f"Tiny,2000,,1,{limits}", alpha, beta]) + "\n",
+        "\n".join(
+            [header, f"Tiny,2000,,1,{limits}", f"Tinier,2001,,2,{limits}", alpha, beta]
+        )
+        + "\n",
         encoding="utf-8",
     )
     capsys.readouterr()
@@ -419,15 +424,19 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
-    # Also runs an audit with influence screening: leave-one-out stays
-    # stdlib-only too.
+    # Also runs an audit with influence screening and a simulation: neither
+    # leave-one-out nor the simulator needs numpy or scipy.
     soy = tmp_path / "soy.csv"
     soy.write_text(soy_ldl_studies_csv(), encoding="utf-8")
     report = tmp_path / "report.json"
+    sim_report = tmp_path / "sim.json"
     proc = _fresh_python(
         "import sys, pvaudit, pvaudit.cli\n"
         f"rc = pvaudit.cli.main(['audit', '--input', {str(soy)!r}, "
         f"'--influence-threshold', '0.2', '--output', {str(report)!r}])\n"
+        "assert rc == 0, rc\n"
+        "rc = pvaudit.cli.main(['simulate', '--n', '30', '--hack-k', '2', "
+        f"'--replicates', '5', '--seed', '3', '--output', {str(sim_report)!r}])\n"
         "assert rc == 0, rc\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
     )
@@ -435,6 +444,16 @@ def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
     flagged = _read_json(report)["outliers"]["flagged"]
     assert any(f["reason"] == "high_influence" for f in flagged)
+    assert len(_read_json(sim_report)["replicates"]) == 5
+
+
+def test_every_public_name_resolves():
+    import pvaudit
+
+    namespace: dict = {}
+    exec("from pvaudit import *", namespace)  # raises on a name that does not resolve
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(pvaudit.__all__)
+    assert len(set(pvaudit.__all__)) == len(pvaudit.__all__)
 
 
 def test_sim_names_still_import_from_the_package():

@@ -123,6 +123,15 @@ def test_parse_counting_negative_count():
     assert err.value.field == "causes"
 
 
+def test_parse_counting_too_many_covariates():
+    with pytest.raises(ParseError) as err:
+        parse_search_space_csv(
+            "ref,author,year,outcomes,causes,covariates\n1,A,2000,2,3,62\n2,B,2001,2,3,63\n"
+        )
+    assert err.value.row == 1
+    assert err.value.field == "covariates"
+
+
 def test_serialize_appends_derived_columns():
     entries = parse_search_space_csv(
         "ref,author,year,outcomes,causes,covariates\n1,A,2000,2,3,2\n"

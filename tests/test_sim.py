@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
+from scipy.special import ndtr, ndtri
 
 from pvaudit import (
     SimConfig,
@@ -14,6 +16,61 @@ from pvaudit import (
     run_experiment,
 )
 from pvaudit.report import build_sim_report, dumps
+from pvaudit.sim import _philox_uniforms
+
+
+def _numpy_literature(cfg: SimConfig, replicate_index: int) -> list[tuple[float, float]]:
+    """(best p, signed z) of each reported study, by numpy's Philox generator
+    and scipy's normal functions: the simulator's former implementation, kept
+    as the reference."""
+    u = Generator(Philox(key=cfg.seed, counter=[0, 0, replicate_index, 0])).random(
+        (cfg.n_studies, cfg.hack_k + 2)
+    )
+    u = np.maximum(u, 2.0 ** -53)
+    has_effect = u[:, 0] < cfg.effect_fraction
+    z = ndtri(u[:, 1 : 1 + cfg.hack_k])
+    z = z + np.where(has_effect, cfg.noncentrality, 0.0)[:, None]
+    p_all = 2.0 * ndtr(-np.abs(z))
+    best = np.argmin(p_all, axis=1)
+    rows = np.arange(cfg.n_studies)
+    p = p_all[rows, best]
+    suppressed = (p > 0.05) & (u[:, 1 + cfg.hack_k] < cfg.censor_rate)
+    return [(float(q), float(x)) for q, x in zip(p[~suppressed], z[rows, best][~suppressed])]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 + 5, 2 ** 128 - 1])
+@pytest.mark.parametrize("replicate_index", [0, 1, 599, 2 ** 40])
+def test_philox_uniforms_equal_numpy_bit_for_bit(seed, replicate_index):
+    # n_studies x (hack_k + 2) draws; most sizes end partway through a block
+    for n_studies, hack_k in [(1, 1), (3, 1), (2, 2), (7, 3), (5, 4), (13, 5)]:
+        shape = (n_studies, hack_k + 2)
+        want = Generator(Philox(key=seed, counter=[0, 0, replicate_index, 0])).random(shape)
+        got = _philox_uniforms(seed, replicate_index, n_studies * (hack_k + 2))
+        assert got == want.ravel().tolist(), shape
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimConfig(n_studies=300, seed=7),
+        SimConfig(n_studies=300, seed=12, effect_fraction=0.3, noncentrality=4.0),
+        SimConfig(n_studies=200, seed=5, effect_fraction=0.4, noncentrality=-2.5,
+                  censor_rate=0.5, hack_k=3),
+        SimConfig(n_studies=100, seed=2 ** 100 + 3, effect_fraction=1.0,
+                  noncentrality=9.0, censor_rate=1.0, hack_k=5),
+    ],
+)
+def test_literature_matches_numpy_scipy_reference(cfg):
+    se = 0.04
+    for r in (0, 1, 37):
+        want = _numpy_literature(cfg, r)
+        got = generate_literature(cfg, r)
+        effects = generate_study_effects(cfg, r, se=se)
+        assert len(got) == len(want) == len(effects)
+        for p, (rr, p_rr), (p_ref, z_ref) in zip(got, effects, want):
+            assert p == p_rr
+            assert p == pytest.approx(p_ref, rel=1e-13, abs=0.0)
+            assert rr == pytest.approx(1.0 + se * z_ref, rel=1e-13)
 
 
 def test_config_validation():
@@ -58,6 +115,8 @@ def test_seed_changes_stream():
 def test_negative_replicate_index_rejected():
     with pytest.raises(ValueError):
         generate_literature(SimConfig(n_studies=5), -1)
+    with pytest.raises(ValueError):
+        generate_literature(SimConfig(n_studies=5), 2 ** 64)
 
 
 def test_null_pvalues_look_uniform():

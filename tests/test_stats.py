@@ -318,6 +318,18 @@ def test_pool_dl_rejects_bad_input():
         pool_dl([(0.0, 0.1), (1.0, 0.0)])
     with pytest.raises(ValueError):
         pool_dl([(0.0, 0.1), (math.nan, 0.1)])
+    with pytest.raises(ValueError, match="overflow"):
+        # each 1/se^2 is finite, their sum is not
+        pool_dl([(0.2, 1e-154), (0.2, 1e-154), (0.2, 0.1)])
+
+
+def test_pool_dl_tau2_survives_squared_weight_overflow():
+    # At se 1e-100, w^2 = 1/se^4 overflows; tau^2 must not depend on it.
+    tiny = pool_dl([(0.1, 1e-100), (0.2, 1e-100), (0.0, 0.1)])
+    small = pool_dl([(0.1, 1e-60), (0.2, 1e-60), (0.0, 0.1)])
+    assert small.tau2 > 0
+    for name in ("tau2", "random_mean", "random_se"):
+        assert getattr(tiny, name) == pytest.approx(getattr(small, name), rel=1e-12), name
 
 
 def test_effects_from_dataset_scales():
