@@ -26,12 +26,21 @@ each four-word block, so the first block of replicate r is computed from
 ``(1, 0, r, 0)``, and each 64-bit word x becomes the double
 ``(x >> 11) * 2**-53``. That is the convention of numpy's ``Philox`` bit
 generator and ``Generator.random``, whose streams these are, bit for bit.
+
+The blocks of a replicate are evaluated together, as 128-bit lanes of four
+Python integers (one integer per counter word, block b in bits 128b up).
+This is exact: a block carries no state to the next, so each round is the
+same operation on every lane, and a lane's 64-bit word times a 64-bit
+multiplier stays below 2**128, so no carry crosses into the next lane. Each
+round is then a few big-integer operations, not a Python loop per block.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 from .diagnostics import ShapeThresholds, ShapeVerdict, classify_pvalues
@@ -58,9 +67,13 @@ _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 
-# Keep uniforms strictly inside (0, 1) before the normal quantile transform;
-# the generator emits multiples of 2**-53, so only an exact zero needs lifting.
-_U_MIN = 2.0 ** -53
+# A 53-bit word w is the uniform w * 2**-53. Before the normal quantile
+# transform uniforms must lie strictly inside (0, 1), so only a zero needs
+# lifting, to 2**-53 (the word 1).
+_WORD_SCALE = 2.0 ** -53
+# The 64-bit words of each 128-bit lane's low half, in lane order, from a
+# native-order "Q" view of the lanes' bytes.
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 _normal_quantile = NormalDist().inv_cdf
 
@@ -84,6 +97,10 @@ class SimConfig:
     replicates: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_studies", "hack_k", "seed", "replicates"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_studies < 1:
             raise ValueError(f"n_studies must be at least 1, got {self.n_studies}")
         if not 0.0 <= self.effect_fraction <= 1.0:
@@ -142,29 +159,43 @@ def greenwald_censor_rate(hack_k: int = 1, ratio: float = 10.0) -> float:
     return min(1.0, ratio * s / (1.0 - s))
 
 
+@lru_cache(maxsize=4)
+def _lanes(blocks: int) -> tuple[int, int, int]:
+    """For ``blocks`` 128-bit lanes: the integer with 1 in every lane (a 64-bit
+    value times it fills every lane), the mask of every lane's low 64 bits,
+    and the counter word 0 of the lanes, 1, 2, ..., blocks."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * blocks, "little")
+    counters = b"".join(b.to_bytes(16, "little") for b in range(1, blocks + 1))
+    return ones, _MASK64 * ones, int.from_bytes(counters, "little")
+
+
 def _philox_uniforms(seed: int, replicate_index: int, count: int) -> list[float]:
     """The first ``count`` doubles of the Philox4x64-10 stream keyed by ``seed``
     with counter ``(0, 0, replicate_index, 0)``."""
+    blocks = (count + 3) // 4
+    ones, low, x0 = _lanes(blocks)
+    x1 = x3 = 0
+    x2 = replicate_index * ones
     # round i is keyed by the seed's two words plus i times the Weyl increments
-    keys = [
-        ((seed + i * _PHILOX_W0) & _MASK64, ((seed >> 64) + i * _PHILOX_W1) & _MASK64)
-        for i in range(_PHILOX_ROUNDS)
-    ]
-    out: list[float] = []
-    for block in range(1, (count + 3) // 4 + 1):
-        x0, x1, x2, x3 = block, 0, replicate_index, 0
-        for k0, k1 in keys:
-            p0 = _PHILOX_M0 * x0
-            p1 = _PHILOX_M1 * x2
-            x0, x1, x2, x3 = (
-                (p1 >> 64) ^ x1 ^ k0,
-                p1 & _MASK64,
-                (p0 >> 64) ^ x3 ^ k1,
-                p0 & _MASK64,
-            )
-        out += [(x >> 11) * 2.0 ** -53 for x in (x0, x1, x2, x3)]
+    k0, k1 = seed & _MASK64, seed >> 64
+    for _ in range(_PHILOX_ROUNDS):
+        p0 = _PHILOX_M0 * x0
+        p1 = _PHILOX_M1 * x2
+        x0, x1, x2, x3 = (
+            ((p1 >> 64) & low) ^ x1 ^ (k0 * ones),
+            p1 & low,
+            ((p0 >> 64) & low) ^ x3 ^ (k1 * ones),
+            p0 & low,
+        )
+        k0 = (k0 + _PHILOX_W0) & _MASK64
+        k1 = (k1 + _PHILOX_W1) & _MASK64
+    # Bits shifted down from lane b+1 land in lane b's high half, never read.
+    size = 16 * blocks
+    out = [0] * (4 * blocks)
+    for j, x in enumerate((x0, x1, x2, x3)):
+        out[j::4] = memoryview((x >> 11).to_bytes(size, sys.byteorder)).cast("Q")[_LOW_WORDS]
     del out[count:]
-    return out
+    return [w * _WORD_SCALE for w in out]
 
 
 def _simulate_replicate(cfg: SimConfig, replicate_index: int) -> list[tuple[float, float]]:
@@ -174,8 +205,9 @@ def _simulate_replicate(cfg: SimConfig, replicate_index: int) -> list[tuple[floa
             f"replicate_index must lie in [0, 2**64), got {replicate_index}"
         )
     width = cfg.hack_k + 2
-    draws = _philox_uniforms(cfg.seed, replicate_index, cfg.n_studies * width)
-    u = [max(v, _U_MIN) for v in draws]
+    u = _philox_uniforms(cfg.seed, replicate_index, cfg.n_studies * width)
+    if 0.0 in u:
+        u = [v or _WORD_SCALE for v in u]
     reported = []
     for j in range(0, len(u), width):
         shift = cfg.noncentrality if u[j] < cfg.effect_fraction else 0.0

@@ -226,7 +226,7 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
 
     - fixed mean  = sum(w y) / sum(w)
     - Q           = sum(w (y - fixed)^2)
-    - tau^2       = max(0, (Q - (k-1)) / (sum(w) - sum(w (w/sum(w)))))
+    - tau^2       = max(0, (Q - (k-1)) / (sum(w) - sum(w^2) / sum(w)))
     - random weights ``1/(se_i^2 + tau^2)`` give the random mean and its
       standard error ``(sum w*)^(-1/2)``
     - I^2         = max(0, (Q - (k-1)) / Q), zero when Q is zero.
@@ -249,12 +249,23 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
                 f"study {i}: se {s!r} is too small to pool (1/se^2 overflows)"
             )
     w = [1.0 / (s * s) for _, s in pairs]
+    top = max(range(k), key=w.__getitem__)
     try:
         sw = math.fsum(w)
-        fixed = math.fsum(wi * y for wi, (y, _) in zip(w, pairs)) / sw
-        q = math.fsum(wi * (y - fixed) ** 2 for wi, (y, _) in zip(w, pairs))
-        # w * (w / sw) rather than w**2, which overflows for se below ~1e-77
-        denom = sw - math.fsum(wi * (wi / sw) for wi in w)
+        # Q from deviations off the heaviest study's effect, so the fixed mean's
+        # rounding error never meets that study's weight squared
+        centre = pairs[top][0]
+        dev = [y - centre for y, _ in pairs]
+        shift = math.fsum(wi * d for wi, d in zip(w, dev)) / sw
+        fixed = centre + shift
+        q = math.fsum(wi * (d - shift) ** 2 for wi, d in zip(w, dev))
+        # sw - sum(w^2)/sw as the sum of w * (weight outside the study) / sw:
+        # every term is positive, and none overflows as w**2 does for se below
+        # ~1e-77. sw - w cancels only for the heaviest study, whose outside
+        # weight is summed directly, so one dominant study costs no precision.
+        outside = [sw - wi for wi in w]
+        outside[top] = math.fsum(w[:top] + w[top + 1 :])
+        denom = math.fsum(wi * (o / sw) for wi, o in zip(w, outside))
         tau2 = max(0.0, (q - (k - 1)) / denom) if denom > 0 else 0.0
         wr = [1.0 / (s * s + tau2) for _, s in pairs]
         swr = math.fsum(wr)
@@ -266,9 +277,8 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
         # of weights after every se^2 (or se^2 + tau^2) overflowed.
         sums_finite = False
     if not sums_finite:
-        i = max(range(k), key=w.__getitem__)
         raise ValueError(
-            f"weighted sums overflow; cannot pool (study {i}, se {pairs[i][1]!r},"
+            f"weighted sums overflow; cannot pool (study {top}, se {pairs[top][1]!r},"
             " has the largest weight)"
         )
     random_se = swr ** -0.5
@@ -291,26 +301,50 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
 # (relative to its rounding scale) below k-2 clamps tau^2 for certain. The
 # random-weight series is used only while each term is at most half the last,
 # and cut once r**M is below 2**-55, where its tail is under a rounding unit.
+# Nothing is downdated where a rounding unit of the pooled mean is above 2**-42
+# of its standard error: the per-subset values are then mostly that rounding.
 _MAX_CANCELLATION = 2.0**10
 _CLAMP_MARGIN = 2.0**-48
 _MAX_SERIES_RATIO = 0.5
 _LOG_SERIES_TOL = -55.0 * math.log(2.0)
+_MAX_MEAN_ROUNDING = 2.0**-42
 
 
 def _downdated_tau2(
-    k: int, sw: float, sw2: float, fixed: float, q: float, wi: float, yi: float
+    k: int,
+    sw: float,
+    rest: tuple[float, float, float],
+    fixed: float,
+    q: float,
+    wi: float,
+    yi: float,
+    heaviest: bool,
 ) -> float | None:
     """DL tau^2 of the k-1 studies left without (yi, wi), from full-set sums.
+
+    ``rest`` is the heaviest weight ``w_t`` with, over every other study, the
+    sums of ``w`` and of ``w (w / w_t)``. Forming the denominator from them
+    cancels nothing when one study carries nearly all the weight.
 
     Returns None where cancellation would cost more than ten bits; the
     caller then pools the subset directly.
     """
-    sw_i = sw - wi
-    if not sw <= _MAX_CANCELLATION * sw_i:
+    w_t, s1, s2 = rest
+    if not s1 > 0.0:  # every other weight underflowed to zero
         return None
-    denom = sw_i - (sw2 - wi * wi) / sw_i
-    if not sw + sw2 / sw_i <= _MAX_CANCELLATION * denom:
-        return None
+    if heaviest:
+        sw_i = s1
+        spill = s2 * (w_t / s1)
+        denom = s1 - spill
+        if not s1 + spill <= _MAX_CANCELLATION * denom:
+            return None
+    else:
+        r1 = s1 - wi
+        if not s1 <= _MAX_CANCELLATION * r1:
+            return None
+        sw_i = w_t + r1
+        # (sw_i^2 - w_t^2 - sum of the others' w^2) / sw_i, with w_t^2 cancelled
+        denom = r1 + w_t / sw_i * (r1 - (s2 - wi * (wi / w_t)))
     g = wi * sw / sw_i * abs(yi - fixed)
     q_i = q - g * abs(yi - fixed)
     # the scale of q_i's rounding error, the fixed mean's own error included
@@ -338,9 +372,11 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     - Fixed part, by downdating the full-set sums in O(1) per study:
       ``W_i = W - w_i``, ``Q_i = Q - w_i (y_i - f)^2 W / W_i`` and
       ``tau2_i = max(0, (Q_i - (k-2)) / (W_i - (sum w^2 - w_i^2) / W_i))``,
-      clamped as in :func:`pool_dl`; a denominator that is not safely
-      positive sends the study to the direct path, which applies the
-      ``denom > 0`` rule itself.
+      clamped as in :func:`pool_dl`. The denominator is downdated from sums
+      taken without the heaviest study t, in which ``w_t^2`` cancels
+      exactly, so a study carrying nearly all the weight costs the others no
+      precision; a denominator that is not safely positive sends the study
+      to the direct path, which applies the ``denom > 0`` rule itself.
     - Random part, by a power series around the full-set ``tau2``. With
       ``u_j = 1/(v_j + tau2)`` and ``d = tau2_i - tau2``,
       ``sum_j 1/(v_j + tau2_i) = sum_m (-d)^m sum_j u_j^(m+1)``, and the
@@ -353,8 +389,11 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     and about 11 on typical sets. A study is pooled directly, at O(k), where
     ``r >= 1/2`` (as when a homogeneous set, tau2 = 0, has a heterogeneous
     subset, or a subset clamps a large tau2 to zero), or where a downdate
-    would lose more than ten bits to cancellation (one study carrying nearly
-    all the weight, or nearly all of Q, near the tau2 clamp).
+    would lose more than ten bits to cancellation (the study that carries
+    nearly all the weight or nearly all of Q, or a set near the tau2 clamp).
+    Every study is pooled directly where a rounding unit of the full-set mean
+    exceeds 2^-42 of its standard error (a dominant study with tau2 = 0): the
+    subset means then differ mostly by rounding, which no downdate repeats.
     """
     pairs = [(float(y), float(s)) for y, s in effects]
     k = len(pairs)
@@ -366,15 +405,22 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     vs = [s * s for _, s in pairs]
     w = [1.0 / v for v in vs]
     sw = math.fsum(w)
-    sw2 = math.fsum(wi * wi for wi in w)
+    top = max(range(k), key=w.__getitem__)
+    others = w[:top] + w[top + 1 :]
+    rest = (w[top], math.fsum(others), math.fsum(x * (x / w[top]) for x in others))
     u = [1.0 / (v + full.tau2) for v in vs]
     u_max = max(u)
 
     # Per study: the leave-one-out tau^2 and series length, or None to pool
     # that study directly.
+    resolved = abs(full.random_mean) * 2.0**-52 <= _MAX_MEAN_ROUNDING * full.random_se
     plan: list[tuple[float, int] | None] = []
-    for wi, yi in zip(w, ys):
-        tau2_i = _downdated_tau2(k, sw, sw2, full.fixed_mean, full.q, wi, yi)
+    for i, (wi, yi) in enumerate(zip(w, ys)):
+        tau2_i = (
+            _downdated_tau2(k, sw, rest, full.fixed_mean, full.q, wi, yi, heaviest=i == top)
+            if resolved
+            else None
+        )
         r = math.inf if tau2_i is None else abs(tau2_i - full.tau2) * u_max
         if r < _MAX_SERIES_RATIO:
             terms = 1 if r == 0.0 else math.ceil(_LOG_SERIES_TOL / math.log(r))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,8 +16,36 @@ from pvaudit import (
     normal_sf,
     run_experiment,
 )
+from pvaudit import sim
 from pvaudit.report import build_sim_report, dumps
 from pvaudit.sim import _philox_uniforms
+
+_MASK64 = (1 << 64) - 1
+
+
+def _philox_reference(seed: int, replicate_index: int, count: int) -> list[float]:
+    """Philox4x64-10 one four-word block at a time: the simulator's former
+    generator, kept as the reference for the lane-packed one."""
+    keys = [
+        ((seed + i * 0x9E3779B97F4A7C15) & _MASK64,
+         ((seed >> 64) + i * 0xBB67AE8584CAA73B) & _MASK64)
+        for i in range(10)
+    ]
+    out: list[float] = []
+    for block in range(1, (count + 3) // 4 + 1):
+        x0, x1, x2, x3 = block, 0, replicate_index, 0
+        for k0, k1 in keys:
+            p0 = 0xD2E7470EE14C6C93 * x0
+            p1 = 0xCA5A826395121157 * x2
+            x0, x1, x2, x3 = (
+                (p1 >> 64) ^ x1 ^ k0,
+                p1 & _MASK64,
+                (p0 >> 64) ^ x3 ^ k1,
+                p0 & _MASK64,
+            )
+        out += [(x >> 11) * 2.0 ** -53 for x in (x0, x1, x2, x3)]
+    del out[count:]
+    return out
 
 
 def _numpy_literature(cfg: SimConfig, replicate_index: int) -> list[tuple[float, float]]:
@@ -26,6 +55,11 @@ def _numpy_literature(cfg: SimConfig, replicate_index: int) -> list[tuple[float,
     u = Generator(Philox(key=cfg.seed, counter=[0, 0, replicate_index, 0])).random(
         (cfg.n_studies, cfg.hack_k + 2)
     )
+    return _reference_from_uniforms(cfg, u)
+
+
+def _reference_from_uniforms(cfg: SimConfig, u: np.ndarray) -> list[tuple[float, float]]:
+    """The reference's reading of an (n_studies, hack_k + 2) array of draws."""
     u = np.maximum(u, 2.0 ** -53)
     has_effect = u[:, 0] < cfg.effect_fraction
     z = ndtri(u[:, 1 : 1 + cfg.hack_k])
@@ -47,6 +81,80 @@ def test_philox_uniforms_equal_numpy_bit_for_bit(seed, replicate_index):
         want = Generator(Philox(key=seed, counter=[0, 0, replicate_index, 0])).random(shape)
         got = _philox_uniforms(seed, replicate_index, n_studies * (hack_k + 2))
         assert got == want.ravel().tolist(), shape
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 + 5, 2 ** 128 - 1])
+@pytest.mark.parametrize("replicate_index", [0, 599, 2 ** 40, 2 ** 64 - 1])
+def test_philox_lanes_equal_per_block_reference(seed, replicate_index):
+    # one block, partial and whole blocks, sim-mixture's 300, and 1001 blocks
+    for count in (1, 3, 4, 5, 300, 4 * 1000 + 3):
+        want = _philox_reference(seed, replicate_index, count)
+        assert _philox_uniforms(seed, replicate_index, count) == want, count
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 128 - 1])
+@pytest.mark.parametrize("count", [300, 6001])
+def test_philox_uniforms_equal_numpy_long_streams(seed, count):
+    want = Generator(Philox(key=seed, counter=[0, 0, 37, 0])).random(count)
+    assert _philox_uniforms(seed, 37, count) == want.tolist()
+
+
+def _literature_digest(cfg: SimConfig) -> str:
+    h = hashlib.sha256()
+    for r in range(cfg.replicates):
+        h.update((",".join(p.hex() for p in generate_literature(cfg, r)) + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        (SimConfig(n_studies=100, effect_fraction=0.2, noncentrality=3.0, censor_rate=0.3,
+                   replicates=600, seed=5),
+         "8ee65525ec60877646c5481b0a8ce7daceb1f29389a06fb9dddb468cf22fac64"),
+        (SimConfig(n_studies=40, hack_k=5, censor_rate=greenwald_censor_rate(5),
+                   replicates=300, seed=9),
+         "1725863a385260f77603c73e902dedda8d7f82f196838a3ee62f97c7576b6813"),
+        (SimConfig(n_studies=60, hack_k=3, noncentrality=-2.5, effect_fraction=0.4,
+                   censor_rate=0.5, replicates=300, seed=2 ** 100 + 3),
+         "b470daf0d05f6e2611634f0ca597939b40cc76d4bfa1414d54a8d6ba7a83ab54"),
+    ],
+)
+def test_reported_pvalues_pinned(cfg, digest):
+    # every replicate's reported p-values, bit for bit, as the numpy-era
+    # simulator and the per-block generator produced them
+    assert _literature_digest(cfg) == digest
+
+
+_HALF = 1 << 52  # the word of the uniform 0.5: z 0, p 1
+
+
+@pytest.mark.parametrize(
+    "effect_fraction, censor_rate",
+    [(0.5, 0.5), (1e-20, 1e-20), (0.0, 0.0), (1.0, 1.0)],
+)
+def test_zero_word_lifted_like_reference(monkeypatch, effect_fraction, censor_rate):
+    # Three studies, hack_k 2 (words: effect, z, z, censor). A zero word in
+    # study 0's effect slot, study 1's second z slot and study 2's censor slot
+    # must read as the uniform 2**-53, as the reference's np.maximum has it.
+    words = [0, _HALF, _HALF, _HALF,
+             _HALF, _HALF, 0, _HALF,
+             _HALF, _HALF, _HALF, 0]
+    monkeypatch.setattr(
+        sim, "_philox_uniforms", lambda seed, r, count: [w * 2.0 ** -53 for w in words]
+    )
+    cfg = SimConfig(n_studies=3, hack_k=2, effect_fraction=effect_fraction,
+                    noncentrality=5.0, censor_rate=censor_rate)
+    got = sim._simulate_replicate(cfg, 0)
+    want = _reference_from_uniforms(cfg, np.array(words, dtype=float).reshape(3, 4) * 2.0 ** -53)
+    assert len(got) == len(want)
+    for (p, z), (p_ref, z_ref) in zip(got, want):
+        assert p == pytest.approx(p_ref, rel=1e-13, abs=0.0)
+        assert z == pytest.approx(z_ref, rel=1e-13, abs=0.0)
+    if effect_fraction == 1e-20:
+        # the lifted 2**-53 is no effect, and censors no non-significant study
+        assert got[0] == (1.0, 0.0)
+        assert len(got) == 3
 
 
 @pytest.mark.parametrize(
@@ -91,6 +199,12 @@ def test_config_validation():
         SimConfig(n_studies=10, replicates=0)
     with pytest.raises(ValueError):
         SimConfig(n_studies=10, noncentrality=math.inf)
+    # integer fields take ints only, so a bad value fails here, not mid-run
+    for field in ("n_studies", "hack_k", "seed", "replicates"):
+        for bad in (1.5, 5.0, True, "3", None):
+            with pytest.raises(ValueError, match=field):
+                SimConfig(**{"n_studies": 10, field: bad})
+    SimConfig(n_studies=5, seed=2 ** 128 - 1, hack_k=2, replicates=3)
 
 
 def test_generate_is_deterministic():

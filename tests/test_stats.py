@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from pvaudit import stats as stats_module
 from pvaudit import (
     Dataset,
     DatasetStateError,
@@ -323,6 +324,23 @@ def test_pool_dl_rejects_bad_input():
         pool_dl([(0.2, 1e-154), (0.2, 1e-154), (0.2, 0.1)])
 
 
+@pytest.mark.parametrize("dominant_se", [1e-6, 1e-20, 1e-60, 1e-100])
+def test_pool_dl_tau2_exact_with_a_dominant_study(dominant_se):
+    # One study with nearly all the weight: sum(w) - sum(w^2)/sum(w) must not
+    # cancel to rounding noise (it read tau^2 = 0 here from se 1e-20 down).
+    rng = np.random.default_rng(3)
+    effects = [
+        (round(float(rng.normal(0, 0.3)), 6), round(float(rng.uniform(0.05, 0.5)), 6))
+        for _ in range(12)
+    ]
+    effects[0] = (0.1, dominant_se)
+    got = pool_dl(effects)
+    want = _pool_fraction_oracle(effects)
+    assert want["tau2"] > 0
+    for name in ("tau2", "random_mean", "random_se"):
+        assert getattr(got, name) == pytest.approx(float(want[name]), rel=1e-12), name
+
+
 def test_pool_dl_tau2_survives_squared_weight_overflow():
     # At se 1e-100, w^2 = 1/se^4 overflows; tau^2 must not depend on it.
     tiny = pool_dl([(0.1, 1e-100), (0.2, 1e-100), (0.0, 0.1)])
@@ -388,11 +406,16 @@ def _loo_sets(draw):
 
     Beside plain heterogeneous sets: homogeneous sets (Q < k-1, so tau^2 is
     zero), sets scaled so Q sits within half a unit of k-1 (subsets' tau^2
-    at the clamp), one narrow study dominating the weight, and sets drawn
-    with replacement from a few (effect, se) pairs.
+    at the clamp), one narrow study dominating the weight, one study with
+    nearly all of it (se 1e-3 down to 1e-100, the others at least e^-3), and
+    sets drawn with replacement from a few (effect, se) pairs.
     """
     k = draw(st.integers(min_value=3, max_value=30))
-    kind = draw(st.sampled_from(("spread", "homogeneous", "clamp", "dominant", "repeated")))
+    kind = draw(
+        st.sampled_from(
+            ("spread", "homogeneous", "clamp", "dominant", "overwhelming", "repeated")
+        )
+    )
     log_se = st.floats(min_value=-6.0, max_value=1.0)
     effect = st.floats(min_value=-1.0, max_value=1.0)
     if kind == "repeated":
@@ -403,6 +426,9 @@ def _loo_sets(draw):
     ys = draw(st.lists(effect, min_size=k, max_size=k))
     if kind == "dominant":
         ses = [math.exp(-6.0)] + [max(se, math.exp(-1.0)) for se in ses[1:]]
+    elif kind == "overwhelming":
+        exponent = draw(st.floats(min_value=3.0, max_value=100.0))
+        ses = [10.0 ** -exponent] + [max(se, math.exp(-3.0)) for se in ses[1:]]
     elif kind in ("homogeneous", "clamp"):
         centre = ys[0]
         shifts = draw(
@@ -435,3 +461,35 @@ def test_loo_influence_matches_per_subset_pooling(effects):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert abs(g - w) <= 1e-10 * abs(w) + 1e-12, (i, g, w)
+
+
+def _dominated_set(dominant_se):
+    """1500 studies, se uniform on 0.05-0.5, study 0's se replaced."""
+    rng = np.random.default_rng(11)
+    ses = rng.uniform(0.05, 0.5, 1500)
+    ys = rng.normal(0.0, 0.3, 1500)
+    if dominant_se is not None:
+        ses[0] = dominant_se
+    return [(float(y), float(s)) for y, s in zip(ys, ses)]
+
+
+@pytest.mark.parametrize("dominant_se, most_calls", [(None, 1), (1e-60, 2), (1e-100, 2)])
+def test_loo_influence_stays_linear_with_a_dominant_study(monkeypatch, dominant_se, most_calls):
+    # Counts pool_dl calls, not time: the full set, plus at most the dominant
+    # study itself pooled directly. Every other study is downdated.
+    effects = _dominated_set(dominant_se)
+    calls = []
+
+    def counted(subset):
+        calls.append(len(subset))
+        return pool_dl(subset)
+
+    monkeypatch.setattr(stats_module, "pool_dl", counted)
+    values = loo_influence(effects)
+    monkeypatch.undo()
+    assert len(calls) <= most_calls, len(calls)
+    full = pool_dl(effects)
+    for i in (0, 1, 2, 777, 1499):
+        want = abs(full.random_mean - pool_dl(effects[:i] + effects[i + 1 :]).random_mean)
+        want /= full.random_se
+        assert abs(values[i] - want) <= 1e-10 * want + 1e-12, (i, values[i], want)
