@@ -298,14 +298,15 @@ def cmd_derive(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     from .svgplot import reference_lines_csv, render_series, series_csv
 
+    if args.kind != "volcano" and (args.exclude.strip() or args.exclude_flagged):
+        raise _UsageError("--exclude and --exclude-flagged apply only to --kind volcano")
     ds, rules = _resolve(args)
     exclude: list[int] = []
     if args.exclude.strip():
         try:
             exclude = [int(tok) for tok in args.exclude.split(",") if tok.strip()]
         except ValueError:
-            print(f"error: --exclude must be comma-separated integers", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError("--exclude must be comma-separated integers") from None
     if args.kind == "pvalue":
         series = pvalue_plot(ds)
     elif args.kind == "expectation":

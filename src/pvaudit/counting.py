@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import statistics
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .model import ParseError, _csv_rows
@@ -27,8 +26,7 @@ OUTPUT_COLUMNS = COUNT_COLUMNS + ("tests", "models", "space")
 MAX_COVARIATES = 62
 
 
-@dataclass(frozen=True)
-class SearchSpaceEntry:
+class SearchSpaceEntry(NamedTuple):
     """Counts for one study: inputs plus the derived tests/models/space."""
 
     outcomes: int

@@ -13,8 +13,8 @@ uniformity check, into one of four verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .model import Dataset
 from .stats import loo_influence, effects_from_dataset
@@ -41,8 +41,7 @@ VERDICTS = ("uniform_null", "significant_effect", "bilinear_mixture", "indetermi
 FLAG_REASONS = ("extreme_p", "high_influence", "manual")
 
 
-@dataclass(frozen=True)
-class ReferenceLine:
+class ReferenceLine(NamedTuple):
     """A dashed guide: ``expected_order`` (slope, intercept) on the expectation
     plot's -log10 scale, or ``smallest_p_marker`` with the single value
     -log10(1/(n+1))."""
@@ -51,8 +50,7 @@ class ReferenceLine:
     parameters: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class PlotSeries:
+class PlotSeries(NamedTuple):
     """Render-ready points for one diagnostic plot, plus its reference lines."""
 
     kind: str
@@ -61,8 +59,7 @@ class PlotSeries:
     n: int
 
 
-@dataclass(frozen=True)
-class ShapeThresholds:
+class ShapeThresholds(NamedTuple):
     """Tuning constants for :func:`classify_pvalues`.
 
     These cutoffs are this tool's configuration, echoed into reports so a
@@ -93,8 +90,7 @@ class ShapeThresholds:
 DEFAULT_THRESHOLDS = ShapeThresholds()
 
 
-@dataclass(frozen=True)
-class ShapeVerdict:
+class ShapeVerdict(NamedTuple):
     """Outcome of the shape classification.
 
     ``breakpoint`` is the rank where the two segments join and is populated
@@ -112,19 +108,40 @@ class ShapeVerdict:
     ks_pvalue: float
 
 
-@dataclass(frozen=True)
-class OutlierFlag:
+class OutlierFlag(NamedTuple):
     row: int
     reason: str
 
 
-@dataclass(frozen=True)
-class OutlierReport:
+class _DataclassFields:
+    """A named tuple's fields as ``dataclasses.Field`` objects, built on read.
+
+    This lets ``dataclasses.replace`` rebuild the type, as
+    ``perfbench/traced.py`` does with an OutlierReport. Only a caller of
+    ``dataclasses`` reads the attribute, so importing pvaudit stays free of
+    that module.
+    """
+
+    def __get__(self, obj, cls) -> dict:
+        import dataclasses
+
+        fields = {}
+        for name in cls._fields:
+            f = dataclasses.field(default=cls._field_defaults.get(name, dataclasses.MISSING))
+            f.name, f.type = name, cls.__annotations__[name]
+            f._field_type = dataclasses._FIELD
+            fields[name] = f
+        return fields
+
+
+class OutlierReport(NamedTuple):
     """Rows flagged for exclusion, with the thresholds that produced them."""
 
     flagged: tuple[OutlierFlag, ...]
     p_threshold: float
     influence_threshold: float
+
+    __dataclass_fields__ = _DataclassFields()
 
 
 def smallest_p_marker(n: int) -> float:

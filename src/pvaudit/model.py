@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Dataset",
@@ -48,8 +48,7 @@ class DatasetStateError(RuntimeError):
     """An operation needs derived statistics that have not been computed yet."""
 
 
-@dataclass(frozen=True)
-class StudyRecord:
+class StudyRecord(NamedTuple):
     """One study comparison: identity fields plus a risk ratio and its confidence limits.
 
     Construction does not validate; use :func:`validate_dataset` or rely on
@@ -65,8 +64,7 @@ class StudyRecord:
     comment: str = ""
 
 
-@dataclass(frozen=True)
-class DerivedStats:
+class DerivedStats(NamedTuple):
     """Statistics reconstructed from one record's interval: se, z, two-sided p, rank.
 
     ``rank`` is None until assigned by ranking. ``p_floored`` marks a p-value
@@ -80,8 +78,7 @@ class DerivedStats:
     p_floored: bool = False
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken invariant: row index (0-based), field name, human-readable rule."""
 
     row: int
@@ -89,7 +86,6 @@ class Violation:
     rule: str
 
 
-@dataclass(frozen=True)
 class Dataset:
     """An immutable, ordered collection of study records plus optional derived stats.
 
@@ -97,18 +93,53 @@ class Dataset:
     that does not explicitly sort. ``derived``, when present, parallels
     ``records`` one-to-one. ``scale`` and ``critical_value`` record how the
     derived stats were computed; only derivation sets them.
+
+    Not a named tuple: ``len`` counts records, not fields.
     """
 
-    records: tuple[StudyRecord, ...]
-    derived: tuple[DerivedStats, ...] | None = None
-    label: str = ""
-    confidence_level: float = DEFAULT_CONFIDENCE_LEVEL
-    scale: str = "linear"
-    critical_value: float | None = None
+    __slots__ = ("records", "derived", "label", "confidence_level", "scale", "critical_value")
 
-    def __post_init__(self) -> None:
-        if self.derived is not None and len(self.derived) != len(self.records):
+    def __init__(
+        self,
+        records: tuple[StudyRecord, ...],
+        derived: tuple[DerivedStats, ...] | None = None,
+        label: str = "",
+        confidence_level: float = DEFAULT_CONFIDENCE_LEVEL,
+        scale: str = "linear",
+        critical_value: float | None = None,
+    ) -> None:
+        if derived is not None and len(derived) != len(records):
             raise ValueError("derived stats must parallel records one-to-one")
+        values = (records, derived, label, confidence_level, scale, critical_value)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def _replace(self, **changes) -> Dataset:
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __reduce__(self):
+        return type(self), tuple(self._asdict().values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
 
     def __len__(self) -> int:
         return len(self.records)
@@ -298,6 +329,6 @@ def dataset_from_json(text: str) -> Dataset:
 
 def record_as_dict(rec: StudyRecord) -> dict:
     """Record fields keyed by the CSV column names (ref_id exposed as 'ref')."""
-    d = asdict(rec)
+    d = rec._asdict()
     d["ref"] = d.pop("ref_id")
     return {k: d[k] for k in CSV_COLUMNS}

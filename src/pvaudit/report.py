@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
 from typing import Any
 
 from . import __version__
@@ -56,6 +55,10 @@ def _emit(value: Any, indent: int, out: list[str]) -> None:
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
+        if hasattr(value, "_fields"):
+            raise ValueError(
+                f"named tuple {type(value).__name__} must enter a report as _asdict()"
+            )
         if not value:
             out.append("[]")
             return
@@ -99,10 +102,10 @@ def build_audit_report(
         "tool": {"name": TOOL_NAME, "version": __version__},
         "label": ds.label,
         "config": config,
-        "shape_thresholds": asdict(thresholds or ShapeThresholds()),
+        "shape_thresholds": (thresholds or ShapeThresholds())._asdict(),
         "n_studies": len(ds),
         "studies": studies,
-        "shape": asdict(shape),
+        "shape": shape._asdict(),
         "outliers": {
             "p_threshold": outliers.p_threshold,
             "influence_threshold": (
@@ -110,9 +113,9 @@ def build_audit_report(
                 if math.isinf(outliers.influence_threshold)
                 else outliers.influence_threshold
             ),
-            "flagged": [asdict(f) for f in outliers.flagged],
+            "flagged": [f._asdict() for f in outliers.flagged],
         },
-        "pool": None if pool is None else asdict(pool),
+        "pool": None if pool is None else pool._asdict(),
     }
     if space_entries is not None and space_summary is not None:
         report["search_space"] = {
@@ -144,7 +147,7 @@ def build_sim_report(outcome: SimOutcome) -> dict:
     cfg = outcome.config
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},
-        "config": asdict(cfg),
+        "config": cfg._asdict(),
         "rng": {
             "algorithm": RNG_ALGORITHM,
             "key": cfg.seed,

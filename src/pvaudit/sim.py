@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
+from typing import NamedTuple
 
 from .diagnostics import ShapeThresholds, ShapeVerdict, classify_pvalues
 from .stats import normal_sf
@@ -78,16 +78,7 @@ _LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 _normal_quantile = NormalDist().inv_cdf
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Parameters of one simulated literature experiment.
-
-    n_studies per replicate; effect_fraction of them drawn around a real
-    effect of size noncentrality (on the z scale); censor_rate is the
-    probability that a study with p > 0.05 is never reported; hack_k is how
-    many analyses each study tries before reporting its best p.
-    """
-
+class _SimConfigFields(NamedTuple):
     n_studies: int
     effect_fraction: float = 0.0
     noncentrality: float = 0.0
@@ -96,7 +87,20 @@ class SimConfig:
     seed: int = 0
     replicates: int = 1
 
-    def __post_init__(self) -> None:
+
+class SimConfig(_SimConfigFields):
+    """Parameters of one simulated literature experiment.
+
+    n_studies per replicate; effect_fraction of them drawn around a real
+    effect of size noncentrality (on the z scale); censor_rate is the
+    probability that a study with p > 0.05 is never reported; hack_k is how
+    many analyses each study tries before reporting its best p.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SimConfig:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("n_studies", "hack_k", "seed", "replicates"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -119,18 +123,22 @@ class SimConfig:
             raise ValueError("seed must be a non-negative integer below 2**128")
         if self.replicates < 1:
             raise ValueError(f"replicates must be at least 1, got {self.replicates}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> SimConfig:
+        # _replace builds its result here, so it validates too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ReplicateOutcome:
+class ReplicateOutcome(NamedTuple):
     index: int
     pvalues: tuple[float, ...]
     suppressed: int
     verdict: ShapeVerdict
 
 
-@dataclass(frozen=True)
-class SimOutcome:
+class SimOutcome(NamedTuple):
     """All replicates of one experiment plus the aggregate table."""
 
     config: SimConfig

@@ -12,9 +12,8 @@ usually unwound in practice; both choices can be overridden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import Dataset, DerivedStats, StudyRecord
 
@@ -158,7 +157,7 @@ def derive_dataset(
         for rec in ds.records
     )
     return rank_pvalues(
-        replace(ds, derived=derived, scale=scale, critical_value=critical_value)
+        ds._replace(derived=derived, scale=scale, critical_value=critical_value)
     )
 
 
@@ -171,8 +170,8 @@ def rank_pvalues(ds: Dataset) -> Dataset:
     derived = list(ds.require_derived())
     order = sorted(range(len(derived)), key=lambda i: (derived[i].p, i))
     for rank, i in enumerate(order, start=1):
-        derived[i] = replace(derived[i], rank=rank)
-    return replace(ds, derived=tuple(derived))
+        derived[i] = derived[i]._replace(rank=rank)
+    return ds._replace(derived=tuple(derived))
 
 
 def effects_from_dataset(ds: Dataset) -> list[tuple[float, float]]:
@@ -186,8 +185,7 @@ def effects_from_dataset(ds: Dataset) -> list[tuple[float, float]]:
     return [(math.log(rec.rr), d.se) for rec, d in zip(ds.records, derived)]
 
 
-@dataclass(frozen=True)
-class PoolResult:
+class PoolResult(NamedTuple):
     """Fixed- and random-effects summary of k (effect, se) pairs.
 
     ``weights_fixed`` and ``weights_normalized`` counterparts each sum to one.

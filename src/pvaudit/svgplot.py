@@ -4,7 +4,6 @@ no timestamps, no randomness: identical input gives identical bytes."""
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .diagnostics import PlotSeries
 
@@ -24,6 +23,15 @@ AXIS_LABELS = {
     "expectation": ("-log10 expected p", "-log10 observed p"),
     "volcano": ("risk ratio", "-log10 p-value"),
 }
+
+
+def _escape(text: str) -> str:
+    """Escape &, > and < for XML character data; quotes are left as they are.
+
+    The same replacements as ``xml.sax.saxutils.escape``, whose import would
+    pull in urllib and the HTTP stack.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -96,7 +104,7 @@ def render_series(series: PlotSeries, title: str = "") -> str:
         parts.append(
             f'<text x="{WIDTH // 2}" y="28" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16" fill="{AXIS_COLOR}">'
-            f"{escape(title)}</text>"
+            f"{_escape(title)}</text>"
         )
 
     # axes
@@ -134,13 +142,13 @@ def render_series(series: PlotSeries, title: str = "") -> str:
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 12}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="14" '
-        f'fill="{AXIS_COLOR}">{escape(x_label)}</text>'
+        f'fill="{AXIS_COLOR}">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" fill="{AXIS_COLOR}" '
         f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.0f})">'
-        f"{escape(y_label)}</text>"
+        f"{_escape(y_label)}</text>"
     )
 
     # reference lines, dashed

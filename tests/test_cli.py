@@ -196,6 +196,24 @@ def test_plot_volcano_profile_excludes_flagged(workdir):
     assert refs[1].split(",")[1] == format_number(math.log10(44.0))
 
 
+@pytest.mark.parametrize("kind", ["pvalue", "expectation"])
+@pytest.mark.parametrize("flag", [["--exclude", "1"], ["--exclude-flagged"]])
+def test_plot_exclude_flags_only_for_volcano(workdir, capsys, kind, flag):
+    out = workdir / "x.svg"
+    rc = main(["plot", "--input", str(workdir / "soy.csv"), "--kind", kind, *flag,
+               "--output", str(out)])
+    assert rc == EXIT_USAGE
+    assert "apply only to --kind volcano" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_malformed_exclude_is_usage_error(workdir, capsys):
+    rc = main(["plot", "--input", str(workdir / "toy.csv"), "--kind", "volcano",
+               "--exclude", "1,x", "--output", str(workdir / "x.svg")])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --exclude must be comma-separated integers\n"
+
+
 def test_plot_bad_exclude_index(workdir, capsys):
     rc = main(["plot", "--input", str(workdir / "toy.csv"), "--kind", "volcano",
                "--exclude", "99", "--output", str(workdir / "x.svg")])
@@ -445,6 +463,29 @@ def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
     flagged = _read_json(report)["outliers"]["flagged"]
     assert any(f["reason"] == "high_influence" for f in flagged)
     assert len(_read_json(sim_report)["replicates"]) == 5
+
+
+COLD_START_EXCLUDED = ("dataclasses", "inspect", "urllib", "http", "ssl", "email", "xml")
+
+
+def test_cli_import_and_plot_load_no_dataclasses_or_http_stack(tmp_path):
+    # Modules the interpreter loaded before pvaudit (site hooks may load
+    # urllib.parse, say) are not pvaudit's; anything loaded after is.
+    soy = tmp_path / "soy.csv"
+    soy.write_text(soy_ldl_studies_csv(), encoding="utf-8")
+    svg = tmp_path / "volcano.svg"
+    proc = _fresh_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pvaudit.cli\n"
+        f"rc = pvaudit.cli.main(['plot', '--input', {str(soy)!r}, '--kind', 'volcano', "
+        f"'--exclude-flagged', '--title', 'a & <b>', '--output', {str(svg)!r}])\n"
+        "assert rc == 0, rc\n"
+        f"print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in {COLD_START_EXCLUDED!r}))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert ">a &amp; &lt;b&gt;</text>" in svg.read_text(encoding="utf-8")
 
 
 def test_every_public_name_resolves():

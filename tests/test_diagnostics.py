@@ -404,6 +404,17 @@ def test_flag_outliers_empty_when_nothing_qualifies():
     assert math.isinf(report.influence_threshold)
 
 
+def test_outlier_report_rebuilds_with_dataclasses_replace():
+    # perfbench/traced.py adds high_influence flags this way
+    import dataclasses
+
+    report = flag_outliers(_ds_from_ps([0.2, 1e-5, 0.6]))
+    rebuilt = dataclasses.replace(report, influence_threshold=0.05)
+    assert type(rebuilt) is type(report)
+    assert rebuilt == report._replace(influence_threshold=0.05)
+    assert [f.name for f in dataclasses.fields(report)] == list(report._fields)
+
+
 def test_flag_outliers_extreme_p():
     ds = _ds_from_ps([0.2, 1e-5, 0.6, 5e-4])
     report = flag_outliers(ds, p_threshold=1e-3)

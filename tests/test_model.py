@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-import dataclasses
+import copy
+import pickle
 import string
 
 import pytest
@@ -11,9 +12,22 @@ from pvaudit import (
     Dataset,
     DatasetStateError,
     DerivedStats,
+    OutlierFlag,
+    OutlierReport,
     ParseError,
+    PlotSeries,
+    PoolResult,
+    ReferenceLine,
+    ReplicateOutcome,
     SchemaError,
+    SearchSpaceEntry,
+    ShapeThresholds,
+    ShapeVerdict,
+    SimConfig,
+    SimOutcome,
+    SpaceSummary,
     StudyRecord,
+    Violation,
     dataset_from_json,
     dataset_to_json,
     parse_dataset,
@@ -130,16 +144,65 @@ def test_validate_degenerate_interval():
     assert violations[0].field == "cl_high"
 
 
-def test_records_are_frozen():
-    rec = StudyRecord(author="A", year=2000, ref_id=1, rr=1.0, cl_low=0.9, cl_high=1.1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        rec.rr = 2.0
+_REC = StudyRecord(author="A", year=2000, ref_id=1, rr=1.0, cl_low=0.9, cl_high=1.1)
+_VERDICT = ShapeVerdict("indeterminate", 1.0, None, 0.0, 0.0, 0.0, 0.1, 0.9)
+_CONFIG = SimConfig(n_studies=5)
+VALUE_TYPES = [
+    _REC,
+    DerivedStats(0.1, 0.0, 1.0),
+    Violation(0, "rr", "rr must be positive"),
+    Dataset(records=(_REC,)),
+    ReferenceLine("smallest_p_marker", (0.3,)),
+    PlotSeries("pvalue_rank", ((1.0, 0.5),), (), 1),
+    ShapeThresholds(),
+    _VERDICT,
+    OutlierFlag(0, "manual"),
+    OutlierReport((OutlierFlag(0, "manual"),), 1e-3, 0.5),
+    PoolResult(2, 0.1, 0.5, 0.0, 0.1, 0.05, 0.0, (0.5, 0.5), (0.5, 0.5)),
+    SearchSpaceEntry(1, 1, 0, 1, 1, 1),
+    SpaceSummary(1.0, 1, 1),
+    _CONFIG,
+    ReplicateOutcome(0, (0.5,), 0, _VERDICT),
+    SimOutcome(_CONFIG, (), {}, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("value", VALUE_TYPES, ids=lambda v: type(v).__name__)
+def test_value_types_are_frozen(value):
+    first = next(iter(value._asdict()))
+    before = getattr(value, first)
+    with pytest.raises(AttributeError):
+        setattr(value, first, before)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, first) is before
 
 
 def test_derived_must_parallel_records():
     rec = StudyRecord(author="A", year=2000, ref_id=1, rr=1.0, cl_low=0.9, cl_high=1.1)
     with pytest.raises(ValueError):
         Dataset(records=(rec,), derived=(DerivedStats(0.1, 0.0, 1.0), DerivedStats(0.1, 0.0, 1.0)))
+    ds = Dataset(records=(rec,), derived=(DerivedStats(0.1, 0.0, 1.0),))
+    with pytest.raises(ValueError):
+        ds._replace(derived=(DerivedStats(0.1, 0.0, 1.0),) * 2)
+    with pytest.raises(ValueError):
+        ds._replace(records=())
+    assert ds._replace(derived=None).derived is None
+
+
+def test_dataset_equality_hash_copy_and_pickle():
+    ds = parse_dataset(CSV_OK, label="t")
+    again = parse_dataset(CSV_OK, label="t")
+    assert ds == again and hash(ds) == hash(again)
+    assert ds != ds._replace(label="u")
+    assert ds._replace(label="u")._replace(label="t") == ds
+    assert copy.copy(ds) == ds
+    assert copy.deepcopy(ds) == ds
+    assert pickle.loads(pickle.dumps(ds)) == ds
+    assert repr(ds).startswith("Dataset(records=(StudyRecord(author='Alpha'")
+    assert ds._asdict()["label"] == "t"
+    with pytest.raises(TypeError):
+        ds._replace(rows=())
 
 
 def test_pvalues_requires_derived():

@@ -205,6 +205,12 @@ def test_config_validation():
             with pytest.raises(ValueError, match=field):
                 SimConfig(**{"n_studies": 10, field: bad})
     SimConfig(n_studies=5, seed=2 ** 128 - 1, hack_k=2, replicates=3)
+    # a modified copy is checked the same way
+    cfg = SimConfig(n_studies=10)
+    assert cfg._replace(hack_k=3) == SimConfig(n_studies=10, hack_k=3)
+    for field, bad in (("n_studies", 0), ("censor_rate", 1.5), ("hack_k", 2.0)):
+        with pytest.raises(ValueError, match=field):
+            cfg._replace(**{field: bad})
 
 
 def test_generate_is_deterministic():

@@ -4,10 +4,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pvaudit import expectation_plot, pvalue_plot, volcano_plot
+from pvaudit import StudyRecord, expectation_plot, pvalue_plot, volcano_plot
 from pvaudit.report import dumps, format_number
-from pvaudit.svgplot import reference_lines_csv, render_series, series_csv
+from pvaudit.svgplot import _escape, reference_lines_csv, render_series, series_csv
 
 
 def test_svg_is_deterministic(soy):
@@ -37,6 +39,9 @@ def test_svg_reference_lines_dashed(soy):
 def test_svg_escapes_text(soy):
     svg = render_series(pvalue_plot(soy), title="a < b & c")
     assert "a &lt; b &amp; c" in svg
+    # quotes stay as they are; an entity's & is escaped like any other
+    svg = render_series(pvalue_plot(soy), title="""A & <b> "q" 'r' &amp;""")
+    assert """>A &amp; &lt;b&gt; "q" 'r' &amp;amp;</text>""" in svg
 
 
 def test_series_csv_round_trip(soy):
@@ -75,6 +80,22 @@ def test_dumps_rejects_non_finite():
         dumps({"x": math.inf})
     with pytest.raises(ValueError):
         dumps({"x": math.nan})
+
+
+def test_dumps_rejects_named_tuples():
+    rec = StudyRecord(author="A", year=2000, ref_id=1, rr=1.0, cl_low=0.9, cl_high=1.1)
+    with pytest.raises(ValueError, match="StudyRecord"):
+        dumps({"study": rec})
+    with pytest.raises(ValueError, match="StudyRecord"):
+        dumps([rec])
+    assert json.loads(dumps({"study": rec._asdict()}))["study"]["author"] == "A"
+
+
+@given(st.text(alphabet="&<>\"'ab;", max_size=12))
+def test_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape
+
+    assert _escape(text) == escape(text)
 
 
 def test_dumps_is_valid_json_and_stable():
