@@ -300,6 +300,20 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
     if args.kind != "volcano" and (args.exclude.strip() or args.exclude_flagged):
         raise _UsageError("--exclude and --exclude-flagged apply only to --kind volcano")
+    rule_flags = [
+        flag
+        for flag, given in (
+            ("--p-threshold", args.p_threshold is not None),
+            ("--influence-threshold", args.influence_threshold is not None),
+            ("--manual-outlier", bool(args.manual_outlier)),
+        )
+        if given
+    ]
+    if rule_flags and not args.exclude_flagged:
+        raise _UsageError(
+            f"{', '.join(rule_flags)}: the outlier rules apply only to "
+            "--kind volcano --exclude-flagged"
+        )
     ds, rules = _resolve(args)
     exclude: list[int] = []
     if args.exclude.strip():

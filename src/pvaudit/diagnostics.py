@@ -13,6 +13,7 @@ uniformity check, into one of four verdicts.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -228,12 +229,18 @@ def ks_uniform(pvalues) -> tuple[float, float]:
     is subtracted from one. Above it, the alternating series
     ``2 * sum_k (-1)^(k-1) exp(-2 k^2 lam^2)`` gives the tail directly.
     """
-    ps = sorted(float(p) for p in pvalues)
+    ps = sorted(map(float, pvalues))
     n = len(ps)
     if n < 5:
         raise ValueError(f"KS test needs at least 5 values, got {n}")
     if not all(0.0 < p <= 1.0 for p in ps):
         raise ValueError("KS test requires every value in (0, 1]")
+    return _ks_sorted(ps)
+
+
+def _ks_sorted(ps: list[float]) -> tuple[float, float]:
+    """:func:`ks_uniform` of values already sorted and checked."""
+    n = len(ps)
     d_plus = max(i / n - u for i, u in enumerate(ps, start=1))
     d_minus = max(u - (i - 1) / n for i, u in enumerate(ps, start=1))
     d = max(d_plus, d_minus)
@@ -269,21 +276,25 @@ def _kolmogorov_sf(x: float) -> float:
         k += 1
 
 
-def _line_fit(y: list[float]) -> tuple[float, float]:
+def _centred(y: list[float]) -> list[float]:
+    """The values less their ``math.fsum`` mean, as both fits take them."""
+    ybar = math.fsum(y) / len(y)
+    return [v - ybar for v in y]
+
+
+def _line_fit(c: list[float]) -> tuple[float, float]:
     """Least-squares line through sorted values against x_i = i/(n+1).
 
-    Returns (slope, sse). The sums run over centred ranks and values with
-    ``math.fsum``; sum((i - (n+1)/2)^2) = n(n^2 - 1)/12 exactly.
+    Takes the values centred by :func:`_centred` and returns (slope, sse).
+    The sums run over centred ranks and values with ``math.fsum``;
+    sum((i - (n+1)/2)^2) = n(n^2 - 1)/12 exactly.
     """
-    n = len(y)
-    ybar = math.fsum(y) / n
+    n = len(c)
     tbar = (n + 1) / 2.0
-    slope = math.fsum((i - tbar) * (v - ybar) for i, v in enumerate(y, 1)) / (
+    slope = math.fsum((i - tbar) * v for i, v in enumerate(c, 1)) / (
         n * (n * n - 1) / 12.0
     )
-    sse = math.fsum(
-        (v - ybar - slope * (i - tbar)) ** 2 for i, v in enumerate(y, 1)
-    )
+    sse = math.fsum((v - slope * (i - tbar)) ** 2 for i, v in enumerate(c, 1))
     return slope * (n + 1), sse
 
 
@@ -302,18 +313,25 @@ def _hinge_moments(n: int, b: int) -> tuple[float, float, float, float, float]:
     return su, suu, sv, svv, n - su * su / suu - sv * sv / svv
 
 
-def _two_segment_fit(y: list[float]) -> tuple[int, float, float, float]:
+@lru_cache(maxsize=64)
+def _hinge_table(n: int) -> tuple[tuple[float, float, float, float, float], ...]:
+    """:func:`_hinge_moments` of n points for every candidate b = 2..n-2."""
+    return tuple(_hinge_moments(n, b) for b in range(2, n - 1))
+
+
+def _two_segment_fit(c: list[float]) -> tuple[int, float, float, float]:
     """Best continuous two-segment fit of sorted values, joined at a rank.
 
-    The model is ``y = a + s1 * min(x - xb, 0) + s2 * max(x - xb, 0)`` on
-    x_i = i/(n+1), with the join ``xb`` at each candidate rank b in 2..n-2
-    (so both segments keep at least two points). Returns (breakpoint rank,
-    left slope, right slope, sse) of the candidate with the least SSE;
-    earlier ranks win ties.
+    Takes the values centred by :func:`_centred`. The model is
+    ``y = a + s1 * min(x - xb, 0) + s2 * max(x - xb, 0)`` on x_i = i/(n+1),
+    with the join ``xb`` at each candidate rank b in 2..n-2 (so both
+    segments keep at least two points). Returns (breakpoint rank, left
+    slope, right slope, sse) of the candidate with the least SSE; earlier
+    ranks win ties.
 
     Closed form: work in rank units u_i = min(i-b, 0), v_i = max(i-b, 0)
-    (slopes scale by n+1) and centre y to c. The columns have disjoint
-    support, so sum u*v = 0 and the 3x3 normal equations reduce to
+    (slopes scale by n+1) and the centred values c. The columns have
+    disjoint support, so sum u*v = 0 and the 3x3 normal equations reduce to
 
         SSE(b) = sum c^2 - (r1^2/U + r2^2/V + e^2/d),
         e = P r1/U + Q r2/V,
@@ -321,30 +339,33 @@ def _two_segment_fit(y: list[float]) -> tuple[int, float, float, float]:
     with P, U, Q, V the sums of u, u^2, v, v^2 (closed-form in n and b),
     d as in :func:`_hinge_moments`, and r1 = sum u*c, r2 = sum v*c read in
     O(1) from prefix sums of c and i*c. One pass over b is O(n) in total.
+    The moments depend on n and b only, so they are computed once per n
+    (:func:`_hinge_table`) and shared by every fit of that many values.
     The prefix-sum SSE loses digits to cancellation, so the chosen
     breakpoint is refit: its coefficients come from ``math.fsum`` moments
     and its SSE from the explicit residuals.
     """
-    n = len(y)
-    ybar = math.fsum(y) / n
-    c = [v - ybar for v in y]
+    n = len(c)
     cum_c = list(accumulate(c))
     cum_ic = list(accumulate(i * v for i, v in enumerate(c, 1)))
     total_c, total_ic = cum_c[-1], cum_ic[-1]
     scc = math.fsum(v * v for v in c)
+    table = _hinge_table(n)
 
     best_b, best_sse = 0, math.inf
-    for b in range(2, n - 1):
-        su, suu, sv, svv, d = _hinge_moments(n, b)
-        r1 = cum_ic[b - 1] - b * cum_c[b - 1]
-        r2 = (total_ic - cum_ic[b - 1]) - b * (total_c - cum_c[b - 1])
+    # candidate b reads the prefix sums through rank b, at index b - 1
+    for b, (su, suu, sv, svv, d), ic, cc in zip(
+        range(2, n - 1), table, cum_ic[1:], cum_c[1:]
+    ):
+        r1 = ic - b * cc
+        r2 = (total_ic - ic) - b * (total_c - cc)
         e = su * r1 / suu + sv * r2 / svv
         sse = scc - (r1 * r1 / suu + r2 * r2 / svv + e * e / d)
         if sse < best_sse:
             best_b, best_sse = b, sse
 
     b = best_b
-    su, suu, sv, svv, d = _hinge_moments(n, b)
+    su, suu, sv, svv, d = table[b - 2]
     r0 = math.fsum(c)
     r1 = math.fsum((i - b) * v for i, v in enumerate(c[:b], 1))
     r2 = math.fsum((i - b) * v for i, v in enumerate(c[b:], b + 1))
@@ -379,7 +400,7 @@ def classify_pvalues(pvalues, thresholds: ShapeThresholds | None = None) -> Shap
     two-segment model, so ``bic_delta = n*log(SSE1/SSE2) - 2*log(n)``.
     """
     t = thresholds or DEFAULT_THRESHOLDS
-    ps = sorted(float(p) for p in pvalues)
+    ps = sorted(map(float, pvalues))
     n = len(ps)
     if not all(0.0 < p <= 1.0 for p in ps):
         raise ValueError("classification requires every p-value in (0, 1]")
@@ -387,13 +408,14 @@ def classify_pvalues(pvalues, thresholds: ShapeThresholds | None = None) -> Shap
     slope = 0.0
     sse1 = 0.0
     if n >= 2:
-        slope, sse1 = _line_fit(ps)
+        c = _centred(ps)
+        slope, sse1 = _line_fit(c)
 
     breakpoint_rank: int | None = None
     left = right = 0.0
     sse2 = sse1
     if n >= 5:
-        breakpoint_rank, left, right, sse2 = _two_segment_fit(ps)
+        breakpoint_rank, left, right, sse2 = _two_segment_fit(c)
         # The line is nested in the two-segment model; clamp float noise so
         # the inequality holds exactly.
         sse2 = min(sse2, sse1)
@@ -407,7 +429,7 @@ def classify_pvalues(pvalues, thresholds: ShapeThresholds | None = None) -> Shap
 
     ks_stat, ks_p = (0.0, 1.0)
     if n >= 5:
-        ks_stat, ks_p = ks_uniform(ps)
+        ks_stat, ks_p = _ks_sorted(ps)
 
     verdict = "indeterminate"
     is_bilinear = False

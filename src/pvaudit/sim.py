@@ -33,6 +33,14 @@ This is exact: a block carries no state to the next, so each round is the
 same operation on every lane, and a lane's 64-bit word times a 64-bit
 multiplier stays below 2**128, so no carry crosses into the next lane. Each
 round is then a few big-integer operations, not a Python loop per block.
+The round keys spread over the lanes depend only on the seed and the block
+count, so they are computed once and reused by every replicate.
+
+The simulator reads the 53-bit words ``x >> 11`` themselves and turns only
+the z draws into doubles. The effect and censor draws are compared as
+integers: a word w reads as a uniform below a fraction f exactly when
+``w < ceil(f * 2**53)``, because scaling by a power of two is exact. That
+gives the same decision as the double comparison, draw for draw.
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ from statistics import NormalDist
 from typing import NamedTuple
 
 from .diagnostics import ShapeThresholds, ShapeVerdict, classify_pvalues
-from .stats import normal_sf
 
 __all__ = [
     "ReplicateOutcome",
@@ -74,6 +81,8 @@ _WORD_SCALE = 2.0 ** -53
 # The 64-bit words of each 128-bit lane's low half, in lane order, from a
 # native-order "Q" view of the lanes' bytes.
 _LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
+_SQRT2 = math.sqrt(2.0)
 
 _normal_quantile = NormalDist().inv_cdf
 
@@ -177,33 +186,63 @@ def _lanes(blocks: int) -> tuple[int, int, int]:
     return ones, _MASK64 * ones, int.from_bytes(counters, "little")
 
 
-def _philox_uniforms(seed: int, replicate_index: int, count: int) -> list[float]:
-    """The first ``count`` doubles of the Philox4x64-10 stream keyed by ``seed``
-    with counter ``(0, 0, replicate_index, 0)``."""
+@lru_cache(maxsize=4)
+def _round_keys(seed: int, blocks: int) -> tuple[tuple[int, int], ...]:
+    """The ten round keys for ``seed``, each key word spread over ``blocks``
+    lanes: round i is keyed by the seed's two words plus i times the Weyl
+    increments."""
+    ones = _lanes(blocks)[0]
+    k0, k1 = seed & _MASK64, seed >> 64
+    keys = []
+    for _ in range(_PHILOX_ROUNDS):
+        keys.append((k0 * ones, k1 * ones))
+        k0 = (k0 + _PHILOX_W0) & _MASK64
+        k1 = (k1 + _PHILOX_W1) & _MASK64
+    return tuple(keys)
+
+
+def _philox_words(seed: int, replicate_index: int, count: int) -> list[int]:
+    """The first ``count`` 53-bit words ``x >> 11`` of the Philox4x64-10 stream
+    keyed by ``seed`` with counter ``(0, 0, replicate_index, 0)``."""
     blocks = (count + 3) // 4
     ones, low, x0 = _lanes(blocks)
     x1 = x3 = 0
     x2 = replicate_index * ones
-    # round i is keyed by the seed's two words plus i times the Weyl increments
-    k0, k1 = seed & _MASK64, seed >> 64
-    for _ in range(_PHILOX_ROUNDS):
+    for k0, k1 in _round_keys(seed, blocks):
         p0 = _PHILOX_M0 * x0
         p1 = _PHILOX_M1 * x2
         x0, x1, x2, x3 = (
-            ((p1 >> 64) & low) ^ x1 ^ (k0 * ones),
+            ((p1 >> 64) & low) ^ x1 ^ k0,
             p1 & low,
-            ((p0 >> 64) & low) ^ x3 ^ (k1 * ones),
+            ((p0 >> 64) & low) ^ x3 ^ k1,
             p0 & low,
         )
-        k0 = (k0 + _PHILOX_W0) & _MASK64
-        k1 = (k1 + _PHILOX_W1) & _MASK64
     # Bits shifted down from lane b+1 land in lane b's high half, never read.
     size = 16 * blocks
     out = [0] * (4 * blocks)
     for j, x in enumerate((x0, x1, x2, x3)):
         out[j::4] = memoryview((x >> 11).to_bytes(size, sys.byteorder)).cast("Q")[_LOW_WORDS]
     del out[count:]
-    return [w * _WORD_SCALE for w in out]
+    return out
+
+
+def _philox_uniforms(seed: int, replicate_index: int, count: int) -> list[float]:
+    """The first ``count`` doubles of the Philox4x64-10 stream keyed by ``seed``
+    with counter ``(0, 0, replicate_index, 0)``."""
+    return [w * _WORD_SCALE for w in _philox_words(seed, replicate_index, count)]
+
+
+def _word_cut(fraction: float) -> int:
+    """The int c such that a draw's word w, lifted to ``w or 1``, reads as a
+    uniform below ``fraction`` exactly when ``w < c``.
+
+    ``(w or 1) * 2**-53 < fraction`` is ``(w or 1) < fraction * 2**53``: the
+    scaling by a power of two is exact, and for an int the bound may be
+    rounded up to ``ceil``. A cut of 1 would pass only the word 0, which the
+    lift reads as 1, so it passes nothing, as a cut of 0 does.
+    """
+    c = math.ceil(fraction * 2.0 ** 53)
+    return 0 if c == 1 else c
 
 
 def _simulate_replicate(cfg: SimConfig, replicate_index: int) -> list[tuple[float, float]]:
@@ -212,20 +251,25 @@ def _simulate_replicate(cfg: SimConfig, replicate_index: int) -> list[tuple[floa
         raise ValueError(
             f"replicate_index must lie in [0, 2**64), got {replicate_index}"
         )
-    width = cfg.hack_k + 2
-    u = _philox_uniforms(cfg.seed, replicate_index, cfg.n_studies * width)
-    if 0.0 in u:
-        u = [v or _WORD_SCALE for v in u]
+    hack_k = cfg.hack_k
+    width = hack_k + 2
+    words = _philox_words(cfg.seed, replicate_index, cfg.n_studies * width)
+    effect_cut = _word_cut(cfg.effect_fraction)
+    censor_cut = _word_cut(cfg.censor_rate)
+    noncentrality = cfg.noncentrality
+    quantile, erfc, scale = _normal_quantile, math.erfc, _WORD_SCALE
     reported = []
-    for j in range(0, len(u), width):
-        shift = cfg.noncentrality if u[j] < cfg.effect_fraction else 0.0
+    for j in range(0, len(words), width):
+        shift = noncentrality if words[j] < effect_cut else 0.0
         best_p = best_z = math.inf
-        for v in u[j + 1 : j + 1 + cfg.hack_k]:
-            z = _normal_quantile(v) + shift
-            p = 2.0 * normal_sf(abs(z))
+        for w in words[j + 1 : j + 1 + hack_k]:
+            z = quantile((w or 1) * scale) + shift
+            # 2 * normal_sf(|z|); the halving stays, as 0.5 * x rounds
+            # when x is subnormal
+            p = 2.0 * (0.5 * erfc(abs(z) / _SQRT2))
             if p < best_p:
                 best_p, best_z = p, z
-        if not (best_p > SIGNIFICANCE and u[j + width - 1] < cfg.censor_rate):
+        if not (best_p > SIGNIFICANCE and words[j + width - 1] < censor_cut):
             reported.append((best_p, best_z))
     return reported
 

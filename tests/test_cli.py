@@ -207,6 +207,47 @@ def test_plot_exclude_flags_only_for_volcano(workdir, capsys, kind, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, extra",
+    [("pvalue", []), ("expectation", []), ("volcano", []), ("volcano", ["--exclude", "1"])],
+)
+@pytest.mark.parametrize(
+    "rule",
+    [["--p-threshold", "0.5"], ["--influence-threshold", "0.01"], ["--manual-outlier", "3"]],
+)
+def test_plot_outlier_rules_only_with_exclude_flagged(workdir, capsys, kind, extra, rule):
+    out = workdir / "x.svg"
+    rc = main(["plot", "--input", str(workdir / "soy.csv"), "--kind", kind, *extra,
+               *rule, "--output", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {rule[0]}: the outlier rules apply only to "
+        "--kind volcano --exclude-flagged\n"
+    )
+    assert not out.exists()
+
+
+def test_plot_outlier_rules_drive_exclude_flagged(workdir):
+    # with --exclude-flagged the rule flags choose what is dropped
+    out = workdir / "vol.svg"
+    rc = main(["plot", "--input", str(workdir / "soy.csv"), "--kind", "volcano",
+               "--exclude-flagged", "--p-threshold", "0", "--manual-outlier", "3",
+               "--manual-outlier", "7", "--output", str(out)])
+    assert rc == EXIT_OK
+    assert out.read_text().count("<circle") == 48
+
+
+@pytest.mark.parametrize("kind", ["pvalue", "expectation", "volcano"])
+def test_plot_profile_accepted_on_every_kind(workdir, kind):
+    # --profile also pins z* and the scale, which every kind plots with
+    out = workdir / "p.svg"
+    rc = main(["plot", "--input", str(workdir / "soy.csv"), "--kind", kind,
+               "--profile", "paper-reproduction", "--output", str(out)])
+    assert rc == EXIT_OK
+    assert out.exists()
+
+
 def test_plot_malformed_exclude_is_usage_error(workdir, capsys):
     rc = main(["plot", "--input", str(workdir / "toy.csv"), "--kind", "volcano",
                "--exclude", "1,x", "--output", str(workdir / "x.svg")])

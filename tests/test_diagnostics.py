@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -13,12 +14,15 @@ from pvaudit import (
     Dataset,
     DatasetStateError,
     DerivedStats,
+    SimConfig,
     StudyRecord,
     classify_pvalues,
     classify_shape,
     derive_dataset,
     expectation_plot,
     flag_outliers,
+    generate_literature,
+    greenwald_censor_rate,
     ks_uniform,
     pvalue_plot,
     rank_pvalues,
@@ -27,6 +31,7 @@ from pvaudit import (
 )
 from pvaudit.diagnostics import (
     VERDICTS,
+    _centred,
     _kolmogorov_sf,
     _line_fit,
     _two_segment_fit,
@@ -237,7 +242,7 @@ def test_closed_form_fits_match_lstsq_oracle(ps):
     _, slope_ref, sse1_ref = _lstsq_line_fit(x, y)
     b_ref, _, _, sse2_ref = _lstsq_two_segment_fit(x, y)
 
-    b, _, _, sse2 = _two_segment_fit(ps)
+    b, _, _, sse2 = _two_segment_fit(_centred(ps))
     if b != b_ref:
         # A different rank is only acceptable where the oracle itself cannot
         # order the two: its own SSEs there agree to the tolerance.
@@ -258,12 +263,18 @@ def test_closed_form_fits_match_lstsq_oracle(ps):
 def test_two_segment_fit_recovers_exact_hinge():
     n = 40
     ps = [0.001 * i if i <= 12 else 0.012 + 0.03 * (i - 12) for i in range(1, n + 1)]
-    b, left, right, sse = _two_segment_fit(ps)
+    b, left, right, sse = _two_segment_fit(_centred(ps))
     assert b == 12
     assert left == pytest.approx(0.001 * (n + 1), rel=1e-12)
     assert right == pytest.approx(0.03 * (n + 1), rel=1e-12)
     assert sse == pytest.approx(0.0, abs=1e-28)
-    assert _line_fit(ps)[1] > 0.01
+    assert _line_fit(_centred(ps))[1] > 0.01
+
+
+def test_two_segment_fit_earliest_rank_wins_ties():
+    # equal values fit every breakpoint with SSE exactly zero
+    for n in (5, 12, 40):
+        assert _two_segment_fit(_centred([0.25] * n)) == (2, 0.0, 0.0, 0.0)
 
 
 def _mp_sse(columns: list[list], y: list) -> mp.mpf:
@@ -295,8 +306,8 @@ def test_fits_match_mpmath_on_bundled_pvalues(soy):
             )
             if sse2_ref is None or sse < sse2_ref:
                 b_ref, sse2_ref = b, sse
-        b, _, _, sse2 = _two_segment_fit(ps)
-        _, sse1 = _line_fit(ps)
+        b, _, _, sse2 = _two_segment_fit(_centred(ps))
+        _, sse1 = _line_fit(_centred(ps))
         assert b == b_ref
         assert abs(sse1 - sse1_ref) <= 1e-12 * sse1_ref
         assert abs(sse2 - sse2_ref) <= 1e-12 * sse2_ref
@@ -357,6 +368,60 @@ def test_classify_rejects_out_of_range():
         classify_pvalues([0.5, 0.0, 0.2])
     with pytest.raises(ValueError):
         classify_pvalues([0.5, 1.2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, math.nextafter(1.0, 2.0)])
+@pytest.mark.parametrize("position", [0, 6, 11])
+def test_classify_rejects_any_invalid_value(bad, position):
+    # checked on every value, not only at the ends of the sorted list: a NaN
+    # sorts anywhere
+    ps = [(i + 0.5) / 12 for i in range(12)]
+    ps[position] = bad
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        classify_pvalues(ps)
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        classify_pvalues(ps[::-1])
+
+
+def _verdict_digest(cfg: SimConfig) -> str:
+    """sha256 over every replicate's verdict fields and two-segment fit."""
+    h = hashlib.sha256()
+    for r in range(cfg.replicates):
+        ps = generate_literature(cfg, r)
+        fields = list(classify_pvalues(ps))
+        if len(ps) >= 5:
+            fields += _two_segment_fit(_centred(sorted(ps)))
+        h.update(
+            (",".join(v.hex() if isinstance(v, float) else repr(v) for v in fields) + "\n")
+            .encode()
+        )
+    return h.hexdigest()
+
+
+_MIXTURE = dict(n_studies=100, effect_fraction=0.2, noncentrality=3.0, censor_rate=0.3,
+                replicates=200)
+
+
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        (SimConfig(**_MIXTURE, seed=0),
+         "f618949c1873de9770fdc912f58ddff0c904c0dc3496a20ed483563b9243334c"),
+        (SimConfig(**_MIXTURE, seed=5),
+         "2bfb5051dae1cb5e87a834bfe107d8ecc905c65c04585b5261dbd83f1c5c5b94"),
+        (SimConfig(n_studies=100, effect_fraction=0.2, noncentrality=3.0, hack_k=3,
+                   censor_rate=greenwald_censor_rate(3), replicates=200, seed=8),
+         "1c12987b5e0c77dd18df7991cfd310a1418124b7a4235e7d902113266a4285f7"),
+        (SimConfig(n_studies=12, effect_fraction=0.5, noncentrality=3.0, censor_rate=0.3,
+                   replicates=200, seed=21),
+         "cebd031b0d8e2956915f495e28b12e26f585cb9aaca98095bf10bcb798325358"),
+    ],
+)
+def test_classifier_pinned_on_simulated_literatures(cfg, digest):
+    # Every verdict field and every chosen breakpoint (with its slopes and
+    # SSE, bilinear or not), bit for bit, as the per-call hinge moments
+    # and the separate KS sort produced them.
+    assert _verdict_digest(cfg) == digest
 
 
 def test_classify_is_permutation_invariant():

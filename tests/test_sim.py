@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -140,9 +141,7 @@ def test_zero_word_lifted_like_reference(monkeypatch, effect_fraction, censor_ra
     words = [0, _HALF, _HALF, _HALF,
              _HALF, _HALF, 0, _HALF,
              _HALF, _HALF, _HALF, 0]
-    monkeypatch.setattr(
-        sim, "_philox_uniforms", lambda seed, r, count: [w * 2.0 ** -53 for w in words]
-    )
+    monkeypatch.setattr(sim, "_philox_words", lambda seed, r, count: list(words))
     cfg = SimConfig(n_studies=3, hack_k=2, effect_fraction=effect_fraction,
                     noncentrality=5.0, censor_rate=censor_rate)
     got = sim._simulate_replicate(cfg, 0)
@@ -155,6 +154,78 @@ def test_zero_word_lifted_like_reference(monkeypatch, effect_fraction, censor_ra
         # the lifted 2**-53 is no effect, and censors no non-significant study
         assert got[0] == (1.0, 0.0)
         assert len(got) == 3
+
+
+def _per_draw_reference(cfg: SimConfig, u: list[float]) -> list[tuple[float, float]]:
+    """The simulator's former reading of a replicate's uniforms, one float per
+    draw and ``normal_sf`` for the tail: the reference for the word path."""
+    if 0.0 in u:
+        u = [v or 2.0 ** -53 for v in u]
+    width = cfg.hack_k + 2
+    reported = []
+    for j in range(0, len(u), width):
+        shift = cfg.noncentrality if u[j] < cfg.effect_fraction else 0.0
+        best_p = best_z = math.inf
+        for v in u[j + 1 : j + 1 + cfg.hack_k]:
+            z = NormalDist().inv_cdf(v) + shift
+            p = 2.0 * normal_sf(abs(z))
+            if p < best_p:
+                best_p, best_z = p, z
+        if not (best_p > 0.05 and u[j + width - 1] < cfg.censor_rate):
+            reported.append((best_p, best_z))
+    return reported
+
+
+def _hex_pairs(pairs):
+    return [(p.hex(), z.hex()) for p, z in pairs]
+
+
+# Fractions on and around the word path's integer cuts: a lifted word w
+# passes a fraction f when w * 2**-53 < f. The cut of 0.3 is not an integer.
+_CUT_FRACTIONS = (0.0, 1e-20, 2.0 ** -53, 3 * 2.0 ** -53, 0.3, 0.5, 1.0 - 2.0 ** -53, 1.0)
+
+
+@pytest.mark.parametrize("hack_k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 + 5, 2 ** 128 - 1])
+def test_word_path_equals_per_draw_reference(hack_k, seed):
+    for effect_fraction in _CUT_FRACTIONS:
+        for censor_rate in _CUT_FRACTIONS:
+            cfg = SimConfig(n_studies=30, hack_k=hack_k, seed=seed, noncentrality=2.5,
+                            effect_fraction=effect_fraction, censor_rate=censor_rate)
+            for r in (0, 7):
+                u = _philox_uniforms(seed, r, cfg.n_studies * (hack_k + 2))
+                want = _per_draw_reference(cfg, u)
+                assert _hex_pairs(sim._simulate_replicate(cfg, r)) == _hex_pairs(want)
+
+
+# Words at the cuts and the ends: 0 (lifted to 1), the neighbours of the
+# cuts, the uniform 0.5, and the largest words, whose z mirror the smallest
+# ones' so their p tie.
+_EDGE_WORDS = (0, 1, 2, 3, 4, int(0.3 * 2 ** 53), int(0.3 * 2 ** 53) + 1, 1 << 52,
+               (1 << 53) - 2, (1 << 53) - 1)
+
+
+@pytest.mark.parametrize("hack_k", [1, 2, 3, 4, 5])
+def test_word_path_equals_per_draw_reference_on_edge_words(monkeypatch, hack_k):
+    # Study j takes every pairing of effect and censor word; its z words run
+    # through the edge words from j on, so each slot meets each of them.
+    m = len(_EDGE_WORDS)
+    words = []
+    for j in range(m * m):
+        words.append(_EDGE_WORDS[j // m])
+        words += [_EDGE_WORDS[(j + s) % m] for s in range(hack_k)]
+        words.append(_EDGE_WORDS[j % m])
+    monkeypatch.setattr(sim, "_philox_words", lambda seed, r, count: list(words))
+    u = [w * 2.0 ** -53 for w in words]
+    # with a shift of 30 the largest words' p is subnormal, where halving
+    # and doubling again loses the last bit
+    for noncentrality in (0.0, 5.0, 30.0):
+        for effect_fraction in _CUT_FRACTIONS:
+            for censor_rate in _CUT_FRACTIONS:
+                cfg = SimConfig(n_studies=m * m, hack_k=hack_k, noncentrality=noncentrality,
+                                effect_fraction=effect_fraction, censor_rate=censor_rate)
+                want = _per_draw_reference(cfg, u)
+                assert _hex_pairs(sim._simulate_replicate(cfg, 0)) == _hex_pairs(want)
 
 
 @pytest.mark.parametrize(
