@@ -17,7 +17,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .counting import parse_search_space_csv, serialize_search_space_csv, summarize_spaces
+from .counting import (
+    SearchSpaceEntry,
+    parse_search_space_csv,
+    serialize_search_space_csv,
+    summarize_spaces,
+)
 from .diagnostics import (
     ShapeThresholds,
     classify_shape,
@@ -30,10 +35,12 @@ from .model import (
     CSV_COLUMNS,
     DEFAULT_CONFIDENCE_LEVEL,
     Dataset,
+    DerivedDataset,
     ParseError,
     SchemaError,
     dataset_from_json,
     parse_dataset,
+    record_as_dict,
 )
 from .report import build_audit_report, build_sim_report, dumps, format_number
 from .sim import SimConfig, greenwald_censor_rate, run_experiment
@@ -209,9 +216,7 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
                 f"{ds.confidence_level} recorded in {args.input}"
             )
         if args.label is not None:
-            ds = Dataset(
-                records=ds.records, label=label, confidence_level=ds.confidence_level
-            )
+            ds = ds._replace(label=label)
     else:
         if level is None:
             level = DEFAULT_CONFIDENCE_LEVEL
@@ -221,7 +226,14 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     return ds
 
 
-def _resolve(args: argparse.Namespace) -> tuple[Dataset, dict]:
+def _load_entries(path: str) -> list[SearchSpaceEntry]:
+    entries = parse_search_space_csv(Path(path).read_text(encoding="utf-8"))
+    if not entries:
+        raise _NoRecords(f"{path}: data section is empty")
+    return entries
+
+
+def _resolve(args: argparse.Namespace) -> tuple[DerivedDataset, dict]:
     """Load and derive the input, and resolve the outlier rules for it.
 
     Profile defaults fill in whatever the flags leave unset (explicit flags
@@ -276,21 +288,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(CSV_COLUMNS) + ["se", "z", "p", "rank"])
     for rec, d in zip(ds.records, ds.derived):
-        writer.writerow(
-            [
-                rec.author,
-                rec.year,
-                rec.comment,
-                rec.ref_id,
-                format_number(rec.rr),
-                format_number(rec.cl_low),
-                format_number(rec.cl_high),
-                format_number(d.se),
-                format_number(d.z),
-                format_number(d.p),
-                d.rank,
-            ]
-        )
+        row = {**record_as_dict(rec), "se": d.se, "z": d.z, "p": d.p, "rank": d.rank}
+        writer.writerow([format_number(v) if isinstance(v, float) else v for v in row.values()])
     _write_text(args.output, buf.getvalue())
     return EXIT_OK
 
@@ -347,13 +346,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     pool = pool_dl(effects_from_dataset(ds)) if len(ds) >= 2 else None
     space_entries = space_summary = None
     if args.counting:
-        entries = parse_search_space_csv(
-            Path(args.counting).read_text(encoding="utf-8")
-        )
-        if not entries:
-            raise _NoRecords(f"{args.counting}: data section is empty")
-        space_entries = entries
-        space_summary = summarize_spaces(entries)
+        space_entries = _load_entries(args.counting)
+        space_summary = summarize_spaces(space_entries)
     config = {
         "confidence_level": ds.confidence_level,
         "critical_value": ds.critical_value,
@@ -375,9 +369,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    entries = parse_search_space_csv(Path(args.input).read_text(encoding="utf-8"))
-    if not entries:
-        raise _NoRecords(f"{args.input}: data section is empty")
+    entries = _load_entries(args.input)
     text = serialize_search_space_csv(entries)
     summary = summarize_spaces(entries)
     _write_text(args.output, text)
@@ -391,11 +383,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.censor_rate is not None and args.censor_preset is not None:
-        print(
-            "error: --censor-rate and --censor-preset are mutually exclusive",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise _UsageError("--censor-rate and --censor-preset are mutually exclusive")
     try:
         if args.censor_preset == "greenwald":
             censor_rate = greenwald_censor_rate(args.hack_k)
@@ -411,8 +399,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             replicates=args.replicates,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from None
     outcome = run_experiment(cfg)
     report = build_sim_report(outcome)
     report["config"]["censor_preset"] = args.censor_preset

@@ -132,23 +132,18 @@ def parse_search_space_csv(text: str) -> list[SearchSpaceEntry]:
     return entries
 
 
+def entry_as_dict(entry: SearchSpaceEntry) -> dict:
+    """Entry fields keyed by the output column names (ref_id exposed as 'ref')."""
+    d = entry._asdict()
+    d["ref"] = d.pop("ref_id")
+    return {k: d[k] for k in OUTPUT_COLUMNS}
+
+
 def serialize_search_space_csv(entries: Iterable[SearchSpaceEntry]) -> str:
     """Write entries back out with tests, models, and space columns appended."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(OUTPUT_COLUMNS)
     for e in entries:
-        writer.writerow(
-            [
-                "" if e.ref_id is None else e.ref_id,
-                e.author,
-                "" if e.year is None else e.year,
-                e.outcomes,
-                e.causes,
-                e.covariates,
-                e.tests,
-                e.models,
-                e.space,
-            ]
-        )
+        writer.writerow(["" if v is None else v for v in entry_as_dict(e).values()])
     return buf.getvalue()

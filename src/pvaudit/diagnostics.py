@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
-from .model import Dataset
+from .model import DerivedDataset
 from .stats import loo_influence, effects_from_dataset
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "volcano_plot",
 ]
 
-PLOT_KINDS = ("pvalue_rank", "expectation", "volcano")
 VERDICTS = ("uniform_null", "significant_effect", "bilinear_mixture", "indeterminate")
 FLAG_REASONS = ("extreme_p", "high_influence", "manual")
 
@@ -152,7 +151,7 @@ def smallest_p_marker(n: int) -> float:
     return -math.log10(1.0 / (n + 1))
 
 
-def pvalue_plot(ds: Dataset) -> PlotSeries:
+def pvalue_plot(ds: DerivedDataset) -> PlotSeries:
     """Sorted p-values against their ranks 1..n."""
     ps = sorted(ds.pvalues)
     n = len(ps)
@@ -160,7 +159,7 @@ def pvalue_plot(ds: Dataset) -> PlotSeries:
     return PlotSeries(kind="pvalue_rank", points=points, reference_lines=(), n=n)
 
 
-def expectation_plot(ds: Dataset) -> PlotSeries:
+def expectation_plot(ds: DerivedDataset) -> PlotSeries:
     """Observed -log10 p against expected -log10 of the uniform order statistics.
 
     Points are emitted in rank order (smallest p last on the x axis is the
@@ -182,21 +181,20 @@ def expectation_plot(ds: Dataset) -> PlotSeries:
     return PlotSeries(kind="expectation", points=points, reference_lines=refs, n=n)
 
 
-def volcano_plot(ds: Dataset, exclude: tuple[int, ...] = ()) -> PlotSeries:
+def volcano_plot(ds: DerivedDataset, exclude: tuple[int, ...] = ()) -> PlotSeries:
     """Risk ratio against -log10 p, in source row order.
 
     ``exclude`` lists 0-based row indices to drop; the smallest-p marker is
     recomputed for the reduced count, so excluding studies moves the line.
     """
-    derived = ds.require_derived()
-    n_all = len(derived)
+    n_all = len(ds)
     excluded = set(exclude)
     for row in excluded:
         if not 0 <= row < n_all:
             raise ValueError(f"exclude index {row} out of range for {n_all} rows")
     points = tuple(
         (rec.rr, -math.log10(d.p))
-        for i, (rec, d) in enumerate(zip(ds.records, derived))
+        for i, (rec, d) in enumerate(zip(ds.records, ds.derived))
         if i not in excluded
     )
     n = len(points)
@@ -457,13 +455,13 @@ def classify_pvalues(pvalues, thresholds: ShapeThresholds | None = None) -> Shap
     )
 
 
-def classify_shape(ds: Dataset, thresholds: ShapeThresholds | None = None) -> ShapeVerdict:
+def classify_shape(ds: DerivedDataset, thresholds: ShapeThresholds | None = None) -> ShapeVerdict:
     """Classify a dataset's derived p-values; see :func:`classify_pvalues`."""
     return classify_pvalues(ds.pvalues, thresholds)
 
 
 def flag_outliers(
-    ds: Dataset,
+    ds: DerivedDataset,
     p_threshold: float = 1e-3,
     influence_threshold: float = math.inf,
     manual: tuple[int, ...] = (),
@@ -472,9 +470,8 @@ def flag_outliers(
 
     Parameters
     ----------
-    ds : Dataset
-        With derived stats; the influence rule pools on the scale they were
-        derived on.
+    ds : DerivedDataset
+        The influence rule pools on the scale its stats were derived on.
     p_threshold : float
         Rows with p strictly below this are flagged ``extreme_p``. Must lie
         in [0, 1); zero disables the rule (no p can be below zero).
@@ -492,8 +489,7 @@ def flag_outliers(
         several rules the reason with the highest precedence wins:
         extreme_p, then high_influence, then manual.
     """
-    derived = ds.require_derived()
-    n = len(derived)
+    n = len(ds)
     if not 0.0 <= p_threshold < 1.0:
         raise ValueError(f"p_threshold must lie in [0, 1), got {p_threshold!r}")
     if math.isnan(influence_threshold):
@@ -502,15 +498,15 @@ def flag_outliers(
         if not 0 <= row < n:
             raise ValueError(f"manual index {row} out of range for {n} rows")
 
-    precedence = {"extreme_p": 0, "high_influence": 1, "manual": 2}
+    precedence = FLAG_REASONS.index
     reasons: dict[int, str] = {}
 
     def claim(row: int, reason: str) -> None:
         held = reasons.get(row)
-        if held is None or precedence[reason] < precedence[held]:
+        if held is None or precedence(reason) < precedence(held):
             reasons[row] = reason
 
-    for i, d in enumerate(derived):
+    for i, d in enumerate(ds.derived):
         if d.p < p_threshold:
             claim(i, "extreme_p")
     if math.isfinite(influence_threshold) and n >= 3:

@@ -1,4 +1,9 @@
-"""Study records, datasets, and the CSV/JSON data model shared by the audit pipeline."""
+"""Study records, datasets, and the CSV/JSON data model shared by the audit pipeline.
+
+Parsing gives a :class:`Dataset` of records; deriving gives a
+:class:`DerivedDataset`, which adds each record's reconstructed statistics.
+Everything downstream of derivation takes the derived type.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from typing import NamedTuple
 
 __all__ = [
     "Dataset",
-    "DatasetStateError",
+    "DerivedDataset",
     "DerivedStats",
     "ParseError",
     "SchemaError",
@@ -42,10 +47,6 @@ class ParseError(ValueError):
         super().__init__(f"row {row}, field '{field}': {message}")
         self.row = row
         self.field = field
-
-
-class DatasetStateError(RuntimeError):
-    """An operation needs derived statistics that have not been computed yet."""
 
 
 class StudyRecord(NamedTuple):
@@ -87,35 +88,35 @@ class Violation(NamedTuple):
 
 
 class Dataset:
-    """An immutable, ordered collection of study records plus optional derived stats.
+    """An immutable, ordered collection of study records, as parsing returns it.
 
     Row order is the source-file order and is preserved by every operation
-    that does not explicitly sort. ``derived``, when present, parallels
-    ``records`` one-to-one. ``scale`` and ``critical_value`` record how the
-    derived stats were computed; only derivation sets them.
+    that does not explicitly sort. ``stats.derive_dataset`` turns a Dataset
+    into a :class:`DerivedDataset`.
 
-    Not a named tuple: ``len`` counts records, not fields.
+    Not a named tuple: ``len`` counts records, not fields. ``_asdict``,
+    ``_replace``, equality, hashing, pickling and ``repr`` read the class's
+    ``_fields``, so a subclass that extends them shares all of these.
     """
 
-    __slots__ = ("records", "derived", "label", "confidence_level", "scale", "critical_value")
+    _fields = ("records", "label", "confidence_level")
+    __slots__ = _fields
 
     def __init__(
         self,
         records: tuple[StudyRecord, ...],
-        derived: tuple[DerivedStats, ...] | None = None,
         label: str = "",
         confidence_level: float = DEFAULT_CONFIDENCE_LEVEL,
-        scale: str = "linear",
-        critical_value: float | None = None,
     ) -> None:
-        if derived is not None and len(derived) != len(records):
-            raise ValueError("derived stats must parallel records one-to-one")
-        values = (records, derived, label, confidence_level, scale, critical_value)
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(Dataset._fields, (records, label, confidence_level)):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _make(cls, values) -> Dataset:
+        return cls(**dict(zip(cls._fields, values)))
+
     def _asdict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self._fields}
 
     def _replace(self, **changes) -> Dataset:
         return type(self)(**{**self._asdict(), **changes})
@@ -135,7 +136,7 @@ class Dataset:
         return hash(tuple(self._asdict().values()))
 
     def __reduce__(self):
-        return type(self), tuple(self._asdict().values())
+        return self._make, (tuple(self._asdict().values()),)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
@@ -144,14 +145,38 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def require_derived(self) -> tuple[DerivedStats, ...]:
-        if self.derived is None:
-            raise DatasetStateError("derived statistics missing; derive them first")
-        return self.derived
+
+class DerivedDataset(Dataset):
+    """A dataset with each record's derived stats, as ``stats.derive_dataset``
+    returns it.
+
+    ``derived`` parallels ``records`` one-to-one. ``scale`` and
+    ``critical_value`` record how the stats were computed, so pooling,
+    flagging and reports read them from here.
+    """
+
+    __slots__ = ("derived", "scale", "critical_value")
+    _fields = Dataset._fields + __slots__
+
+    def __init__(
+        self,
+        records: tuple[StudyRecord, ...],
+        label: str = "",
+        confidence_level: float = DEFAULT_CONFIDENCE_LEVEL,
+        *,
+        derived: tuple[DerivedStats, ...],
+        scale: str,
+        critical_value: float,
+    ) -> None:
+        if len(derived) != len(records):
+            raise ValueError("derived stats must parallel records one-to-one")
+        super().__init__(records, label, confidence_level)
+        for name, value in zip(DerivedDataset.__slots__, (derived, scale, critical_value)):
+            object.__setattr__(self, name, value)
 
     @property
     def pvalues(self) -> tuple[float, ...]:
-        return tuple(d.p for d in self.require_derived())
+        return tuple(d.p for d in self.derived)
 
 
 # Validation rules are checked in this order and only the first failure per

@@ -14,9 +14,9 @@ import math
 from typing import Any
 
 from . import __version__
-from .counting import SearchSpaceEntry, SpaceSummary
+from .counting import SearchSpaceEntry, SpaceSummary, entry_as_dict
 from .diagnostics import OutlierReport, ShapeThresholds, ShapeVerdict
-from .model import Dataset, record_as_dict
+from .model import DerivedDataset, record_as_dict
 from .sim import RNG_ALGORITHM, RNG_COUNTER_LAYOUT, SimOutcome
 from .stats import PoolResult
 
@@ -80,7 +80,7 @@ def dumps(value: Any) -> str:
 
 
 def build_audit_report(
-    ds: Dataset,
+    ds: DerivedDataset,
     shape: ShapeVerdict,
     outliers: OutlierReport,
     pool: PoolResult | None,
@@ -90,9 +90,8 @@ def build_audit_report(
     thresholds: ShapeThresholds | None = None,
 ) -> dict:
     """Assemble the audit report structure (dataset table, verdict, flags, pool)."""
-    derived = ds.require_derived()
     studies = []
-    for rec, d in zip(ds.records, derived):
+    for rec, d in zip(ds.records, ds.derived):
         row = record_as_dict(rec)
         row.update(
             {"se": d.se, "z": d.z, "p": d.p, "p_floored": d.p_floored, "rank": d.rank}
@@ -119,20 +118,7 @@ def build_audit_report(
     }
     if space_entries is not None and space_summary is not None:
         report["search_space"] = {
-            "entries": [
-                {
-                    "ref": e.ref_id,
-                    "author": e.author,
-                    "year": e.year,
-                    "outcomes": e.outcomes,
-                    "causes": e.causes,
-                    "covariates": e.covariates,
-                    "tests": e.tests,
-                    "models": e.models,
-                    "space": e.space,
-                }
-                for e in space_entries
-            ],
+            "entries": [entry_as_dict(e) for e in space_entries],
             "median": space_summary.median,
             "min": space_summary.min,
             "max": space_summary.max,

@@ -51,7 +51,8 @@ from functools import lru_cache
 from statistics import NormalDist
 from typing import NamedTuple
 
-from .diagnostics import ShapeThresholds, ShapeVerdict, classify_pvalues
+from .diagnostics import VERDICTS, ShapeThresholds, ShapeVerdict, classify_pvalues
+from .stats import P_FLOOR
 
 __all__ = [
     "ReplicateOutcome",
@@ -270,7 +271,8 @@ def _simulate_replicate(cfg: SimConfig, replicate_index: int) -> list[tuple[floa
             if p < best_p:
                 best_p, best_z = p, z
         if not (best_p > SIGNIFICANCE and words[j + width - 1] < censor_cut):
-            reported.append((best_p, best_z))
+            # p underflows to 0.0 once |z| passes ~38.5; floor it as derivation does
+            reported.append((best_p or P_FLOOR, best_z))
     return reported
 
 
@@ -310,8 +312,7 @@ def run_experiment(
     indeterminate and do not enter the KS rejection rate denominator.
     """
     outcomes = []
-    counts = {verdict: 0 for verdict in
-              ("uniform_null", "significant_effect", "bilinear_mixture", "indeterminate")}
+    counts = dict.fromkeys(VERDICTS, 0)
     suppressed_fracs = []
     ks_total = 0
     ks_rejected = 0

@@ -15,7 +15,7 @@ import math
 from statistics import NormalDist
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import Dataset, DerivedStats, StudyRecord
+from .model import Dataset, DerivedDataset, DerivedStats, StudyRecord
 
 __all__ = [
     "PoolResult",
@@ -142,13 +142,14 @@ def derive_dataset(
     *,
     critical_value: float | None = None,
     scale: str = "linear",
-) -> Dataset:
+) -> DerivedDataset:
     """Derive and rank the stats of every record, preserving row order.
 
-    z* is resolved once, from ``ds.confidence_level`` unless
-    ``critical_value`` overrides it, and the result records it with
-    ``scale``; pooling, flagging and reports read both from the dataset.
-    Ranks are those :func:`rank_pvalues` assigns.
+    Takes a parsed :class:`Dataset` and returns a :class:`DerivedDataset`
+    with the same records, label and confidence level. z* is resolved once,
+    from ``ds.confidence_level`` unless ``critical_value`` overrides it, and
+    the result records it with ``scale``; pooling, flagging and reports read
+    both from the dataset. Ranks are those :func:`rank_pvalues` assigns.
     """
     if critical_value is None:
         critical_value = two_sided_critical_value(ds.confidence_level)
@@ -156,33 +157,34 @@ def derive_dataset(
         derive_stats(rec, critical_value=critical_value, scale=scale)
         for rec in ds.records
     )
-    return rank_pvalues(
-        ds._replace(derived=derived, scale=scale, critical_value=critical_value)
+    unranked = DerivedDataset(
+        ds.records, ds.label, ds.confidence_level,
+        derived=derived, scale=scale, critical_value=critical_value,
     )
+    return rank_pvalues(unranked)
 
 
-def rank_pvalues(ds: Dataset) -> Dataset:
+def rank_pvalues(ds: DerivedDataset) -> DerivedDataset:
     """Assign ranks 1..n by ascending p-value, ties broken by row index.
 
     Idempotent: re-ranking an already ranked dataset reproduces the same
-    ranks. Returns a new Dataset; the input is untouched.
+    ranks. Returns a new DerivedDataset; the input is untouched.
     """
-    derived = list(ds.require_derived())
+    derived = list(ds.derived)
     order = sorted(range(len(derived)), key=lambda i: (derived[i].p, i))
     for rank, i in enumerate(order, start=1):
         derived[i] = derived[i]._replace(rank=rank)
     return ds._replace(derived=tuple(derived))
 
 
-def effects_from_dataset(ds: Dataset) -> list[tuple[float, float]]:
+def effects_from_dataset(ds: DerivedDataset) -> list[tuple[float, float]]:
     """Per-study (effect, se) pairs for pooling, on the scale ``ds`` was derived on.
 
     (rr - 1, se) on the linear scale, (log rr, se) on the log scale.
     """
-    derived = ds.require_derived()
     if ds.scale == "linear":
-        return [(rec.rr - 1.0, d.se) for rec, d in zip(ds.records, derived)]
-    return [(math.log(rec.rr), d.se) for rec, d in zip(ds.records, derived)]
+        return [(rec.rr - 1.0, d.se) for rec, d in zip(ds.records, ds.derived)]
+    return [(math.log(rec.rr), d.se) for rec, d in zip(ds.records, ds.derived)]
 
 
 class PoolResult(NamedTuple):

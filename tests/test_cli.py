@@ -14,6 +14,7 @@ import pytest
 from pvaudit import (
     SimConfig,
     dataset_to_json,
+    generate_literature,
     generate_study_effects,
     normal_sf,
     parse_dataset,
@@ -30,6 +31,7 @@ from pvaudit.cli import (
 )
 from pvaudit.datasets import soy_ldl_search_space_csv, soy_ldl_studies_csv
 from pvaudit.report import format_number
+from pvaudit.stats import P_FLOOR
 
 TOY = (
     "author,year,comment,ref,rr,cl_low,cl_high\n"
@@ -600,6 +602,19 @@ def test_simulate_censor_preset_echoed(workdir):
     report = _read_json(out)
     assert report["config"]["censor_rate"] == pytest.approx(10 / 19, rel=1e-6)
     assert report["config"]["censor_preset"] == "greenwald"
+
+
+def test_simulate_floors_underflowed_best_p(workdir):
+    # |z| near 40 makes every tried p underflow to 0.0; each reported study
+    # is floored at the smallest double, as derivation floors it
+    base = ["simulate", "--n", "20", "--effect-fraction", "1", "--replicates", "2"]
+    out = workdir / "floored.json"
+    assert main(base + ["--noncentrality", "40", "--output", str(out)]) == EXIT_OK
+    assert [r["verdict"] for r in _read_json(out)["replicates"]] == ["significant_effect"] * 2
+    rc = main(base + ["--noncentrality", "-40", "--hack-k", "2", "--output", str(out)])
+    assert rc == EXIT_OK
+    cfg = SimConfig(n_studies=20, effect_fraction=1.0, noncentrality=-40.0, hack_k=2)
+    assert generate_literature(cfg) == [P_FLOOR] * 20
 
 
 def test_simulate_conflicting_censor_flags(workdir, capsys):

@@ -12,7 +12,7 @@ from scipy.special import kolmogorov
 
 from pvaudit import (
     Dataset,
-    DatasetStateError,
+    DerivedDataset,
     DerivedStats,
     SimConfig,
     StudyRecord,
@@ -38,7 +38,7 @@ from pvaudit.diagnostics import (
 )
 
 
-def _ds_from_ps(ps: list[float], rrs: list[float] | None = None) -> Dataset:
+def _ds_from_ps(ps: list[float], rrs: list[float] | None = None) -> DerivedDataset:
     """Dataset with handcrafted derived p-values (records are placeholders)."""
     rrs = rrs if rrs is not None else [1.0] * len(ps)
     records = tuple(
@@ -46,7 +46,9 @@ def _ds_from_ps(ps: list[float], rrs: list[float] | None = None) -> Dataset:
         for i, rr in enumerate(rrs)
     )
     derived = tuple(DerivedStats(se=0.1, z=0.0, p=p) for p in ps)
-    return rank_pvalues(Dataset(records=records, derived=derived))
+    return rank_pvalues(
+        DerivedDataset(records, derived=derived, scale="linear", critical_value=1.96)
+    )
 
 
 # -------------------------------------------------------------- plot series
@@ -534,5 +536,5 @@ def test_flag_outliers_high_influence():
 
 def test_flag_outliers_requires_derived():
     ds = Dataset(records=(StudyRecord("A", 2000, 1, 1.0, 0.9, 1.1),))
-    with pytest.raises(DatasetStateError):
+    with pytest.raises(AttributeError):
         flag_outliers(ds)

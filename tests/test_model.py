@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pvaudit import (
     Dataset,
-    DatasetStateError,
+    DerivedDataset,
     DerivedStats,
     OutlierFlag,
     OutlierReport,
@@ -30,6 +30,7 @@ from pvaudit import (
     Violation,
     dataset_from_json,
     dataset_to_json,
+    derive_dataset,
     parse_dataset,
     serialize_dataset,
     validate_dataset,
@@ -70,7 +71,7 @@ def test_parse_ignores_extra_columns():
     )
     ds = parse_dataset(text)
     assert len(ds) == 1
-    assert ds.derived is None
+    assert not hasattr(ds, "derived")
 
 
 def test_parse_missing_column_is_schema_error():
@@ -152,6 +153,9 @@ VALUE_TYPES = [
     DerivedStats(0.1, 0.0, 1.0),
     Violation(0, "rr", "rr must be positive"),
     Dataset(records=(_REC,)),
+    DerivedDataset(
+        (_REC,), derived=(DerivedStats(0.1, 0.0, 1.0),), scale="linear", critical_value=1.96
+    ),
     ReferenceLine("smallest_p_marker", (0.3,)),
     PlotSeries("pvalue_rank", ((1.0, 0.5),), (), 1),
     ShapeThresholds(),
@@ -180,35 +184,49 @@ def test_value_types_are_frozen(value):
 
 def test_derived_must_parallel_records():
     rec = StudyRecord(author="A", year=2000, ref_id=1, rr=1.0, cl_low=0.9, cl_high=1.1)
+    one = (DerivedStats(0.1, 0.0, 1.0),)
     with pytest.raises(ValueError):
-        Dataset(records=(rec,), derived=(DerivedStats(0.1, 0.0, 1.0), DerivedStats(0.1, 0.0, 1.0)))
-    ds = Dataset(records=(rec,), derived=(DerivedStats(0.1, 0.0, 1.0),))
+        DerivedDataset((rec,), derived=one * 2, scale="linear", critical_value=1.96)
+    ds = DerivedDataset((rec,), derived=one, scale="linear", critical_value=1.96)
     with pytest.raises(ValueError):
-        ds._replace(derived=(DerivedStats(0.1, 0.0, 1.0),) * 2)
+        ds._replace(derived=one * 2)
     with pytest.raises(ValueError):
         ds._replace(records=())
-    assert ds._replace(derived=None).derived is None
+    # the derived fields are required, and a parsed Dataset has none
+    with pytest.raises(TypeError):
+        DerivedDataset((rec,))
+    with pytest.raises(TypeError):
+        Dataset((rec,), derived=one)
 
 
 def test_dataset_equality_hash_copy_and_pickle():
-    ds = parse_dataset(CSV_OK, label="t")
-    again = parse_dataset(CSV_OK, label="t")
-    assert ds == again and hash(ds) == hash(again)
-    assert ds != ds._replace(label="u")
-    assert ds._replace(label="u")._replace(label="t") == ds
-    assert copy.copy(ds) == ds
-    assert copy.deepcopy(ds) == ds
-    assert pickle.loads(pickle.dumps(ds)) == ds
-    assert repr(ds).startswith("Dataset(records=(StudyRecord(author='Alpha'")
-    assert ds._asdict()["label"] == "t"
-    with pytest.raises(TypeError):
-        ds._replace(rows=())
+    parsed, parsed_again = parse_dataset(CSV_OK, label="t"), parse_dataset(CSV_OK, label="t")
+    assert parsed != derive_dataset(parsed)
+    for ds, again in (
+        (parsed, parsed_again),
+        (derive_dataset(parsed), derive_dataset(parsed_again)),
+    ):
+        assert ds == again and hash(ds) == hash(again)
+        assert ds != ds._replace(label="u")
+        assert ds._replace(label="u")._replace(label="t") == ds
+        assert copy.copy(ds) == ds
+        assert copy.deepcopy(ds) == ds
+        assert pickle.loads(pickle.dumps(ds)) == ds
+        name = type(ds).__name__
+        assert repr(ds).startswith(f"{name}(records=(StudyRecord(author='Alpha'")
+        assert ds._asdict()["label"] == "t"
+        with pytest.raises(TypeError):
+            ds._replace(rows=())
+    assert Dataset._fields == ("records", "label", "confidence_level")
+    assert DerivedDataset._fields == Dataset._fields + ("derived", "scale", "critical_value")
 
 
 def test_pvalues_requires_derived():
     ds = parse_dataset(CSV_OK)
-    with pytest.raises(DatasetStateError):
-        _ = ds.pvalues
+    for name in ("derived", "pvalues", "scale", "critical_value"):
+        assert not hasattr(ds, name)
+    derived = derive_dataset(ds)
+    assert derived.pvalues == tuple(d.p for d in derived.derived)
 
 
 def test_round_trip_preserves_row_order_and_values():

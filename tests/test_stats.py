@@ -12,8 +12,7 @@ from scipy.special import ndtri
 
 from pvaudit import stats as stats_module
 from pvaudit import (
-    Dataset,
-    DatasetStateError,
+    DerivedDataset,
     StudyRecord,
     derive_dataset,
     derive_stats,
@@ -161,14 +160,15 @@ def test_derive_dataset_preserves_order():
         "B,2001,,2,0.8,0.7,0.9\n"
     )
     out = derive_dataset(ds)
-    assert ds.derived is None  # input untouched
+    assert type(out) is DerivedDataset
+    assert not hasattr(ds, "derived")  # input untouched
     assert out.records == ds.records
     assert out.derived[0].z > 0 > out.derived[1].z
 
 
 # ------------------------------------------------------------------ ranking
 
-def _toy_ds(ps_like: list[tuple[float, float, float]]) -> Dataset:
+def _toy_ds(ps_like: list[tuple[float, float, float]]) -> DerivedDataset:
     rows = "".join(
         f"S{i},2000,,{i},{rr},{lo},{hi}\n" for i, (rr, lo, hi) in enumerate(ps_like)
     )
@@ -226,7 +226,7 @@ def test_rank_pvalues_idempotent():
 
 def test_rank_pvalues_requires_derived():
     ds = parse_dataset("author,year,comment,ref,rr,cl_low,cl_high\nA,2000,,1,1.0,0.5,1.5\n")
-    with pytest.raises(DatasetStateError):
+    with pytest.raises(AttributeError):
         rank_pvalues(ds)
 
 
