@@ -40,7 +40,7 @@ from .model import (
     SchemaError,
     dataset_from_json,
     parse_dataset,
-    record_as_dict,
+    record_values,
 )
 from .report import build_audit_report, build_sim_report, dumps, format_number
 from .sim import SimConfig, greenwald_censor_rate, run_experiment
@@ -261,6 +261,11 @@ def _resolve(args: argparse.Namespace) -> tuple[DerivedDataset, dict]:
     if p_threshold is None:
         p_threshold = profile.get("p_threshold", 1e-3)
     influence = getattr(args, "influence_threshold", None)
+    if influence is not None and math.isfinite(influence) and len(ds) < 3:
+        print(
+            "warning: the influence rule needs at least 3 rows; it did not run",
+            file=sys.stderr,
+        )
     manual = list(getattr(args, "manual_outlier", []))
     for author, year in profile.get("manual_studies", ()):
         manual.extend(
@@ -286,10 +291,10 @@ def cmd_derive(args: argparse.Namespace) -> int:
     ds, _ = _resolve(args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(CSV_COLUMNS) + ["se", "z", "p", "rank"])
+    writer.writerow(CSV_COLUMNS + ("se", "z", "p", "rank"))
     for rec, d in zip(ds.records, ds.derived):
-        row = {**record_as_dict(rec), "se": d.se, "z": d.z, "p": d.p, "rank": d.rank}
-        writer.writerow([format_number(v) if isinstance(v, float) else v for v in row.values()])
+        row = record_values(rec) + (d.se, d.z, d.p, d.rank)
+        writer.writerow([format_number(v) if isinstance(v, float) else v for v in row])
     _write_text(args.output, buf.getvalue())
     return EXIT_OK
 
@@ -348,16 +353,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.counting:
         space_entries = _load_entries(args.counting)
         space_summary = summarize_spaces(space_entries)
+    influence = rules["influence_threshold"]
     config = {
         "confidence_level": ds.confidence_level,
         "critical_value": ds.critical_value,
         "scale": ds.scale,
         "p_threshold": rules["p_threshold"],
-        "influence_threshold": (
-            None
-            if math.isinf(rules["influence_threshold"])
-            else rules["influence_threshold"]
-        ),
+        "influence_threshold": None if math.isinf(influence) else influence,
         "manual_rows": list(rules["manual"]),
         "profile": args.profile,
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from operator import attrgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("author", "year", "comment", "ref", "rr", "cl_low", "cl_high")
+# A record's fields in CSV_COLUMNS order, as a tuple (ref_id under "ref").
+record_values = attrgetter("author", "year", "comment", "ref_id", "rr", "cl_low", "cl_high")
 REQUIRED_COLUMNS = ("author", "year", "ref", "rr", "cl_low", "cl_high")
 DEFAULT_CONFIDENCE_LEVEL = 0.95
 
@@ -247,22 +250,22 @@ def _make_record(row: int, fields: dict) -> StudyRecord:
 def _csv_rows(text: str, required: tuple[str, ...]) -> list[dict[str, str]]:
     """CSV data rows keyed by column name, names stripped of spaces and BOM.
 
-    Missing cells read as "". Raises SchemaError when there is no header or
-    it lacks a ``required`` column.
+    Blank lines are skipped, missing cells read as "", extra cells are
+    ignored and a duplicated name keeps its last column. Raises SchemaError
+    when there is no header or it lacks a ``required`` column.
     """
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise SchemaError("empty input: no header row", missing=required)
-    header = [name.strip().lstrip("\ufeff") for name in reader.fieldnames]
+    header = [name.strip().lstrip("\ufeff") for name in header]
     missing = tuple(c for c in required if c not in header)
     if missing:
         raise SchemaError(
             "missing required column(s): " + ", ".join(missing), missing=missing
         )
-    return [
-        {k.strip().lstrip("\ufeff"): v or "" for k, v in raw.items() if k is not None}
-        for raw in reader
-    ]
+    pad = [""] * len(header)
+    return [dict(zip(header, row + pad)) for row in reader if row]
 
 
 def parse_dataset(
@@ -291,15 +294,7 @@ def serialize_dataset(ds: Dataset) -> str:
     writer.writerow(CSV_COLUMNS)
     for rec in ds.records:
         writer.writerow(
-            [
-                rec.author,
-                rec.year,
-                rec.comment,
-                rec.ref_id,
-                repr(rec.rr),
-                repr(rec.cl_low),
-                repr(rec.cl_high),
-            ]
+            record_values(rec)[:4] + (repr(rec.rr), repr(rec.cl_low), repr(rec.cl_high))
         )
     return buf.getvalue()
 
@@ -309,18 +304,7 @@ def dataset_to_json(ds: Dataset) -> str:
     payload = {
         "label": ds.label,
         "confidence_level": ds.confidence_level,
-        "records": [
-            {
-                "author": rec.author,
-                "year": rec.year,
-                "comment": rec.comment,
-                "ref": rec.ref_id,
-                "rr": rec.rr,
-                "cl_low": rec.cl_low,
-                "cl_high": rec.cl_high,
-            }
-            for rec in ds.records
-        ],
+        "records": [dict(zip(CSV_COLUMNS, record_values(rec))) for rec in ds.records],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -350,10 +334,3 @@ def dataset_from_json(text: str) -> Dataset:
         label=str(payload.get("label", "")),
         confidence_level=float(payload.get("confidence_level", DEFAULT_CONFIDENCE_LEVEL)),
     )
-
-
-def record_as_dict(rec: StudyRecord) -> dict:
-    """Record fields keyed by the CSV column names (ref_id exposed as 'ref')."""
-    d = rec._asdict()
-    d["ref"] = d.pop("ref_id")
-    return {k: d[k] for k in CSV_COLUMNS}

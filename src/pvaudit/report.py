@@ -4,19 +4,20 @@ The serializer is intentionally small and strict: numbers print with nine
 significant digits, dictionaries keep insertion order, non-finite floats are
 rejected rather than smuggled in as strings. Identical report content
 therefore always produces identical bytes, and a report parsed with the
-standard json module re-serializes to the same bytes.
+standard json module re-serializes to the same bytes (save a -0.0, printed
+"-0", which reads back as the integer 0).
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from . import __version__
 from .counting import SearchSpaceEntry, SpaceSummary, entry_as_dict
 from .diagnostics import OutlierReport, ShapeThresholds, ShapeVerdict
-from .model import DerivedDataset, record_as_dict
+from .model import CSV_COLUMNS, DerivedDataset, record_values
 from .sim import RNG_ALGORITHM, RNG_COUNTER_LAYOUT, SimOutcome
 from .stats import PoolResult
 
@@ -28,55 +29,66 @@ def format_number(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _emit(value: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(repr(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite number {value!r} cannot enter a report")
-        out.append(format_number(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
+def _encode(value: Any, pad: str) -> str:
+    """JSON text of ``value``, its continuation lines indented by ``pad``.
+
+    One pass per container writes exact float, str and int items inline;
+    the rest (bool, None, subclasses, errors) take the ``isinstance`` chain.
+    """
+    if isinstance(value, dict):
+        inner = pad + "  "
+        parts = []
+        for key, item in value.items():
             if not isinstance(key, str):
                 raise ValueError(f"report keys must be strings, got {key!r}")
-            out.append(f'{pad}  {json.dumps(key)}: ')
-            _emit(item, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
+            t = type(item)
+            if t is float and -math.inf < item < math.inf:
+                text = "%.9g" % item
+            elif t is str:
+                text = _quote(item)
+            elif t is int:
+                text = repr(item)
+            else:
+                text = _encode(item, inner)
+            parts.append(f"{inner}{_quote(key)}: {text}")
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}" if parts else "{}"
+    if isinstance(value, (list, tuple)):
         if hasattr(value, "_fields"):
             raise ValueError(
                 f"named tuple {type(value).__name__} must enter a report as _asdict()"
             )
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad + "  ")
-            _emit(item, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise ValueError(f"unsupported report value {value!r}")
+        inner = pad + "  "
+        parts = []
+        for item in value:
+            t = type(item)
+            if t is float and -math.inf < item < math.inf:
+                text = "%.9g" % item
+            elif t is str:
+                text = _quote(item)
+            elif t is int:
+                text = repr(item)
+            else:
+                text = _encode(item, inner)
+            parts.append(inner + text)
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]" if parts else "[]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return repr(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {value!r} cannot enter a report")
+        return format_number(value)
+    if isinstance(value, str):
+        return _quote(value)
+    raise ValueError(f"unsupported report value {value!r}")
 
 
 def dumps(value: Any) -> str:
     """Serialize a report structure to deterministic JSON text."""
-    out: list[str] = []
-    _emit(value, 0, out)
-    return "".join(out) + "\n"
+    return _encode(value, "") + "\n"
 
 
 def build_audit_report(
@@ -90,13 +102,12 @@ def build_audit_report(
     thresholds: ShapeThresholds | None = None,
 ) -> dict:
     """Assemble the audit report structure (dataset table, verdict, flags, pool)."""
-    studies = []
-    for rec, d in zip(ds.records, ds.derived):
-        row = record_as_dict(rec)
-        row.update(
-            {"se": d.se, "z": d.z, "p": d.p, "p_floored": d.p_floored, "rank": d.rank}
-        )
-        studies.append(row)
+    influence = outliers.influence_threshold
+    keys = CSV_COLUMNS + ("se", "z", "p", "p_floored", "rank")
+    studies = [
+        dict(zip(keys, record_values(rec) + (d.se, d.z, d.p, d.p_floored, d.rank)))
+        for rec, d in zip(ds.records, ds.derived)
+    ]
     report = {
         "tool": {"name": TOOL_NAME, "version": __version__},
         "label": ds.label,
@@ -107,11 +118,7 @@ def build_audit_report(
         "shape": shape._asdict(),
         "outliers": {
             "p_threshold": outliers.p_threshold,
-            "influence_threshold": (
-                None
-                if math.isinf(outliers.influence_threshold)
-                else outliers.influence_threshold
-            ),
+            "influence_threshold": None if math.isinf(influence) else influence,
             "flagged": [f._asdict() for f in outliers.flagged],
         },
         "pool": None if pool is None else pool._asdict(),

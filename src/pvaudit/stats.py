@@ -109,13 +109,19 @@ def derive_stats(
         With ``rank`` unset. ``p_floored`` is True when the p-value was
         clamped at the smallest positive double.
     """
-    if scale not in SCALES:
-        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     zstar = (
         critical_value
         if critical_value is not None
         else two_sided_critical_value(confidence_level)
     )
+    se, z, p, floored = _reconstruct(rec, zstar, scale)
+    return DerivedStats(se=se, z=z, p=p, p_floored=floored)
+
+
+def _reconstruct(rec: StudyRecord, zstar: float, scale: str) -> tuple[float, float, float, bool]:
+    """The (se, z, p, p_floored) of :func:`derive_stats`, for a resolved z*."""
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     if not zstar > 0:
         raise ValueError(f"critical value must be positive, got {zstar!r}")
     if scale == "linear":
@@ -134,7 +140,15 @@ def derive_stats(
     floored = p <= 0.0
     if floored:
         p = P_FLOOR
-    return DerivedStats(se=se, z=z, p=p, p_floored=floored)
+    return se, z, p, floored
+
+
+def _ranks(pvalues: Sequence[float]) -> list[int]:
+    """Rank of each p-value, 1..n ascending; the stable sort breaks ties by row."""
+    ranks = [0] * len(pvalues)
+    for rank, i in enumerate(sorted(range(len(pvalues)), key=pvalues.__getitem__), 1):
+        ranks[i] = rank
+    return ranks
 
 
 def derive_dataset(
@@ -153,15 +167,16 @@ def derive_dataset(
     """
     if critical_value is None:
         critical_value = two_sided_critical_value(ds.confidence_level)
+    stats = [_reconstruct(rec, critical_value, scale) for rec in ds.records]
+    ranks = _ranks([s[2] for s in stats])
     derived = tuple(
-        derive_stats(rec, critical_value=critical_value, scale=scale)
-        for rec in ds.records
+        DerivedStats(se, z, p, rank, floored)
+        for (se, z, p, floored), rank in zip(stats, ranks)
     )
-    unranked = DerivedDataset(
+    return DerivedDataset(
         ds.records, ds.label, ds.confidence_level,
         derived=derived, scale=scale, critical_value=critical_value,
     )
-    return rank_pvalues(unranked)
 
 
 def rank_pvalues(ds: DerivedDataset) -> DerivedDataset:
@@ -170,11 +185,10 @@ def rank_pvalues(ds: DerivedDataset) -> DerivedDataset:
     Idempotent: re-ranking an already ranked dataset reproduces the same
     ranks. Returns a new DerivedDataset; the input is untouched.
     """
-    derived = list(ds.derived)
-    order = sorted(range(len(derived)), key=lambda i: (derived[i].p, i))
-    for rank, i in enumerate(order, start=1):
-        derived[i] = derived[i]._replace(rank=rank)
-    return ds._replace(derived=tuple(derived))
+    ranks = _ranks(ds.pvalues)
+    return ds._replace(
+        derived=tuple(d._replace(rank=r) for d, r in zip(ds.derived, ranks))
+    )
 
 
 def effects_from_dataset(ds: DerivedDataset) -> list[tuple[float, float]]:

@@ -359,6 +359,30 @@ def test_audit_influence_threshold_flag(workdir):
     assert all(f["reason"] == "high_influence" for f in flagged)
 
 
+INFLUENCE_SKIPPED = "warning: the influence rule needs at least 3 rows; it did not run\n"
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("command", ["audit", "plot"])
+def test_influence_rule_on_too_few_rows_warns(workdir, capsys, rows, command):
+    small = workdir / "small.csv"
+    small.write_text("".join(TOY.splitlines(keepends=True)[: rows + 1]), encoding="utf-8")
+    args = [command, "--input", str(small), "--influence-threshold", "0.1"]
+    if command == "plot":
+        args += ["--kind", "volcano", "--exclude-flagged"]
+    quiet = [a for a in args if a not in ("--influence-threshold", "0.1")]
+    out = workdir / ("out.json" if command == "audit" else "out.svg")
+    assert main(args + ["--output", str(out)]) == EXIT_OK
+    warned = capsys.readouterr().err
+    assert warned == (INFLUENCE_SKIPPED if rows < 3 else "")
+    if command == "audit":
+        # The report still echoes the threshold it was given.
+        assert _read_json(out)["config"]["influence_threshold"] == 0.1
+    # Without the rule, nothing warns.
+    assert main(quiet + ["--output", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("source", ["csv", "json"])
 def test_audit_echoes_the_level_and_critical_value_it_used(workdir, source):
     # A 90% interval is unwound with z* = 1.645; the config echo must say so

@@ -35,6 +35,8 @@ from pvaudit import (
     serialize_dataset,
     validate_dataset,
 )
+from pvaudit.counting import COUNT_COLUMNS, parse_search_space_csv
+from pvaudit.model import REQUIRED_COLUMNS
 
 CSV_OK = """author,year,comment,ref,rr,cl_low,cl_high
 Alpha,1999,first,1,1.05,0.95,1.15
@@ -289,3 +291,108 @@ def test_round_trip_property(records):
     assert validate_dataset(ds) == []
     assert parse_dataset(serialize_dataset(ds)).records == ds.records
     assert dataset_from_json(dataset_to_json(ds)).records == ds.records
+
+
+# ------------------------------------------- CSV row reading (both parsers)
+#
+# parse_dataset and parse_search_space_csv share one row reader. These pin it
+# to the csv.DictReader semantics it has always had.
+
+_STUDY_HEADER = "author,year,comment,ref,rr,cl_low,cl_high"
+_COUNT_HEADER = "ref,author,year,outcomes,causes,covariates"
+
+
+def _studies(text: str) -> list[tuple]:
+    return [
+        (r.author, r.year, r.comment, r.ref_id, r.rr, r.cl_low, r.cl_high)
+        for r in parse_dataset(text).records
+    ]
+
+
+def _counts(text: str) -> list[tuple]:
+    return [
+        (e.ref_id, e.author, e.year, e.outcomes, e.causes, e.covariates)
+        for e in parse_search_space_csv(text)
+    ]
+
+
+@pytest.mark.parametrize(
+    "reader, text, field",
+    [
+        (
+            parse_dataset,
+            f"{_STUDY_HEADER}\n\nA,1999,,1,1.05,0.95,1.15\n\n\n"
+            "B,2000,,2,0.9,0.85,0.96\n\nC,2001,,3,oops,1.0,1.4\n",
+            "rr",
+        ),
+        (
+            parse_search_space_csv,
+            f"{_COUNT_HEADER}\n\n1,A,1999,2,3,1\n\n\n2,B,2000,1,1,0\n\n3,C,2001,x,1,1\n",
+            "outcomes",
+        ),
+    ],
+    ids=["studies", "counts"],
+)
+def test_blank_lines_are_skipped_and_not_counted(reader, text, field):
+    with pytest.raises(ParseError) as err:
+        reader(text)
+    assert (err.value.row, err.value.field) == (2, field)
+
+
+@pytest.mark.parametrize(
+    "reader, header, row, required",
+    [
+        (parse_dataset, _STUDY_HEADER, "A,1999,,1,1.05,0.95,1.15", REQUIRED_COLUMNS),
+        (parse_search_space_csv, _COUNT_HEADER, "1,A,1999,2,3,1", COUNT_COLUMNS),
+    ],
+    ids=["studies", "counts"],
+)
+def test_blank_first_line_misses_every_required_column(reader, header, row, required):
+    with pytest.raises(SchemaError) as err:
+        reader(f"\n{header}\n{row}\n")
+    assert err.value.missing == required
+    assert str(err.value) == "missing required column(s): " + ", ".join(required)
+
+
+def test_short_rows_read_empty_and_long_rows_drop_extras():
+    studies = (
+        "author,year,ref,rr,cl_low,cl_high,comment\n"
+        "A,1999,1,1.05,0.95,1.15\n"
+        "B,2000,2,0.9,0.85,0.96,note,extra,more\n"
+    )
+    assert _studies(studies) == [
+        ("A", 1999, "", 1, 1.05, 0.95, 1.15),
+        ("B", 2000, "note", 2, 0.9, 0.85, 0.96),
+    ]
+    counts = "outcomes,causes,covariates,ref,author,year\n2,3,1\n1,1,0,7,B,2000,extra\n"
+    assert _counts(counts) == [(None, "", None, 2, 3, 1), (7, "B", 2000, 1, 1, 0)]
+
+
+def test_header_names_are_stripped_and_the_last_duplicate_wins():
+    studies = (
+        "\ufeffauthor , year ,comment, ref,rr,cl_low,cl_high, rr \n"
+        "A,1999,,1,oops,0.95,1.15,1.05\n"
+    )
+    assert _studies(studies) == [("A", 1999, "", 1, 1.05, 0.95, 1.15)]
+    counts = (
+        "\ufeffref , author,year,outcomes,causes,covariates,covariates\n"
+        "1,A,1999,2,3,99,1\n"
+    )
+    assert _counts(counts) == [(1, "A", 1999, 2, 3, 1)]
+
+
+def test_quoted_cells_keep_commas_quotes_and_newlines():
+    studies = (
+        f"{_STUDY_HEADER}\n"
+        '"Smith, J.\nand Co",1999,"a, ""quoted""\nnote",1,1.05,0.95,1.15\n'
+        "B,2000,,2,0.9,0.85,0.96\n"
+    )
+    assert _studies(studies) == [
+        ("Smith, J.\nand Co", 1999, 'a, "quoted"\nnote', 1, 1.05, 0.95, 1.15),
+        ("B", 2000, "", 2, 0.9, 0.85, 0.96),
+    ]
+    counts = f'{_COUNT_HEADER}\n1,"Smith, J.\nand Co",1999,2,3,1\n2,B,2000,1,1,0\n'
+    assert _counts(counts) == [
+        (1, "Smith, J.\nand Co", 1999, 2, 3, 1),
+        (2, "B", 2000, 1, 1, 0),
+    ]
