@@ -7,7 +7,7 @@ import io
 import statistics
 from typing import Iterable, NamedTuple
 
-from .model import ParseError, _csv_rows
+from .model import ParseError, _csv_rows, _parse_int
 
 __all__ = [
     "SearchSpaceEntry",
@@ -104,29 +104,20 @@ def parse_search_space_csv(text: str) -> list[SearchSpaceEntry]:
     """Parse a counting CSV with header ref,author,year,outcomes,causes,covariates."""
     entries = []
     for i, fields in enumerate(_csv_rows(text, COUNT_COLUMNS)):
-        def grab(name: str) -> int:
-            try:
-                return int(fields[name].strip())
-            except ValueError:
-                raise ParseError(i, name, f"malformed integer {fields[name]!r}") from None
-
-        def grab_optional(name: str) -> int | None:
-            return None if not fields[name].strip() else grab(name)
-
-        counts = {}
+        counts = []
         for name in ("outcomes", "causes", "covariates"):
-            counts[name] = grab(name)
-            problem = _count_problem(name, counts[name])
+            value = _parse_int(i, name, fields[name])
+            problem = _count_problem(name, value)
             if problem:
                 raise ParseError(i, name, problem)
+            counts.append(value)
+        ref, year = fields["ref"], fields["year"]
         entries.append(
             search_space(
-                counts["outcomes"],
-                counts["causes"],
-                counts["covariates"],
-                ref_id=grab_optional("ref"),
+                *counts,
+                ref_id=_parse_int(i, "ref", ref) if ref.strip() else None,
                 author=fields["author"].strip(),
-                year=grab_optional("year"),
+                year=_parse_int(i, "year", year) if year.strip() else None,
             )
         )
     return entries

@@ -24,7 +24,6 @@ __all__ = [
     "dataset_from_json",
     "dataset_to_json",
     "parse_dataset",
-    "serialize_dataset",
     "validate_dataset",
 ]
 
@@ -71,14 +70,14 @@ class StudyRecord(NamedTuple):
 class DerivedStats(NamedTuple):
     """Statistics reconstructed from one record's interval: se, z, two-sided p, rank.
 
-    ``rank`` is None until assigned by ranking. ``p_floored`` marks a p-value
+    ``rank`` (1..n by ascending p) is always set. ``p_floored`` marks a p-value
     clamped to the smallest positive double instead of underflowing to zero.
     """
 
     se: float
     z: float
     p: float
-    rank: int | None = None
+    rank: int
     p_floored: bool = False
 
 
@@ -258,7 +257,7 @@ def _csv_rows(text: str, required: tuple[str, ...]) -> list[dict[str, str]]:
     header = next(reader, None)
     if header is None:
         raise SchemaError("empty input: no header row", missing=required)
-    header = [name.strip().lstrip("\ufeff") for name in header]
+    header = [name.strip().lstrip("\ufeff").lstrip() for name in header]
     missing = tuple(c for c in required if c not in header)
     if missing:
         raise SchemaError(
@@ -285,18 +284,6 @@ def parse_dataset(
         for i, fields in enumerate(_csv_rows(text, REQUIRED_COLUMNS))
     )
     return Dataset(records=records, label=label, confidence_level=confidence_level)
-
-
-def serialize_dataset(ds: Dataset) -> str:
-    """Render the records back to canonical CSV text (lossless float repr)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in ds.records:
-        writer.writerow(
-            record_values(rec)[:4] + (repr(rec.rr), repr(rec.cl_low), repr(rec.cl_high))
-        )
-    return buf.getvalue()
 
 
 def dataset_to_json(ds: Dataset) -> str:

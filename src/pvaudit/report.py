@@ -4,8 +4,8 @@ The serializer is intentionally small and strict: numbers print with nine
 significant digits, dictionaries keep insertion order, non-finite floats are
 rejected rather than smuggled in as strings. Identical report content
 therefore always produces identical bytes, and a report parsed with the
-standard json module re-serializes to the same bytes (save a -0.0, printed
-"-0", which reads back as the integer 0).
+standard json module re-serializes to the same bytes. A -0.0 prints as "0",
+since "-0" would read back as the integer 0 and re-serialize without its sign.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ TOOL_NAME = "pvaudit"
 
 
 def format_number(x: float) -> str:
-    """Nine significant digits, shortest form ('%.9g')."""
-    return format(float(x), ".9g")
+    """Nine significant digits, shortest form ('%.9g'); -0.0 prints as "0"."""
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is
+    return format(float(x) + 0.0, ".9g")
 
 
 def _encode(value: Any, pad: str) -> str:
@@ -43,7 +44,7 @@ def _encode(value: Any, pad: str) -> str:
                 raise ValueError(f"report keys must be strings, got {key!r}")
             t = type(item)
             if t is float and -math.inf < item < math.inf:
-                text = "%.9g" % item
+                text = "%.9g" % (item + 0.0)
             elif t is str:
                 text = _quote(item)
             elif t is int:
@@ -62,7 +63,7 @@ def _encode(value: Any, pad: str) -> str:
         for item in value:
             t = type(item)
             if t is float and -math.inf < item < math.inf:
-                text = "%.9g" % item
+                text = "%.9g" % (item + 0.0)
             elif t is str:
                 text = _quote(item)
             elif t is int:
@@ -126,9 +127,7 @@ def build_audit_report(
     if space_entries is not None and space_summary is not None:
         report["search_space"] = {
             "entries": [entry_as_dict(e) for e in space_entries],
-            "median": space_summary.median,
-            "min": space_summary.min,
-            "max": space_summary.max,
+            **space_summary._asdict(),
         }
     else:
         report["search_space"] = None

@@ -59,7 +59,6 @@ __all__ = [
     "SimConfig",
     "SimOutcome",
     "generate_literature",
-    "generate_study_effects",
     "greenwald_censor_rate",
     "run_experiment",
 ]
@@ -246,8 +245,8 @@ def _word_cut(fraction: float) -> int:
     return 0 if c == 1 else c
 
 
-def _simulate_replicate(cfg: SimConfig, replicate_index: int) -> list[tuple[float, float]]:
-    """Best p and the signed z behind it for each reported study, in study order."""
+def generate_literature(cfg: SimConfig, replicate_index: int = 0) -> list[float]:
+    """The reported p-values of one replicate, in study order."""
     if not 0 <= replicate_index < 2 ** 64:
         raise ValueError(
             f"replicate_index must lie in [0, 2**64), got {replicate_index}"
@@ -262,45 +261,18 @@ def _simulate_replicate(cfg: SimConfig, replicate_index: int) -> list[tuple[floa
     reported = []
     for j in range(0, len(words), width):
         shift = noncentrality if words[j] < effect_cut else 0.0
-        best_p = best_z = math.inf
+        best_p = math.inf
         for w in words[j + 1 : j + 1 + hack_k]:
             z = quantile((w or 1) * scale) + shift
             # 2 * normal_sf(|z|); the halving stays, as 0.5 * x rounds
             # when x is subnormal
             p = 2.0 * (0.5 * erfc(abs(z) / _SQRT2))
             if p < best_p:
-                best_p, best_z = p, z
+                best_p = p
         if not (best_p > SIGNIFICANCE and words[j + width - 1] < censor_cut):
             # p underflows to 0.0 once |z| passes ~38.5; floor it as derivation does
-            reported.append((best_p or P_FLOOR, best_z))
+            reported.append(best_p or P_FLOOR)
     return reported
-
-
-def generate_literature(cfg: SimConfig, replicate_index: int = 0) -> list[float]:
-    """The reported p-values of one replicate, in study order."""
-    return [p for p, _ in _simulate_replicate(cfg, replicate_index)]
-
-
-def generate_study_effects(
-    cfg: SimConfig,
-    replicate_index: int = 0,
-    *,
-    se: float = 0.05,
-    direction: int = 1,
-) -> list[tuple[float, float]]:
-    """Reported (rr, p) pairs of one replicate, for volcano-style views.
-
-    Each study's best z is mapped to a risk ratio ``1 + direction * se * z``,
-    the same linear-scale relation the derivation module inverts. The same
-    draw addresses are used as :func:`generate_literature`, so the p-values
-    agree draw for draw.
-    """
-    if se <= 0:
-        raise ValueError(f"se must be positive, got {se!r}")
-    if direction not in (1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    scale = direction * se
-    return [(1.0 + scale * z, p) for p, z in _simulate_replicate(cfg, replicate_index)]
 
 
 def run_experiment(

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import Dataset, DerivedDataset, DerivedStats, StudyRecord
 
 __all__ = [
     "PoolResult",
     "derive_dataset",
-    "derive_stats",
     "effects_from_dataset",
     "loo_influence",
     "normal_sf",
@@ -79,47 +78,9 @@ def two_sided_critical_value(confidence_level: float, exact: bool = False) -> fl
     return NormalDist().inv_cdf(0.5 + confidence_level / 2.0)
 
 
-def derive_stats(
-    rec: StudyRecord,
-    confidence_level: float = 0.95,
-    *,
-    critical_value: float | None = None,
-    scale: str = "linear",
-) -> DerivedStats:
-    """Reconstruct se, z, and the two-sided p-value from one record's interval.
-
-    Parameters
-    ----------
-    rec : StudyRecord
-        Record with a positive risk ratio and confidence limits that bracket it.
-    confidence_level : float
-        Level of the reported interval; sets the critical value unless
-        ``critical_value`` is given explicitly.
-    critical_value : float, optional
-        Override for z*. When omitted, :func:`two_sided_critical_value` is
-        used (1.96 at the 95% level).
-    scale : str
-        ``"linear"`` works with the interval width as printed and tests
-        ``rr - 1``; ``"log"`` takes logs of the limits first and tests
-        ``log(rr)``.
-
-    Returns
-    -------
-    DerivedStats
-        With ``rank`` unset. ``p_floored`` is True when the p-value was
-        clamped at the smallest positive double.
-    """
-    zstar = (
-        critical_value
-        if critical_value is not None
-        else two_sided_critical_value(confidence_level)
-    )
-    se, z, p, floored = _reconstruct(rec, zstar, scale)
-    return DerivedStats(se=se, z=z, p=p, p_floored=floored)
-
-
 def _reconstruct(rec: StudyRecord, zstar: float, scale: str) -> tuple[float, float, float, bool]:
-    """The (se, z, p, p_floored) of :func:`derive_stats`, for a resolved z*."""
+    """One record's (se, z, p, p_floored) for a resolved z*; ``p_floored`` is
+    True when p was clamped at the smallest positive double."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     if not zstar > 0:
@@ -157,13 +118,25 @@ def derive_dataset(
     critical_value: float | None = None,
     scale: str = "linear",
 ) -> DerivedDataset:
-    """Derive and rank the stats of every record, preserving row order.
+    """Reconstruct se, z and the two-sided p of every record, and rank them.
 
     Takes a parsed :class:`Dataset` and returns a :class:`DerivedDataset`
-    with the same records, label and confidence level. z* is resolved once,
-    from ``ds.confidence_level`` unless ``critical_value`` overrides it, and
-    the result records it with ``scale``; pooling, flagging and reports read
-    both from the dataset. Ranks are those :func:`rank_pvalues` assigns.
+    with the same records, label and confidence level, in row order. Ranks
+    are those :func:`rank_pvalues` assigns.
+
+    Parameters
+    ----------
+    ds : Dataset
+        Records with positive risk ratios and limits that bracket them.
+    critical_value : float, optional
+        Override for z*. When omitted, :func:`two_sided_critical_value` of
+        ``ds.confidence_level`` is used (1.96 at the 95% level). z* is
+        resolved once, and the result records it with ``scale``; pooling,
+        flagging and reports read both from the dataset.
+    scale : str
+        ``"linear"`` works with the interval width as printed and tests
+        ``rr - 1``; ``"log"`` takes logs of the limits first and tests
+        ``log(rr)``.
     """
     if critical_value is None:
         critical_value = two_sided_critical_value(ds.confidence_level)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from pvaudit import derive_dataset, rank_pvalues
+from pvaudit import derive_dataset
 from pvaudit.datasets import load_soy_ldl_studies
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -29,4 +29,4 @@ def golden_rows() -> list[dict]:
 @pytest.fixture(scope="session")
 def soy():
     """The bundled dataset, derived and ranked with default settings."""
-    return rank_pvalues(derive_dataset(load_soy_ldl_studies()))
+    return derive_dataset(load_soy_ldl_studies())

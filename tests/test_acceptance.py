@@ -19,7 +19,6 @@ from pvaudit import (
     derive_dataset,
     flag_outliers,
     pool_dl,
-    rank_pvalues,
     run_experiment,
     smallest_p_marker,
     volcano_plot,
@@ -39,7 +38,7 @@ def _ok(line: str) -> None:
 
 @pytest.fixture(scope="module")
 def soy_ranked():
-    return rank_pvalues(derive_dataset(load_soy_ldl_studies()))
+    return derive_dataset(load_soy_ldl_studies())
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import csv
+import importlib
 import io
 import json
 import math
@@ -8,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+from statistics import NormalDist
 
 import pytest
 
@@ -15,7 +19,6 @@ from pvaudit import (
     SimConfig,
     dataset_to_json,
     generate_literature,
-    generate_study_effects,
     normal_sf,
     parse_dataset,
     two_sided_critical_value,
@@ -309,7 +312,9 @@ def test_audit_uniform_simulated_csv(workdir):
     # a null literature generated with a recorded seed audits as uniform_null
     cfg = SimConfig(n_studies=50, seed=101)
     rows = ["author,year,comment,ref,rr,cl_low,cl_high"]
-    for i, (rr, _) in enumerate(generate_study_effects(cfg, 0, se=0.05)):
+    for i, p in enumerate(generate_literature(cfg, 0)):
+        # the risk ratio whose 95% interval, at se 0.05, gives back p
+        rr = 1.0 + 0.05 * NormalDist().inv_cdf(1.0 - p / 2.0)
         lo, hi = rr - 1.96 * 0.05, rr + 1.96 * 0.05
         rows.append(f"S{i},2000,,{i},{rr!r},{lo!r},{hi!r}")
     src = workdir / "null.csv"
@@ -562,6 +567,34 @@ def test_every_public_name_resolves():
     exec("from pvaudit import *", namespace)  # raises on a name that does not resolve
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(pvaudit.__all__)
     assert len(set(pvaudit.__all__)) == len(pvaudit.__all__)
+
+
+def test_every_name_perfbench_uses_resolves():
+    # perfbench's own tests are not run here, so this reads its sources for
+    # each `from pvaudit... import X` and each X.attr on a module so imported
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    checked = 0
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules: dict[str, ModuleType] = {}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pvaudit")):
+                continue
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(source, alias.name):  # a submodule not yet imported
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                value = getattr(source, alias.name)
+                if isinstance(value, ModuleType):
+                    modules[alias.asname or alias.name] = value
+                checked += 1
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                where = f"{path.name}:{node.lineno}"
+                assert hasattr(modules[node.value.id], node.attr), (where, node.value.id, node.attr)
+                checked += 1
+    assert checked > 20
 
 
 def test_sim_names_still_import_from_the_package():

@@ -25,7 +25,6 @@ from pvaudit import (
     greenwald_censor_rate,
     ks_uniform,
     pvalue_plot,
-    rank_pvalues,
     smallest_p_marker,
     volcano_plot,
 )
@@ -36,6 +35,7 @@ from pvaudit.diagnostics import (
     _line_fit,
     _two_segment_fit,
 )
+from pvaudit.stats import _ranks
 
 
 def _ds_from_ps(ps: list[float], rrs: list[float] | None = None) -> DerivedDataset:
@@ -45,10 +45,10 @@ def _ds_from_ps(ps: list[float], rrs: list[float] | None = None) -> DerivedDatas
         StudyRecord(author=f"S{i}", year=2000, ref_id=i, rr=rr, cl_low=rr / 2, cl_high=rr * 2)
         for i, rr in enumerate(rrs)
     )
-    derived = tuple(DerivedStats(se=0.1, z=0.0, p=p) for p in ps)
-    return rank_pvalues(
-        DerivedDataset(records, derived=derived, scale="linear", critical_value=1.96)
+    derived = tuple(
+        DerivedStats(se=0.1, z=0.0, p=p, rank=rank) for p, rank in zip(ps, _ranks(ps))
     )
+    return DerivedDataset(records, derived=derived, scale="linear", critical_value=1.96)
 
 
 # -------------------------------------------------------------- plot series
@@ -529,7 +529,7 @@ def test_flag_outliers_high_influence():
         StudyRecord(author=f"S{i}", year=2000, ref_id=i, rr=rr, cl_low=rr - 0.1, cl_high=rr + 0.1)
         for i, rr in enumerate(rrs)
     )
-    ds = rank_pvalues(derive_dataset(Dataset(records=records)))
+    ds = derive_dataset(Dataset(records=records))
     report = flag_outliers(ds, p_threshold=0.0, influence_threshold=0.5)
     assert [(f.row, f.reason) for f in report.flagged] == [(9, "high_influence")]
 

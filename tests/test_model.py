@@ -32,7 +32,6 @@ from pvaudit import (
     dataset_to_json,
     derive_dataset,
     parse_dataset,
-    serialize_dataset,
     validate_dataset,
 )
 from pvaudit.counting import COUNT_COLUMNS, parse_search_space_csv
@@ -152,11 +151,11 @@ _VERDICT = ShapeVerdict("indeterminate", 1.0, None, 0.0, 0.0, 0.0, 0.1, 0.9)
 _CONFIG = SimConfig(n_studies=5)
 VALUE_TYPES = [
     _REC,
-    DerivedStats(0.1, 0.0, 1.0),
+    DerivedStats(0.1, 0.0, 1.0, 1),
     Violation(0, "rr", "rr must be positive"),
     Dataset(records=(_REC,)),
     DerivedDataset(
-        (_REC,), derived=(DerivedStats(0.1, 0.0, 1.0),), scale="linear", critical_value=1.96
+        (_REC,), derived=(DerivedStats(0.1, 0.0, 1.0, 1),), scale="linear", critical_value=1.96
     ),
     ReferenceLine("smallest_p_marker", (0.3,)),
     PlotSeries("pvalue_rank", ((1.0, 0.5),), (), 1),
@@ -186,7 +185,7 @@ def test_value_types_are_frozen(value):
 
 def test_derived_must_parallel_records():
     rec = StudyRecord(author="A", year=2000, ref_id=1, rr=1.0, cl_low=0.9, cl_high=1.1)
-    one = (DerivedStats(0.1, 0.0, 1.0),)
+    one = (DerivedStats(0.1, 0.0, 1.0, 1),)
     with pytest.raises(ValueError):
         DerivedDataset((rec,), derived=one * 2, scale="linear", critical_value=1.96)
     ds = DerivedDataset((rec,), derived=one, scale="linear", critical_value=1.96)
@@ -233,7 +232,7 @@ def test_pvalues_requires_derived():
 
 def test_round_trip_preserves_row_order_and_values():
     ds = parse_dataset(CSV_OK, label="toy")
-    again = parse_dataset(serialize_dataset(ds), label="toy")
+    again = dataset_from_json(dataset_to_json(ds))
     assert again.records == ds.records
 
 
@@ -289,7 +288,6 @@ def _records(draw) -> StudyRecord:
 def test_round_trip_property(records):
     ds = Dataset(records=tuple(records))
     assert validate_dataset(ds) == []
-    assert parse_dataset(serialize_dataset(ds)).records == ds.records
     assert dataset_from_json(dataset_to_json(ds)).records == ds.records
 
 
@@ -378,6 +376,14 @@ def test_header_names_are_stripped_and_the_last_duplicate_wins():
         "\ufeffref , author,year,outcomes,causes,covariates,covariates\n"
         "1,A,1999,2,3,99,1\n"
     )
+    assert _counts(counts) == [(1, "A", 1999, 2, 3, 1)]
+
+
+def test_spaces_after_the_bom_are_stripped():
+    # a BOM, then a space, then the first name
+    studies = "\ufeff author,year,comment,ref,rr,cl_low,cl_high\nA,1999,,1,1.05,0.95,1.15\n"
+    assert _studies(studies) == [("A", 1999, "", 1, 1.05, 0.95, 1.15)]
+    counts = "\ufeff  ref,author,year,outcomes,causes,covariates\n1,A,1999,2,3,1\n"
     assert _counts(counts) == [(1, "A", 1999, 2, 3, 1)]
 
 

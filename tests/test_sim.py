@@ -12,7 +12,6 @@ from scipy.special import ndtr, ndtri
 from pvaudit import (
     SimConfig,
     generate_literature,
-    generate_study_effects,
     greenwald_censor_rate,
     normal_sf,
     run_experiment,
@@ -50,9 +49,9 @@ def _philox_reference(seed: int, replicate_index: int, count: int) -> list[float
 
 
 def _numpy_literature(cfg: SimConfig, replicate_index: int) -> list[tuple[float, float]]:
-    """(best p, signed z) of each reported study, by numpy's Philox generator
-    and scipy's normal functions: the simulator's former implementation, kept
-    as the reference."""
+    """(best p, the signed z behind it) of each reported study, by numpy's
+    Philox generator and scipy's normal functions: the simulator's former
+    implementation, kept as the reference."""
     u = Generator(Philox(key=cfg.seed, counter=[0, 0, replicate_index, 0])).random(
         (cfg.n_studies, cfg.hack_k + 2)
     )
@@ -144,19 +143,18 @@ def test_zero_word_lifted_like_reference(monkeypatch, effect_fraction, censor_ra
     monkeypatch.setattr(sim, "_philox_words", lambda seed, r, count: list(words))
     cfg = SimConfig(n_studies=3, hack_k=2, effect_fraction=effect_fraction,
                     noncentrality=5.0, censor_rate=censor_rate)
-    got = sim._simulate_replicate(cfg, 0)
+    got = generate_literature(cfg, 0)
     want = _reference_from_uniforms(cfg, np.array(words, dtype=float).reshape(3, 4) * 2.0 ** -53)
     assert len(got) == len(want)
-    for (p, z), (p_ref, z_ref) in zip(got, want):
+    for p, (p_ref, _) in zip(got, want):
         assert p == pytest.approx(p_ref, rel=1e-13, abs=0.0)
-        assert z == pytest.approx(z_ref, rel=1e-13, abs=0.0)
     if effect_fraction == 1e-20:
         # the lifted 2**-53 is no effect, and censors no non-significant study
-        assert got[0] == (1.0, 0.0)
+        assert got[0] == 1.0
         assert len(got) == 3
 
 
-def _per_draw_reference(cfg: SimConfig, u: list[float]) -> list[tuple[float, float]]:
+def _per_draw_reference(cfg: SimConfig, u: list[float]) -> list[float]:
     """The simulator's former reading of a replicate's uniforms, one float per
     draw and ``normal_sf`` for the tail: the reference for the word path."""
     if 0.0 in u:
@@ -165,19 +163,19 @@ def _per_draw_reference(cfg: SimConfig, u: list[float]) -> list[tuple[float, flo
     reported = []
     for j in range(0, len(u), width):
         shift = cfg.noncentrality if u[j] < cfg.effect_fraction else 0.0
-        best_p = best_z = math.inf
+        best_p = math.inf
         for v in u[j + 1 : j + 1 + cfg.hack_k]:
             z = NormalDist().inv_cdf(v) + shift
             p = 2.0 * normal_sf(abs(z))
             if p < best_p:
-                best_p, best_z = p, z
+                best_p = p
         if not (best_p > 0.05 and u[j + width - 1] < cfg.censor_rate):
-            reported.append((best_p, best_z))
+            reported.append(best_p)
     return reported
 
 
-def _hex_pairs(pairs):
-    return [(p.hex(), z.hex()) for p, z in pairs]
+def _hex(pvalues):
+    return [p.hex() for p in pvalues]
 
 
 # Fractions on and around the word path's integer cuts: a lifted word w
@@ -195,7 +193,7 @@ def test_word_path_equals_per_draw_reference(hack_k, seed):
             for r in (0, 7):
                 u = _philox_uniforms(seed, r, cfg.n_studies * (hack_k + 2))
                 want = _per_draw_reference(cfg, u)
-                assert _hex_pairs(sim._simulate_replicate(cfg, r)) == _hex_pairs(want)
+                assert _hex(generate_literature(cfg, r)) == _hex(want)
 
 
 # Words at the cuts and the ends: 0 (lifted to 1), the neighbours of the
@@ -225,7 +223,7 @@ def test_word_path_equals_per_draw_reference_on_edge_words(monkeypatch, hack_k):
                 cfg = SimConfig(n_studies=m * m, hack_k=hack_k, noncentrality=noncentrality,
                                 effect_fraction=effect_fraction, censor_rate=censor_rate)
                 want = _per_draw_reference(cfg, u)
-                assert _hex_pairs(sim._simulate_replicate(cfg, 0)) == _hex_pairs(want)
+                assert _hex(generate_literature(cfg, 0)) == _hex(want)
 
 
 @pytest.mark.parametrize(
@@ -240,16 +238,12 @@ def test_word_path_equals_per_draw_reference_on_edge_words(monkeypatch, hack_k):
     ],
 )
 def test_literature_matches_numpy_scipy_reference(cfg):
-    se = 0.04
     for r in (0, 1, 37):
         want = _numpy_literature(cfg, r)
         got = generate_literature(cfg, r)
-        effects = generate_study_effects(cfg, r, se=se)
-        assert len(got) == len(want) == len(effects)
-        for p, (rr, p_rr), (p_ref, z_ref) in zip(got, effects, want):
-            assert p == p_rr
+        assert len(got) == len(want)
+        for p, (p_ref, _) in zip(got, want):
             assert p == pytest.approx(p_ref, rel=1e-13, abs=0.0)
-            assert rr == pytest.approx(1.0 + se * z_ref, rel=1e-13)
 
 
 def test_config_validation():
@@ -322,25 +316,13 @@ def test_null_pvalues_look_uniform():
 
 
 def test_pvalues_match_two_sided_tail():
+    # each reported p is the two-sided tail of the z drawn for it
     cfg = SimConfig(n_studies=200, seed=5, effect_fraction=0.4, noncentrality=2.0)
-    pairs = generate_study_effects(cfg, 0, se=0.04)
-    assert len(pairs) == 200
-    for rr, p in pairs:
-        z = (rr - 1.0) / 0.04
+    ps = generate_literature(cfg, 0)
+    want = _numpy_literature(cfg, 0)
+    assert len(ps) == len(want) == 200
+    for p, (_, z) in zip(ps, want):
         assert p == pytest.approx(2.0 * normal_sf(abs(z)), rel=1e-9)
-
-
-def test_study_effects_direction():
-    cfg = SimConfig(n_studies=500, seed=6, effect_fraction=1.0, noncentrality=4.0)
-    up = generate_study_effects(cfg, 0, se=0.05, direction=1)
-    down = generate_study_effects(cfg, 0, se=0.05, direction=-1)
-    assert np.mean([rr for rr, _ in up]) > 1.1
-    assert np.mean([rr for rr, _ in down]) < 0.9
-    assert [p for _, p in up] == [p for _, p in down]
-    with pytest.raises(ValueError):
-        generate_study_effects(cfg, 0, se=0.0)
-    with pytest.raises(ValueError):
-        generate_study_effects(cfg, 0, direction=0)
 
 
 def test_hacking_shifts_pvalues_down():

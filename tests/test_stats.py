@@ -12,10 +12,10 @@ from scipy.special import ndtri
 
 from pvaudit import stats as stats_module
 from pvaudit import (
+    Dataset,
     DerivedDataset,
     StudyRecord,
     derive_dataset,
-    derive_stats,
     effects_from_dataset,
     loo_influence,
     normal_sf,
@@ -30,6 +30,11 @@ mp.mp.dps = 40
 
 def _rec(rr: float, lo: float, hi: float, author: str = "A", year: int = 2000) -> StudyRecord:
     return StudyRecord(author=author, year=year, ref_id=1, rr=rr, cl_low=lo, cl_high=hi)
+
+
+def _derive_one(rec: StudyRecord, **kwargs):
+    """The derived stats of ``rec`` alone, by a one-record derive_dataset."""
+    return derive_dataset(Dataset(records=(rec,)), **kwargs).derived[0]
 
 
 # ---------------------------------------------------------------- normal_sf
@@ -107,47 +112,47 @@ def test_exact_critical_value_matches_scipy_ndtri():
 
 
 def test_derive_stats_linear_hand_computed():
-    d = derive_stats(_rec(1.5, 1.0, 2.0))
+    d = _derive_one(_rec(1.5, 1.0, 2.0))
     assert d.se == pytest.approx(1.0 / 3.92, rel=1e-15)
     assert d.z == pytest.approx(0.5 * 3.92, rel=1e-15)
     assert d.z == pytest.approx(1.96, rel=1e-15)
     assert d.p == pytest.approx(0.04999579029644087, rel=1e-12)
-    assert d.rank is None
+    assert d.rank == 1
     assert d.p_floored is False
 
 
 def test_derive_stats_log_scale():
     # geometric-symmetric interval: log effect is half the log width
-    d = derive_stats(_rec(2.0, 1.0, 4.0), scale="log")
+    d = _derive_one(_rec(2.0, 1.0, 4.0), scale="log")
     assert d.se == pytest.approx(math.log(4.0) / 3.92, rel=1e-15)
     assert d.z == pytest.approx(1.96, rel=1e-12)
     assert d.p == pytest.approx(0.04999579029644087, rel=1e-12)
 
 
 def test_derive_stats_null_rr_gives_p_one():
-    d = derive_stats(_rec(1.0, 0.5, 1.5))
+    d = _derive_one(_rec(1.0, 0.5, 1.5))
     assert d.z == 0.0
     assert d.p == 1.0
 
 
 def test_derive_stats_custom_critical_value():
     exact = two_sided_critical_value(0.95, exact=True)
-    d = derive_stats(_rec(1.5, 1.0, 2.0), critical_value=exact)
+    d = _derive_one(_rec(1.5, 1.0, 2.0), critical_value=exact)
     assert d.se == pytest.approx(1.0 / (2 * exact), rel=1e-15)
 
 
 def test_derive_stats_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        derive_stats(_rec(1.0, 1.0, 1.0))  # zero-width interval
+        _derive_one(_rec(1.0, 1.0, 1.0))  # zero-width interval
     with pytest.raises(ValueError):
-        derive_stats(_rec(1.5, 1.0, 2.0), scale="sqrt")
+        _derive_one(_rec(1.5, 1.0, 2.0), scale="sqrt")
     with pytest.raises(ValueError):
-        derive_stats(_rec(1.5, 1.0, 2.0), critical_value=0.0)
+        _derive_one(_rec(1.5, 1.0, 2.0), critical_value=0.0)
 
 
 def test_derive_stats_floors_underflowing_p():
     # |z| around 60: two-sided p underflows and must be clamped, not zeroed
-    d = derive_stats(_rec(61.0, 60.0, 62.0))
+    d = _derive_one(_rec(61.0, 60.0, 62.0))
     assert d.p == 5e-324
     assert d.p > 0.0
     assert d.p_floored is True
@@ -194,8 +199,10 @@ def test_derive_dataset_ranks_and_records_its_parameters(level, override, zstar,
     assert [d.rank for d in derived.derived] == [2, 1, 3]
     assert derived == rank_pvalues(derived)
     for rec, d in zip(derived.records, derived.derived):
-        alone = derive_stats(rec, critical_value=derived.critical_value, scale=scale)
-        assert (d.se, d.z, d.p) == (alone.se, alone.z, alone.p)
+        # a one-row derive equals that row of the full derive
+        alone = derive_dataset(ds._replace(records=(rec,)), critical_value=override, scale=scale)
+        assert alone.critical_value == derived.critical_value
+        assert alone.derived[0][:3] == d[:3]  # se, z, p
 
 
 def test_rank_pvalues_orders_by_p():
