@@ -24,7 +24,6 @@ from .counting import (
     summarize_spaces,
 )
 from .diagnostics import (
-    ShapeThresholds,
     classify_shape,
     expectation_plot,
     flag_outliers,
@@ -275,7 +274,7 @@ def _resolve(args: argparse.Namespace) -> tuple[DerivedDataset, dict]:
         )
     return ds, {
         "p_threshold": p_threshold,
-        "influence_threshold": math.inf if influence is None else influence,
+        "influence_threshold": influence,
         "manual": tuple(dict.fromkeys(manual)),
     }
 
@@ -287,14 +286,21 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _exact_number(x: float) -> str:
+    """``format_number(x)`` when it reads back as ``x``, else ``repr(x)``."""
+    text = format_number(x)
+    return text if float(text) == x else repr(x)
+
+
 def cmd_derive(args: argparse.Namespace) -> int:
     ds, _ = _resolve(args)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS + ("se", "z", "p", "rank"))
     for rec, d in zip(ds.records, ds.derived):
-        row = record_values(rec) + (d.se, d.z, d.p, d.rank)
-        writer.writerow([format_number(v) if isinstance(v, float) else v for v in row])
+        row = [_exact_number(v) if isinstance(v, float) else v for v in record_values(rec)]
+        row += [format_number(d.se), format_number(d.z), format_number(d.p), d.rank]
+        writer.writerow(row)
     _write_text(args.output, buf.getvalue())
     return EXIT_OK
 
@@ -345,26 +351,24 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     ds, rules = _resolve(args)
-    thresholds = ShapeThresholds()
-    shape = classify_shape(ds, thresholds)
+    shape = classify_shape(ds)
     outliers = flag_outliers(ds, **rules)
     pool = pool_dl(effects_from_dataset(ds)) if len(ds) >= 2 else None
     space_entries = space_summary = None
     if args.counting:
         space_entries = _load_entries(args.counting)
         space_summary = summarize_spaces(space_entries)
-    influence = rules["influence_threshold"]
     config = {
         "confidence_level": ds.confidence_level,
         "critical_value": ds.critical_value,
         "scale": ds.scale,
-        "p_threshold": rules["p_threshold"],
-        "influence_threshold": None if math.isinf(influence) else influence,
+        "p_threshold": outliers.p_threshold,
+        "influence_threshold": outliers.influence_threshold,
         "manual_rows": list(rules["manual"]),
         "profile": args.profile,
     }
     report = build_audit_report(
-        ds, shape, outliers, pool, space_entries, space_summary, config, thresholds
+        ds, shape, outliers, pool, space_entries, space_summary, config
     )
     _write_text(args.output, dumps(report))
     return EXIT_OK

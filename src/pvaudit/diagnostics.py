@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 VERDICTS = ("uniform_null", "significant_effect", "bilinear_mixture", "indeterminate")
-FLAG_REASONS = ("extreme_p", "high_influence", "manual")
 
 
 class ReferenceLine(NamedTuple):
@@ -60,9 +59,10 @@ class PlotSeries(NamedTuple):
 
 
 class ShapeThresholds(NamedTuple):
-    """Tuning constants for :func:`classify_pvalues`.
+    """The fixed cutoffs of :func:`classify_pvalues`.
 
-    These cutoffs are this tool's configuration, echoed into reports so a
+    The classifier always reads :data:`SHAPE_THRESHOLDS`, the default
+    instance; an audit report echoes it under ``shape_thresholds`` so a
     verdict can always be traced back to the rules that produced it:
 
     - ``ks_alpha``, ``slope_band``: a literature is called uniform when the
@@ -87,7 +87,7 @@ class ShapeThresholds(NamedTuple):
     min_points: int = 10
 
 
-DEFAULT_THRESHOLDS = ShapeThresholds()
+SHAPE_THRESHOLDS = ShapeThresholds()
 
 
 class ShapeVerdict(NamedTuple):
@@ -139,7 +139,7 @@ class OutlierReport(NamedTuple):
 
     flagged: tuple[OutlierFlag, ...]
     p_threshold: float
-    influence_threshold: float
+    influence_threshold: float | None  # None when the influence rule was off
 
     __dataclass_fields__ = _DataclassFields()
 
@@ -377,7 +377,7 @@ def _two_segment_fit(c: list[float]) -> tuple[int, float, float, float]:
     return b, left * (n + 1), right * (n + 1), sse
 
 
-def classify_pvalues(pvalues, thresholds: ShapeThresholds | None = None) -> ShapeVerdict:
+def classify_pvalues(pvalues) -> ShapeVerdict:
     """Classify the shape of sorted p-values against rank.
 
     The sorted p-values are regressed on the normalized ranks i/(n+1). The
@@ -396,8 +396,9 @@ def classify_pvalues(pvalues, thresholds: ShapeThresholds | None = None) -> Shap
 
     BIC is ``n*log(SSE/n) + k*log(n)`` with k = 2 for the line and 4 for the
     two-segment model, so ``bic_delta = n*log(SSE1/SSE2) - 2*log(n)``.
+    The cutoffs are those of :data:`SHAPE_THRESHOLDS`.
     """
-    t = thresholds or DEFAULT_THRESHOLDS
+    t = SHAPE_THRESHOLDS
     ps = sorted(map(float, pvalues))
     n = len(ps)
     if not all(0.0 < p <= 1.0 for p in ps):
@@ -455,15 +456,15 @@ def classify_pvalues(pvalues, thresholds: ShapeThresholds | None = None) -> Shap
     )
 
 
-def classify_shape(ds: DerivedDataset, thresholds: ShapeThresholds | None = None) -> ShapeVerdict:
+def classify_shape(ds: DerivedDataset) -> ShapeVerdict:
     """Classify a dataset's derived p-values; see :func:`classify_pvalues`."""
-    return classify_pvalues(ds.pvalues, thresholds)
+    return classify_pvalues(ds.pvalues)
 
 
 def flag_outliers(
     ds: DerivedDataset,
     p_threshold: float = 1e-3,
-    influence_threshold: float = math.inf,
+    influence_threshold: float | None = None,
     manual: tuple[int, ...] = (),
 ) -> OutlierReport:
     """Flag rows for exclusion by extreme p-value, pooling influence, or hand.
@@ -475,10 +476,11 @@ def flag_outliers(
     p_threshold : float
         Rows with p strictly below this are flagged ``extreme_p``. Must lie
         in [0, 1); zero disables the rule (no p can be below zero).
-    influence_threshold : float
+    influence_threshold : float or None
         Rows whose leave-one-out influence exceeds this are flagged
-        ``high_influence``. The default (infinity) disables the rule; it is
-        only evaluated when finite and the dataset has at least 3 rows.
+        ``high_influence``. None, the default, turns the rule off, and so
+        does an infinite value, which the result records as None. The rule
+        runs only when the dataset has at least 3 rows.
     manual : tuple of int
         0-based row indices to flag ``manual``.
 
@@ -492,30 +494,24 @@ def flag_outliers(
     n = len(ds)
     if not 0.0 <= p_threshold < 1.0:
         raise ValueError(f"p_threshold must lie in [0, 1), got {p_threshold!r}")
-    if math.isnan(influence_threshold):
-        raise ValueError("influence_threshold must not be NaN")
+    if influence_threshold is not None and not math.isfinite(influence_threshold):
+        if math.isnan(influence_threshold):
+            raise ValueError("influence_threshold must not be NaN")
+        influence_threshold = None
     for row in manual:
         if not 0 <= row < n:
             raise ValueError(f"manual index {row} out of range for {n} rows")
 
-    precedence = FLAG_REASONS.index
-    reasons: dict[int, str] = {}
-
-    def claim(row: int, reason: str) -> None:
-        held = reasons.get(row)
-        if held is None or precedence(reason) < precedence(held):
-            reasons[row] = reason
-
-    for i, d in enumerate(ds.derived):
-        if d.p < p_threshold:
-            claim(i, "extreme_p")
-    if math.isfinite(influence_threshold) and n >= 3:
+    # Lowest precedence first, so a later rule's reason overwrites an earlier one.
+    reasons = dict.fromkeys(manual, "manual")
+    if influence_threshold is not None and n >= 3:
         influence = loo_influence(effects_from_dataset(ds))
         for i, value in enumerate(influence):
             if value > influence_threshold:
-                claim(i, "high_influence")
-    for row in manual:
-        claim(row, "manual")
+                reasons[i] = "high_influence"
+    for i, d in enumerate(ds.derived):
+        if d.p < p_threshold:
+            reasons[i] = "extreme_p"
 
     flagged = tuple(
         OutlierFlag(row=row, reason=reasons[row]) for row in sorted(reasons)

@@ -16,7 +16,7 @@ from typing import Any
 
 from . import __version__
 from .counting import SearchSpaceEntry, SpaceSummary, entry_as_dict
-from .diagnostics import OutlierReport, ShapeThresholds, ShapeVerdict
+from .diagnostics import SHAPE_THRESHOLDS, OutlierReport, ShapeVerdict
 from .model import CSV_COLUMNS, DerivedDataset, record_values
 from .sim import RNG_ALGORITHM, RNG_COUNTER_LAYOUT, SimOutcome
 from .stats import PoolResult
@@ -100,10 +100,8 @@ def build_audit_report(
     space_entries: list[SearchSpaceEntry] | None,
     space_summary: SpaceSummary | None,
     config: dict,
-    thresholds: ShapeThresholds | None = None,
 ) -> dict:
     """Assemble the audit report structure (dataset table, verdict, flags, pool)."""
-    influence = outliers.influence_threshold
     keys = CSV_COLUMNS + ("se", "z", "p", "p_floored", "rank")
     studies = [
         dict(zip(keys, record_values(rec) + (d.se, d.z, d.p, d.p_floored, d.rank)))
@@ -113,13 +111,13 @@ def build_audit_report(
         "tool": {"name": TOOL_NAME, "version": __version__},
         "label": ds.label,
         "config": config,
-        "shape_thresholds": (thresholds or ShapeThresholds())._asdict(),
+        "shape_thresholds": SHAPE_THRESHOLDS._asdict(),
         "n_studies": len(ds),
         "studies": studies,
         "shape": shape._asdict(),
         "outliers": {
             "p_threshold": outliers.p_threshold,
-            "influence_threshold": None if math.isinf(influence) else influence,
+            "influence_threshold": outliers.influence_threshold,
             "flagged": [f._asdict() for f in outliers.flagged],
         },
         "pool": None if pool is None else pool._asdict(),

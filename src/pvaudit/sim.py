@@ -51,7 +51,7 @@ from functools import lru_cache
 from statistics import NormalDist
 from typing import NamedTuple
 
-from .diagnostics import VERDICTS, ShapeThresholds, ShapeVerdict, classify_pvalues
+from .diagnostics import VERDICTS, ShapeVerdict, classify_pvalues
 from .stats import P_FLOOR
 
 __all__ = [
@@ -157,23 +157,21 @@ class SimOutcome(NamedTuple):
     ks_rejection_rate: float
 
 
-def greenwald_censor_rate(hack_k: int = 1, ratio: float = 10.0) -> float:
-    """Censor rate putting withheld negative studies at ``ratio`` times the
+def greenwald_censor_rate(hack_k: int = 1) -> float:
+    """Censor rate putting withheld negative studies at ten times the
     reported positive ones, in expectation under the null.
 
     With k analyses per study the chance of a significant best p under the
     null is s = 1 - 0.95**k. Every significant study is reported; a
     non-significant one is withheld with probability c, so the expected
     withheld-negative to reported-positive ratio is (1-s)c : s. Solving for
-    the classic ten-to-one asymmetry gives c = ratio * s / (1 - s), clamped
-    to 1 (10/19 for a single analysis; already saturated at two).
+    the classic ten-to-one asymmetry gives c = 10 s / (1 - s), clamped to 1
+    (10/19 for a single analysis; already saturated at two).
     """
     if hack_k < 1:
         raise ValueError(f"hack_k must be at least 1, got {hack_k}")
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio!r}")
     s = 1.0 - 0.95 ** hack_k
-    return min(1.0, ratio * s / (1.0 - s))
+    return min(1.0, 10.0 * s / (1.0 - s))
 
 
 @lru_cache(maxsize=4)
@@ -275,9 +273,7 @@ def generate_literature(cfg: SimConfig, replicate_index: int = 0) -> list[float]
     return reported
 
 
-def run_experiment(
-    cfg: SimConfig, thresholds: ShapeThresholds | None = None
-) -> SimOutcome:
+def run_experiment(cfg: SimConfig) -> SimOutcome:
     """Run every replicate, classify each reported literature, and aggregate.
 
     Replicates whose reported set is too small to test (< 5 values) count as
@@ -290,7 +286,7 @@ def run_experiment(
     ks_rejected = 0
     for r in range(cfg.replicates):
         kept = generate_literature(cfg, r)
-        verdict = classify_pvalues(kept, thresholds)
+        verdict = classify_pvalues(kept)
         n_suppressed = cfg.n_studies - len(kept)
         outcomes.append(
             ReplicateOutcome(

@@ -81,10 +81,6 @@ def two_sided_critical_value(confidence_level: float, exact: bool = False) -> fl
 def _reconstruct(rec: StudyRecord, zstar: float, scale: str) -> tuple[float, float, float, bool]:
     """One record's (se, z, p, p_floored) for a resolved z*; ``p_floored`` is
     True when p was clamped at the smallest positive double."""
-    if scale not in SCALES:
-        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
-    if not zstar > 0:
-        raise ValueError(f"critical value must be positive, got {zstar!r}")
     if scale == "linear":
         width = rec.cl_high - rec.cl_low
         effect = rec.rr - 1.0
@@ -138,8 +134,12 @@ def derive_dataset(
         ``rr - 1``; ``"log"`` takes logs of the limits first and tests
         ``log(rr)``.
     """
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     if critical_value is None:
         critical_value = two_sided_critical_value(ds.confidence_level)
+    if not critical_value > 0:
+        raise ValueError(f"critical value must be positive, got {critical_value!r}")
     stats = [_reconstruct(rec, critical_value, scale) for rec in ds.records]
     ranks = _ranks([s[2] for s in stats])
     derived = tuple(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 from .diagnostics import PlotSeries
+from .report import format_number
 
 WIDTH = 800
 HEIGHT = 600
@@ -190,7 +191,7 @@ def series_csv(series: PlotSeries) -> str:
     """The plotted points as a two-column CSV (x, y)."""
     lines = ["x,y"]
     for x, y in series.points:
-        lines.append(f"{format(x, '.9g')},{format(y, '.9g')}")
+        lines.append(f"{format_number(x)},{format_number(y)}")
     return "\n".join(lines) + "\n"
 
 
@@ -198,7 +199,7 @@ def reference_lines_csv(series: PlotSeries) -> str:
     """Sidecar CSV describing the reference lines (kind plus parameters)."""
     lines = ["kind,param1,param2"]
     for ref in series.reference_lines:
-        params = [format(v, ".9g") for v in ref.parameters]
+        params = [format_number(v) for v in ref.parameters]
         while len(params) < 2:
             params.append("")
         lines.append(",".join([ref.kind] + params[:2]))

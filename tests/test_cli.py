@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
@@ -33,7 +34,8 @@ from pvaudit.cli import (
     main,
 )
 from pvaudit.datasets import soy_ldl_search_space_csv, soy_ldl_studies_csv
-from pvaudit.report import format_number
+from pvaudit.diagnostics import SHAPE_THRESHOLDS
+from pvaudit.report import dumps, format_number
 from pvaudit.stats import P_FLOOR
 
 TOY = (
@@ -84,6 +86,23 @@ def test_derive_output_reparses(workdir):
     rc = main(["derive", "--input", str(out), "--output", str(workdir / "again.csv")])
     assert rc == EXIT_OK
     assert (workdir / "again.csv").read_text() == out.read_text()
+
+
+def test_derive_output_round_trips_every_digit(workdir):
+    src = workdir / "digits.csv"
+    src.write_text(
+        "author,year,comment,ref,rr,cl_low,cl_high\n"
+        "A,2000,,1,1.0123456789012,0.9123456789012,1.1123456789012\n"
+        "B,2001,,2,0.9,0.8,1.0\n",
+        encoding="utf-8",
+    )
+    first, second = workdir / "first.csv", workdir / "second.csv"
+    assert main(["derive", "--input", str(src), "--output", str(first)]) == EXIT_OK
+    assert main(["derive", "--input", str(first), "--output", str(second)]) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(first.read_text(encoding="utf-8"))))
+    assert rows == list(csv.reader(io.StringIO(second.read_text(encoding="utf-8"))))
+    assert rows[1][4:7] == ["1.0123456789012", "0.9123456789012", "1.1123456789012"]
+    assert rows[2][4:7] == ["0.9", "0.8", "1"]
 
 
 def test_derive_stdout(workdir, capsys):
@@ -343,25 +362,34 @@ def test_audit_profile_adds_manual_flag(workdir):
 
 
 def test_audit_report_roundtrip_bytes(workdir):
-    from pvaudit.report import dumps
-
     out = workdir / "rt.json"
     main(["audit", "--input", str(workdir / "soy.csv"), "--output", str(out)])
     text = out.read_text(encoding="utf-8")
     assert dumps(json.loads(text)) == text
 
 
-def test_audit_influence_threshold_flag(workdir):
+@pytest.mark.parametrize("flag", [None, "0.2", "inf", "-inf"])
+def test_audit_influence_threshold_flag(workdir, flag):
     out = workdir / "infl.json"
-    rc = main(["audit", "--input", str(workdir / "soy.csv"),
-               "--influence-threshold", "0.2", "--p-threshold", "0",
-               "--output", str(out)])
-    assert rc == EXIT_OK
+    args = ["audit", "--input", str(workdir / "soy.csv"), "--p-threshold", "0",
+            "--output", str(out)]
+    if flag is not None:
+        args.append(f"--influence-threshold={flag}")  # "-inf" would read as an option
+    assert main(args) == EXIT_OK
     report = _read_json(out)
-    assert report["outliers"]["influence_threshold"] == 0.2
-    flagged = report["outliers"]["flagged"]
-    assert flagged, "strong studies should exceed a 0.2 influence threshold"
-    assert all(f["reason"] == "high_influence" for f in flagged)
+    config, outliers = report["config"], report["outliers"]
+    # the config echoes what flag_outliers and the classifier ran with
+    assert config["influence_threshold"] == outliers["influence_threshold"]
+    assert config["p_threshold"] == outliers["p_threshold"] == 0
+    assert report["shape_thresholds"] == json.loads(dumps(SHAPE_THRESHOLDS._asdict()))
+    flagged = outliers["flagged"]
+    if flag in (None, "inf", "-inf"):  # the rule is off
+        assert outliers["influence_threshold"] is None
+        assert flagged == []
+    else:
+        assert outliers["influence_threshold"] == 0.2
+        assert flagged, "strong studies should exceed a 0.2 influence threshold"
+        assert all(f["reason"] == "high_influence" for f in flagged)
 
 
 INFLUENCE_SKIPPED = "warning: the influence rule needs at least 3 rows; it did not run\n"
@@ -571,12 +599,15 @@ def test_every_public_name_resolves():
 
 def test_every_name_perfbench_uses_resolves():
     # perfbench's own tests are not run here, so this reads its sources for
-    # each `from pvaudit... import X` and each X.attr on a module so imported
+    # each `from pvaudit... import X` and each X.attr on a module so imported.
+    # Every call that reaches a pvaudit callable, directly or as the function
+    # argument of a wrapper such as `t.call(name, fn, *args, **kwargs)`, must
+    # bind its positional count and keyword names to that callable.
     bench = Path(__file__).resolve().parent.parent / "perfbench"
-    checked = 0
+    checked = bound = 0
     for path in sorted(bench.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        modules: dict[str, ModuleType] = {}
+        names: dict[str, object] = {}
         for node in ast.walk(tree):
             if not (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pvaudit")):
                 continue
@@ -584,17 +615,56 @@ def test_every_name_perfbench_uses_resolves():
             for alias in node.names:
                 if not hasattr(source, alias.name):  # a submodule not yet imported
                     importlib.import_module(f"{node.module}.{alias.name}")
-                value = getattr(source, alias.name)
-                if isinstance(value, ModuleType):
-                    modules[alias.asname or alias.name] = value
+                names[alias.asname or alias.name] = getattr(source, alias.name)
                 checked += 1
+        modules = {k: v for k, v in names.items() if isinstance(v, ModuleType)}
         for node in ast.walk(tree):
+            # a local alias of such a module, as in `t, diag = self.t, diagnostics`
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = (
+                    zip(target.elts, value.elts)
+                    if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                    else [(target, value)]
+                )
+                for t, v in pairs:
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Name) and v.id in modules:
+                        modules[t.id] = names[t.id] = modules[v.id]
+
+        def resolve(expr: ast.expr) -> object:
+            if isinstance(expr, ast.Name):
+                return names.get(expr.id)
+            if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+                    and expr.value.id in modules):
+                return getattr(modules[expr.value.id], expr.attr, None)
+            return None
+
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in modules):
-                where = f"{path.name}:{node.lineno}"
                 assert hasattr(modules[node.value.id], node.attr), (where, node.value.id, node.attr)
                 checked += 1
+            if not isinstance(node, ast.Call):
+                continue
+            fn, args = resolve(node.func), node.args
+            if not callable(fn):
+                at = next((i for i, a in enumerate(node.args) if callable(resolve(a))), None)
+                if at is None:
+                    continue
+                fn, args = resolve(node.args[at]), node.args[at + 1:]
+            positional = [None] * len(args)
+            keywords = dict.fromkeys(k.arg for k in node.keywords if k.arg is not None)
+            try:
+                if any(isinstance(a, ast.Starred) for a in args):
+                    inspect.signature(fn).bind_partial(**keywords)
+                else:
+                    inspect.signature(fn).bind_partial(*positional, **keywords)
+            except TypeError as exc:
+                pytest.fail(f"{where}: {fn.__qualname__} {exc}")
+            bound += 1
     assert checked > 20
+    assert bound > 20
 
 
 def test_sim_names_still_import_from_the_package():

@@ -468,7 +468,9 @@ def test_flag_outliers_empty_when_nothing_qualifies():
     report = flag_outliers(ds)
     assert report.flagged == ()
     assert report.p_threshold == 1e-3
-    assert math.isinf(report.influence_threshold)
+    assert report.influence_threshold is None
+    for off in (math.inf, -math.inf):
+        assert flag_outliers(ds, influence_threshold=off).influence_threshold is None
 
 
 def test_outlier_report_rebuilds_with_dataclasses_replace():
@@ -514,6 +516,16 @@ def test_flag_outliers_manual_rows():
         flag_outliers(ds, manual=(7,))
 
 
+def _one_influential_study() -> DerivedDataset:
+    """Nine agreeing studies and one far-off, precise one (row 9, p < 1e-3)."""
+    rrs = [1.0 + 0.01 * i for i in range(9)] + [3.0]
+    records = tuple(
+        StudyRecord(author=f"S{i}", year=2000, ref_id=i, rr=rr, cl_low=rr - 0.1, cl_high=rr + 0.1)
+        for i, rr in enumerate(rrs)
+    )
+    return derive_dataset(Dataset(records=records))
+
+
 def test_flag_outliers_reason_precedence():
     ds = _ds_from_ps([1e-6, 0.4, 0.6])
     report = flag_outliers(ds, p_threshold=1e-3, manual=(0, 1))
@@ -521,16 +533,17 @@ def test_flag_outliers_reason_precedence():
     assert reasons[0] == "extreme_p"  # extreme beats manual for the same row
     assert reasons[1] == "manual"
 
+    ds = _one_influential_study()
+    # high_influence beats manual
+    report = flag_outliers(ds, p_threshold=0.0, influence_threshold=0.5, manual=(9, 0))
+    assert [(f.row, f.reason) for f in report.flagged] == [(0, "manual"), (9, "high_influence")]
+    # extreme_p beats high_influence
+    report = flag_outliers(ds, p_threshold=1e-3, influence_threshold=0.5, manual=(9,))
+    assert [(f.row, f.reason) for f in report.flagged] == [(9, "extreme_p")]
+
 
 def test_flag_outliers_high_influence():
-    # nine agreeing studies and one far-off, precise one
-    rrs = [1.0 + 0.01 * i for i in range(9)] + [3.0]
-    records = tuple(
-        StudyRecord(author=f"S{i}", year=2000, ref_id=i, rr=rr, cl_low=rr - 0.1, cl_high=rr + 0.1)
-        for i, rr in enumerate(rrs)
-    )
-    ds = derive_dataset(Dataset(records=records))
-    report = flag_outliers(ds, p_threshold=0.0, influence_threshold=0.5)
+    report = flag_outliers(_one_influential_study(), p_threshold=0.0, influence_threshold=0.5)
     assert [(f.row, f.reason) for f in report.flagged] == [(9, "high_influence")]
 
 

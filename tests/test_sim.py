@@ -397,8 +397,6 @@ def test_greenwald_preset_values():
     assert greenwald_censor_rate(5) == 1.0
     with pytest.raises(ValueError):
         greenwald_censor_rate(0)
-    with pytest.raises(ValueError):
-        greenwald_censor_rate(1, ratio=0.0)
 
 
 def test_greenwald_preset_hits_ratio_in_expectation():

@@ -150,6 +150,15 @@ def test_derive_stats_rejects_bad_inputs():
         _derive_one(_rec(1.5, 1.0, 2.0), critical_value=0.0)
 
 
+def test_derive_dataset_checks_its_parameters_before_any_row():
+    # an empty dataset must not come back recording a bad scale or z*
+    empty = Dataset(())
+    with pytest.raises(ValueError, match="scale must be one of"):
+        derive_dataset(empty, scale="bogus", critical_value=-1.0)
+    with pytest.raises(ValueError, match="critical value must be positive"):
+        derive_dataset(empty, critical_value=-1.0)
+
+
 def test_derive_stats_floors_underflowing_p():
     # |z| around 60: two-sided p underflows and must be clamped, not zeroed
     d = _derive_one(_rec(61.0, 60.0, 62.0))

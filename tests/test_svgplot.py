@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pvaudit import StudyRecord, expectation_plot, pvalue_plot, volcano_plot
+from pvaudit import (
+    Dataset,
+    StudyRecord,
+    derive_dataset,
+    expectation_plot,
+    pvalue_plot,
+    volcano_plot,
+)
 from pvaudit.report import dumps, format_number
 from pvaudit.svgplot import _escape, reference_lines_csv, render_series, series_csv
 
@@ -64,6 +71,17 @@ def test_reference_lines_csv(soy):
     assert kind == "smallest_p_marker"
     assert float(p1) == pytest.approx(math.log10(51.0))
     assert p2 == ""
+
+
+def test_plot_csvs_write_negative_zero_as_zero():
+    # rr exactly 1 gives p = 1, whose -log10 is -0.0
+    records = tuple(
+        StudyRecord(f"S{i}", 2000, i, rr, rr - 0.2, rr + 0.2)
+        for i, rr in enumerate((1.0, 1.5, 0.7))
+    )
+    ds = derive_dataset(Dataset(records))
+    assert series_csv(volcano_plot(ds)).splitlines()[1] == "1,0"
+    assert series_csv(expectation_plot(ds)).splitlines()[-1].endswith(",0")
 
 
 # ------------------------------------------------------- report serializer
