@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -52,17 +53,21 @@ EXIT_SCHEMA = 3
 EXIT_NO_RECORDS = 4
 EXIT_DATA = 5
 
-# The bundled reproduction profile: tabulated 1.96 critical value, linear
-# scale, extreme-p threshold 1e-3, and one judgment-call manual exclusion
-# identified by author and year in the bundled dataset.
+# The bundled reproduction profile: the tabulated 1.96 critical value at any
+# confidence level, and one judgment-call manual exclusion identified by
+# author and year in the bundled dataset. Scale and p threshold keep the
+# defaults of derive_dataset and flag_outliers.
 PROFILES = {
     "paper-reproduction": {
         "critical_value": 1.96,
-        "scale": "linear",
-        "p_threshold": 1e-3,
         "manual_studies": (("Jenkins", 1989),),
     }
 }
+
+# Every negative float literal, exponent form, -inf and -nan included.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*(e[-+]?\d+)?|\.\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+)
 
 
 class _NoRecords(Exception):
@@ -73,9 +78,20 @@ class _UsageError(Exception):
     pass
 
 
-def _add_dataset_args(sp: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Reads any negative number after an option as its value, where argparse
+    alone takes ``-1e1`` or ``-inf`` for an option. No pvaudit option looks
+    like a number."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
+def _add_dataset_args(sp: argparse.ArgumentParser, labelled: bool) -> None:
     sp.add_argument("--input", required=True, help="input CSV (or JSON mirror) path")
-    sp.add_argument("--label", default=None, help="dataset label (default: file stem)")
+    if labelled:
+        sp.add_argument("--label", default=None, help="dataset label (default: file stem)")
     sp.add_argument(
         "--confidence-level",
         type=float,
@@ -99,7 +115,7 @@ def _add_dataset_args(sp: argparse.ArgumentParser) -> None:
         "--profile",
         choices=sorted(PROFILES),
         default=None,
-        help="named preset pinning critical value, scale, and outlier rules",
+        help="named preset pinning the critical value and manual exclusions",
     )
 
 
@@ -127,7 +143,7 @@ def _add_outlier_args(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pvaudit",
         description="Audit the reliability of a meta-analytic literature "
         "from its reported risk ratios and confidence intervals.",
@@ -138,11 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "derive", help="reconstruct se, z, p, and rank for every study"
     )
-    _add_dataset_args(sp)
+    _add_dataset_args(sp, labelled=False)
     sp.add_argument("--output", default=None, help="output CSV path (default stdout)")
 
     sp = sub.add_parser("plot", help="render a diagnostic plot to SVG (plus CSV siblings)")
-    _add_dataset_args(sp)
+    _add_dataset_args(sp, labelled=True)
     _add_outlier_args(sp)
     sp.add_argument(
         "--kind",
@@ -166,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "audit", help="full audit: verdict, outlier flags, pooling, search space"
     )
-    _add_dataset_args(sp)
+    _add_dataset_args(sp, labelled=True)
     _add_outlier_args(sp)
     sp.add_argument(
         "--counting", default=None, help="optional search-space counting CSV"
@@ -205,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_dataset(args: argparse.Namespace) -> Dataset:
     path = Path(args.input)
     text = path.read_text(encoding="utf-8")
-    label = args.label if args.label is not None else path.stem
+    given_label = getattr(args, "label", None)
+    label = given_label if given_label is not None else path.stem
     level = args.confidence_level
     if path.suffix.lower() == ".json":
         ds = dataset_from_json(text)
@@ -214,7 +231,7 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
                 f"--confidence-level {level} differs from the level "
                 f"{ds.confidence_level} recorded in {args.input}"
             )
-        if args.label is not None:
+        if given_label is not None:
             ds = ds._replace(label=label)
     else:
         if level is None:
@@ -236,7 +253,8 @@ def _resolve(args: argparse.Namespace) -> tuple[DerivedDataset, dict]:
     """Load and derive the input, and resolve the outlier rules for it.
 
     Profile defaults fill in whatever the flags leave unset (explicit flags
-    win). The rules are keyword arguments of ``flag_outliers``.
+    win); what neither sets is left to ``derive_dataset`` and
+    ``flag_outliers``. The rules are keyword arguments of ``flag_outliers``.
     """
     profile = PROFILES.get(args.profile or "", {})
     critical_value = (
@@ -244,11 +262,8 @@ def _resolve(args: argparse.Namespace) -> tuple[DerivedDataset, dict]:
         if args.critical_value is not None
         else profile.get("critical_value")
     )
-    ds = derive_dataset(
-        _load_dataset(args),
-        critical_value=critical_value,
-        scale=args.scale or profile.get("scale") or "linear",
-    )
+    scale = {"scale": args.scale} if args.scale is not None else {}
+    ds = derive_dataset(_load_dataset(args), critical_value=critical_value, **scale)
     floored = [str(i) for i, d in enumerate(ds.derived) if d.p_floored]
     if floored:
         print(
@@ -257,8 +272,6 @@ def _resolve(args: argparse.Namespace) -> tuple[DerivedDataset, dict]:
             file=sys.stderr,
         )
     p_threshold = getattr(args, "p_threshold", None)
-    if p_threshold is None:
-        p_threshold = profile.get("p_threshold", 1e-3)
     influence = getattr(args, "influence_threshold", None)
     if influence is not None and math.isfinite(influence) and len(ds) < 3:
         print(
@@ -272,11 +285,10 @@ def _resolve(args: argparse.Namespace) -> tuple[DerivedDataset, dict]:
             for i, rec in enumerate(ds.records)
             if rec.author == author and rec.year == year
         )
-    return ds, {
-        "p_threshold": p_threshold,
-        "influence_threshold": influence,
-        "manual": tuple(dict.fromkeys(manual)),
-    }
+    rules = {"influence_threshold": influence, "manual": tuple(dict.fromkeys(manual))}
+    if p_threshold is not None:
+        rules["p_threshold"] = p_threshold
+    return ds, rules
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -296,8 +296,17 @@ def dataset_to_json(ds: Dataset) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _json_cell(value) -> str:
+    """A JSON value as the CSV cell it mirrors; null is an empty cell."""
+    return "" if value is None else str(value)
+
+
 def dataset_from_json(text: str) -> Dataset:
-    """Parse the JSON mirror produced by :func:`dataset_to_json`."""
+    """Parse the JSON mirror produced by :func:`dataset_to_json`.
+
+    A null reads as an empty cell, as a missing CSV cell does. A recorded
+    ``confidence_level`` that is not a number raises SchemaError.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -314,10 +323,13 @@ def dataset_from_json(text: str) -> Dataset:
         for field in REQUIRED_COLUMNS:
             if field not in item:
                 raise ParseError(i, field, "missing required field")
-        fields = {key: str(value) for key, value in item.items()}
+        fields = {key: _json_cell(value) for key, value in item.items()}
         records.append(_make_record(i, fields))
+    level = payload.get("confidence_level", DEFAULT_CONFIDENCE_LEVEL)
+    if isinstance(level, bool) or not isinstance(level, (int, float)):
+        raise SchemaError(f"'confidence_level' must be a number, got {level!r}")
     return Dataset(
         records=tuple(records),
-        label=str(payload.get("label", "")),
-        confidence_level=float(payload.get("confidence_level", DEFAULT_CONFIDENCE_LEVEL)),
+        label=_json_cell(payload.get("label")),
+        confidence_level=float(level),
     )

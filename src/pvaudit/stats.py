@@ -62,6 +62,13 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / _SQRT2)
 
 
+def _check_level(confidence_level: float) -> None:
+    if not 0.0 < confidence_level < 1.0:
+        raise ValueError(
+            f"confidence_level must be in (0, 1), got {confidence_level!r}"
+        )
+
+
 def two_sided_critical_value(confidence_level: float, exact: bool = False) -> float:
     """Critical value z* matching a two-sided confidence level.
 
@@ -69,17 +76,14 @@ def two_sided_critical_value(confidence_level: float, exact: bool = False) -> fl
     ``exact`` is set, in which case the exact normal quantile is used.
     Other levels always use the exact quantile.
     """
-    if not 0.0 < confidence_level < 1.0:
-        raise ValueError(
-            f"confidence_level must be in (0, 1), got {confidence_level!r}"
-        )
+    _check_level(confidence_level)
     if not exact and abs(confidence_level - 0.95) < 1e-12:
         return DEFAULT_CRITICAL_VALUE
     return NormalDist().inv_cdf(0.5 + confidence_level / 2.0)
 
 
 def _reconstruct(rec: StudyRecord, zstar: float, scale: str) -> tuple[float, float, float, bool]:
-    """One record's (se, z, p, p_floored) for a resolved z*; ``p_floored`` is
+    """One record's (se, z, p, p_floored) for a given z*; ``p_floored`` is
     True when p was clamped at the smallest positive double."""
     if scale == "linear":
         width = rec.cl_high - rec.cl_low
@@ -118,7 +122,9 @@ def derive_dataset(
 
     Takes a parsed :class:`Dataset` and returns a :class:`DerivedDataset`
     with the same records, label and confidence level, in row order. Ranks
-    are those :func:`rank_pvalues` assigns.
+    are those :func:`rank_pvalues` assigns. The confidence level must lie
+    in (0, 1) even where ``critical_value`` overrides z*, since the result
+    records it.
 
     Parameters
     ----------
@@ -127,7 +133,7 @@ def derive_dataset(
     critical_value : float, optional
         Override for z*. When omitted, :func:`two_sided_critical_value` of
         ``ds.confidence_level`` is used (1.96 at the 95% level). z* is
-        resolved once, and the result records it with ``scale``; pooling,
+        fixed once, and the result records it with ``scale``; pooling,
         flagging and reports read both from the dataset.
     scale : str
         ``"linear"`` works with the interval width as printed and tests
@@ -136,6 +142,7 @@ def derive_dataset(
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
+    _check_level(ds.confidence_level)
     if critical_value is None:
         critical_value = two_sided_critical_value(ds.confidence_level)
     if not critical_value > 0:
@@ -288,13 +295,10 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
 # (relative to its rounding scale) below k-2 clamps tau^2 for certain. The
 # random-weight series is used only while each term is at most half the last,
 # and cut once r**M is below 2**-55, where its tail is under a rounding unit.
-# Nothing is downdated where a rounding unit of the pooled mean is above 2**-42
-# of its standard error: the per-subset values are then mostly that rounding.
 _MAX_CANCELLATION = 2.0**10
 _CLAMP_MARGIN = 2.0**-48
 _MAX_SERIES_RATIO = 0.5
 _LOG_SERIES_TOL = -55.0 * math.log(2.0)
-_MAX_MEAN_ROUNDING = 2.0**-42
 
 
 def _downdated_tau2(
@@ -353,8 +357,8 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
 
     Notes
     -----
-    The values are those of calling :func:`pool_dl` on every subset, found
-    without doing so:
+    The values are the exact DerSimonian-Laird influences, to rounding, found
+    without pooling every subset:
 
     - Fixed part, by downdating the full-set sums in O(1) per study:
       ``W_i = W - w_i``, ``Q_i = Q - w_i (y_i - f)^2 W / W_i`` and
@@ -371,16 +375,20 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
       ``r = |d| max u`` each, so M terms with ``r^M < 2^-55`` reach rounding;
       the study's own term is then subtracted. (The power sums are taken of
       ``u_j / max u``, which cannot overflow; the scale cancels in the mean.)
+      ``y_j - mean`` is taken as ``(y_j - y_t) - sum u (y - y_t) / sum u``,
+      as :func:`pool_dl` centres Q, so the rounding of the mean never meets
+      the heaviest study's weight.
 
     The power sums are taken once, so the cost is O(k M), with M at most 55
-    and about 11 on typical sets. A study is pooled directly, at O(k), where
-    ``r >= 1/2`` (as when a homogeneous set, tau2 = 0, has a heterogeneous
-    subset, or a subset clamps a large tau2 to zero), or where a downdate
-    would lose more than ten bits to cancellation (the study that carries
-    nearly all the weight or nearly all of Q, or a set near the tau2 clamp).
-    Every study is pooled directly where a rounding unit of the full-set mean
-    exceeds 2^-42 of its standard error (a dominant study with tau2 = 0): the
-    subset means then differ mostly by rounding, which no downdate repeats.
+    and about 11 on typical sets. Only a study the series cannot serve is
+    pooled directly with :func:`pool_dl`, at O(k): where ``r >= 1/2`` (as
+    when a homogeneous set, tau2 = 0, has a heterogeneous subset, or a subset
+    clamps a large tau2 to zero), or where a downdate would lose more than
+    ten bits to cancellation (the study that carries nearly all the weight
+    or nearly all of Q, or a set near the tau2 clamp); its subset mean, too,
+    is read off the centre above, from :func:`pool_dl`'s random weights.
+    Where one study carries nearly all the weight and tau2 = 0, per-subset
+    pooling returns mostly the rounding of the mean; these values do not.
     """
     pairs = [(float(y), float(s)) for y, s in effects]
     k = len(pairs)
@@ -400,14 +408,9 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
 
     # Per study: the leave-one-out tau^2 and series length, or None to pool
     # that study directly.
-    resolved = abs(full.random_mean) * 2.0**-52 <= _MAX_MEAN_ROUNDING * full.random_se
     plan: list[tuple[float, int] | None] = []
     for i, (wi, yi) in enumerate(zip(w, ys)):
-        tau2_i = (
-            _downdated_tau2(k, sw, rest, full.fixed_mean, full.q, wi, yi, heaviest=i == top)
-            if resolved
-            else None
-        )
+        tau2_i = _downdated_tau2(k, sw, rest, full.fixed_mean, full.q, wi, yi, heaviest=i == top)
         r = math.inf if tau2_i is None else abs(tau2_i - full.tau2) * u_max
         if r < _MAX_SERIES_RATIO:
             terms = 1 if r == 0.0 else math.ceil(_LOG_SERIES_TOL / math.log(r))
@@ -415,29 +418,43 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
         else:
             plan.append(None)
 
-    centred = [y - full.random_mean for y in ys]
+    # Deviations from the random mean as pool_dl takes Q's: off the heaviest
+    # study's effect, less the random-weight shift, so no rounding of the mean
+    # itself meets that study's weight. They are in units of the full-set
+    # standard error, so a small weight times a small deviation stays normal.
+    scaled = powers = [x / u_max for x in u]
+    dev = [y - ys[top] for y in ys]
+    shift = math.fsum(x * d for x, d in zip(scaled, dev)) / math.fsum(scaled)
+    centred = [(d - shift) / full.random_se for d in dev]
     p_sums: list[float] = []
     y_sums: list[float] = []
-    scaled = powers = [x / u_max for x in u]
-    for _ in range(max((step[1] for step in plan if step is not None), default=0)):
+    for _ in range(max((step[1] for step in plan if step is not None), default=1)):
         p_sums.append(math.fsum(powers))
         y_sums.append(math.fsum(c * x for c, x in zip(centred, powers)))
         powers = [x * s for x, s in zip(powers, scaled)]
 
+    # The full mean less the centre, which is only the shift's rounding. The
+    # subset's mean less the full mean is then formed from the series terms
+    # past the first (what tau2_i changes) and the study's own term, so no
+    # rounding of the first term, however large, meets a small shift.
+    offset = y_sums[0] / p_sums[0]
     out = []
     for i, step in enumerate(plan):
         if step is not None:
             tau2_i, terms = step
             ratio = (tau2_i - full.tau2) * u_max
             b = a = 0.0
-            for m in reversed(range(terms)):
-                b = p_sums[m] - ratio * b
-                a = y_sums[m] - ratio * a
+            for m in reversed(range(1, terms)):
+                b = -ratio * (p_sums[m] + b)
+                a = -ratio * (y_sums[m] + a)
             own = 1.0 / ((vs[i] + tau2_i) * u_max)
-            b_i = b - own
+            b_i = p_sums[0] + b - own
             if own <= _MAX_CANCELLATION * b_i:
-                out.append(abs(a - centred[i] * own) / b_i / full.random_se)
+                shift_i = (a - offset * b - own * (centred[i] - offset)) / b_i
+                out.append(abs(shift_i))
                 continue
-        dropped = pool_dl(pairs[:i] + pairs[i + 1 :])
-        out.append(abs(full.random_mean - dropped.random_mean) / full.random_se)
+        # pooled directly; its mean, too, is taken off the centre
+        weights = pool_dl(pairs[:i] + pairs[i + 1 :]).weights_random
+        mean_i = math.fsum(x * c for x, c in zip(weights, centred[:i] + centred[i + 1 :]))
+        out.append(abs(mean_i - offset))
     return out

@@ -164,6 +164,81 @@ def test_json_input_mirror(workdir):
     assert rows[0]["author"] == "A"
 
 
+@pytest.mark.parametrize("source", ["csv", "json"])
+@pytest.mark.parametrize("command", ["audit", "derive"])
+def test_a_level_outside_0_1_is_refused_with_a_critical_value(workdir, capsys, command, source):
+    # z* given, the level would only be recorded, so it is checked all the same
+    if source == "csv":
+        src, flags = workdir / "toy.csv", ["--confidence-level", "1.5"]
+    else:
+        src, flags = workdir / "toy.json", []
+        payload = json.loads(dataset_to_json(parse_dataset(TOY)))
+        src.write_text(json.dumps({**payload, "confidence_level": 1.5}), encoding="utf-8")
+    capsys.readouterr()
+    rc = main([command, "--input", str(src), *flags, "--critical-value", "2"])
+    assert rc == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: confidence_level must be in (0, 1), got 1.5\n"
+
+
+@pytest.mark.parametrize(
+    "mirror, code, want",
+    [
+        ({"label": None}, EXIT_OK, None),
+        ({"confidence_level": None}, EXIT_SCHEMA, "'confidence_level' must be a number"),
+        ({"confidence_level": [0.95]}, EXIT_SCHEMA, "'confidence_level' must be a number"),
+    ],
+)
+def test_json_mirror_nulls(workdir, capsys, mirror, code, want):
+    payload = json.loads(dataset_to_json(parse_dataset(TOY, label="toy")))
+    payload["records"][0]["comment"] = None
+    src = workdir / "nulls.json"
+    src.write_text(json.dumps({**payload, **mirror}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["derive", "--input", str(src)]) == code
+    out, err = capsys.readouterr()
+    if want is None:
+        assert out.splitlines()[1].startswith("Alpha,1999,,1,")
+        assert "None" not in out
+    else:
+        assert out == "" and want in err and "Traceback" not in err
+
+
+def test_label_only_where_it_is_used(workdir, capsys):
+    # derive writes no label, so --label there is a usage error
+    src = str(workdir / "toy.csv")
+    assert main(["derive", "--input", src, "--label", "x"]) == EXIT_USAGE
+    assert "--label" in capsys.readouterr().err
+    out = workdir / "labelled.svg"
+    assert main(["plot", "--input", src, "--kind", "pvalue", "--label", "x",
+                 "--output", str(out)]) == EXIT_OK
+    assert "x: pvalue" in out.read_text(encoding="utf-8")
+    assert main(["audit", "--input", src, "--label", "x",
+                 "--output", str(workdir / "labelled.json")]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "base, option, value",
+    [
+        (["simulate", "--n", "20", "--effect-fraction", "1", "--replicates", "2"],
+         "--noncentrality", "-1e1"),
+        (["audit", "--input", "soy.csv"], "--influence-threshold", "-inf"),
+        (["audit", "--input", "soy.csv"], "--critical-value", "-1e-3"),
+        (["audit", "--input", "soy.csv"], "--p-threshold", "-1.5E+2"),
+    ],
+)
+def test_a_negative_number_may_follow_its_option_after_a_space(
+    workdir, capsys, monkeypatch, base, option, value
+):
+    monkeypatch.chdir(workdir)
+    capsys.readouterr()
+    spaced = main(base + [option, value]), capsys.readouterr()
+    joined = main(base + [f"{option}={value}"]), capsys.readouterr()
+    assert spaced == joined
+    assert spaced[0] != EXIT_USAGE
+
+
 def test_usage_error_unknown_kind(workdir):
     rc = main(["plot", "--input", str(workdir / "toy.csv"), "--kind", "funnel",
                "--output", str(workdir / "x.svg")])
@@ -374,7 +449,7 @@ def test_audit_influence_threshold_flag(workdir, flag):
     args = ["audit", "--input", str(workdir / "soy.csv"), "--p-threshold", "0",
             "--output", str(out)]
     if flag is not None:
-        args.append(f"--influence-threshold={flag}")  # "-inf" would read as an option
+        args += ["--influence-threshold", flag]
     assert main(args) == EXIT_OK
     report = _read_json(out)
     config, outliers = report["config"], report["outliers"]

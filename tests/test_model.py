@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 import string
 
@@ -257,6 +258,29 @@ def test_json_invalid_document_is_schema_error():
         dataset_from_json("not json")
     with pytest.raises(SchemaError):
         dataset_from_json('{"no_records": []}')
+
+
+_JSON_ROW = '{"author": "A", "year": 2000, "comment": "c", "ref": 1, "rr": 1.1, "cl_low": 1.0, "cl_high": 1.2}'
+
+
+@pytest.mark.parametrize("field", ["author", "comment"])
+def test_json_null_reads_as_an_empty_cell(field):
+    row = json.loads(_JSON_ROW)
+    row[field] = None
+    ds = dataset_from_json(json.dumps({"label": None, "records": [row]}))
+    assert getattr(ds.records[0], field) == ""
+    assert ds.label == ""
+    # as the CSV row with that cell left empty reads
+    header = ",".join(row)
+    cells = ",".join("" if v is None else str(v) for v in row.values())
+    assert ds.records == parse_dataset(f"{header}\n{cells}\n").records
+
+
+@pytest.mark.parametrize("level", [None, [0.95], "0.95", True])
+def test_json_confidence_level_must_be_a_number(level):
+    text = json.dumps({"confidence_level": level, "records": [json.loads(_JSON_ROW)]})
+    with pytest.raises(SchemaError, match="confidence_level"):
+        dataset_from_json(text)
 
 
 _text_field = (

@@ -159,6 +159,13 @@ def test_derive_dataset_checks_its_parameters_before_any_row():
         derive_dataset(empty, critical_value=-1.0)
 
 
+@pytest.mark.parametrize("level", [1.5, 0.0, float("nan")])
+def test_derive_dataset_checks_the_level_it_records_even_with_a_critical_value(level):
+    # z* overridden, the level is still recorded (and echoed by reports)
+    with pytest.raises(ValueError, match=r"confidence_level must be in \(0, 1\)"):
+        derive_dataset(Dataset((), confidence_level=level), critical_value=2.0)
+
+
 def test_derive_stats_floors_underflowing_p():
     # |z| around 60: two-sided p underflows and must be clamped, not zeroed
     d = _derive_one(_rec(61.0, 60.0, 62.0))
@@ -424,12 +431,17 @@ def _loo_sets(draw):
     zero), sets scaled so Q sits within half a unit of k-1 (subsets' tau^2
     at the clamp), one narrow study dominating the weight, one study with
     nearly all of it (se 1e-3 down to 1e-100, the others at least e^-3), and
-    sets drawn with replacement from a few (effect, se) pairs.
+    sets drawn with replacement from a few (effect, se) pairs, and quiet
+    sets: homogeneous, with a study carrying nearly all the weight and Q at
+    most 0.9 (k-2), so tau^2 is 0 for the set and every subset. Quiet sets
+    keep clear of the clamp, where a dominant study makes DL ill-conditioned:
+    a rounding of Q moves tau^2 by about 2^-52 Q over the other studies'
+    weight, and that study's weight with it.
     """
     k = draw(st.integers(min_value=3, max_value=30))
     kind = draw(
         st.sampled_from(
-            ("spread", "homogeneous", "clamp", "dominant", "overwhelming", "repeated")
+            ("spread", "homogeneous", "clamp", "dominant", "overwhelming", "quiet", "repeated")
         )
     )
     log_se = st.floats(min_value=-6.0, max_value=1.0)
@@ -442,10 +454,10 @@ def _loo_sets(draw):
     ys = draw(st.lists(effect, min_size=k, max_size=k))
     if kind == "dominant":
         ses = [math.exp(-6.0)] + [max(se, math.exp(-1.0)) for se in ses[1:]]
-    elif kind == "overwhelming":
+    elif kind in ("overwhelming", "quiet"):
         exponent = draw(st.floats(min_value=3.0, max_value=100.0))
         ses = [10.0 ** -exponent] + [max(se, math.exp(-3.0)) for se in ses[1:]]
-    elif kind in ("homogeneous", "clamp"):
+    if kind in ("homogeneous", "clamp", "quiet"):
         centre = ys[0]
         shifts = draw(
             st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=k, max_size=k)
@@ -453,16 +465,54 @@ def _loo_sets(draw):
         spread = [z * se for z, se in zip(shifts, ses)]
         q = pool_dl(list(zip(spread, ses))).q
         if q > 1e-3:
-            target = (
-                draw(st.floats(min_value=0.0, max_value=0.9)) * (k - 1)
-                if kind == "homogeneous"
-                else draw(st.floats(min_value=k - 1.5, max_value=k - 0.5))
-            )
+            if kind == "clamp":
+                target = draw(st.floats(min_value=k - 1.5, max_value=k - 0.5))
+            else:
+                share = draw(st.floats(min_value=0.0, max_value=0.9))
+                target = share * (k - 1 if kind == "homogeneous" else k - 2)
             scale = math.sqrt(target / q)
             ys = [centre + scale * d for d in spread]
         else:
             ys = [centre] * k
     return list(zip(ys, ses))
+
+
+def _loo_mp_oracle(effects, rows=None):
+    """Leave-one-out DL influence of ``rows`` (default all) in mpmath.
+
+    Carries 40 digits beyond twice the largest decimal exponent of an se, and
+    takes every effect as its exact deviation from the heaviest study's, so
+    the mean's own magnitude costs nothing and equal effects give exactly 0.
+    """
+    digits = 40 + 2 * math.ceil(max(abs(math.log10(s)) for _, s in effects))
+    with mp.workdps(digits):
+        vs = [mp.mpf(s) ** 2 for _, s in effects]
+        top = min(range(len(effects)), key=vs.__getitem__)
+        devs = [mp.mpf(y) - mp.mpf(effects[top][0]) for y, _ in effects]
+
+        def dl(keep):
+            w = [1 / vs[j] for j in keep]
+            d = [devs[j] for j in keep]
+            sw = mp.fsum(w)
+            fixed = mp.fsum(a * b for a, b in zip(w, d)) / sw
+            q = mp.fsum(a * (b - fixed) ** 2 for a, b in zip(w, d))
+            denom = sw - mp.fsum(a * a for a in w) / sw
+            tau2 = max(mp.mpf(0), (q - (len(keep) - 1)) / denom) if denom > 0 else 0
+            u = [1 / (vs[j] + tau2) for j in keep]
+            return mp.fsum(a * b for a, b in zip(u, d)) / mp.fsum(u), mp.fsum(u)
+
+        k = len(effects)
+        mean, su = dl(range(k))
+        return [
+            float(abs(dl([j for j in range(k) if j != i])[0] - mean) * mp.sqrt(su))
+            for i in (range(k) if rows is None else rows)
+        ]
+
+
+def _mean_is_mostly_rounding(full):
+    """tau^2 is 0 and a rounding unit of the pooled mean exceeds 2^-42 of its
+    standard error: per-subset pooling then returns mostly that rounding."""
+    return full.tau2 == 0.0 and abs(full.random_mean) * 2.0**-52 > 2.0**-42 * full.random_se
 
 
 @settings(max_examples=200, deadline=None)
@@ -471,29 +521,49 @@ def _loo_sets(draw):
 @example([(0.2, 0.1), (0.25, 0.12), (0.18, 0.3)])
 @example([(0.0, 0.1)] * 6 + [(2.0, 0.1)])
 @example([(0.3, 1e-8), (0.1, 1.0), (-0.4, 0.7), (0.5, 1.2), (0.2, 0.9)])
+# tau^2 = 0, but leaving out the last study gives Q = 2.1 > k-2: tau^2 > 0
+@example([(0.3, 1e-8), (0.3 + 1.2**0.5, 1.0), (0.3 - 0.9**0.5, 1.0), (0.3 + 0.1**0.5, 0.5)])
 def test_loo_influence_matches_per_subset_pooling(effects):
+    # Per-subset pooling is the oracle except where it returns rounding;
+    # there, exact DL arithmetic is, with no absolute slack.
     got = loo_influence(effects)
-    want = _loo_oracle(effects)
+    if _mean_is_mostly_rounding(pool_dl(effects)):
+        want, slack = _loo_mp_oracle(effects), 0.0
+    else:
+        want, slack = _loo_oracle(effects), 1e-12
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
-        assert abs(g - w) <= 1e-10 * abs(w) + 1e-12, (i, g, w)
+        assert abs(g - w) <= 1e-10 * abs(w) + slack, (i, g, w)
 
 
-def _dominated_set(dominant_se):
-    """1500 studies, se uniform on 0.05-0.5, study 0's se replaced."""
+def _dominated_set(dominant_se, homogeneous=False):
+    """1500 studies, se uniform on 0.05-0.5, study 0's se replaced.
+
+    Effects are spread with sd 0.3 (tau^2 > 0), or, when ``homogeneous``,
+    0.3 plus half of each study's se times a standard normal (Q about k/4,
+    so tau^2 is 0 for the set and every subset).
+    """
     rng = np.random.default_rng(11)
     ses = rng.uniform(0.05, 0.5, 1500)
     ys = rng.normal(0.0, 0.3, 1500)
+    if homogeneous:
+        ys = 0.3 + 0.5 * ses * rng.standard_normal(1500)
     if dominant_se is not None:
         ses[0] = dominant_se
     return [(float(y), float(s)) for y, s in zip(ys, ses)]
 
 
-@pytest.mark.parametrize("dominant_se, most_calls", [(None, 1), (1e-60, 2), (1e-100, 2)])
-def test_loo_influence_stays_linear_with_a_dominant_study(monkeypatch, dominant_se, most_calls):
+@pytest.mark.parametrize(
+    "dominant_se, homogeneous, most_calls",
+    [(None, False, 1), (1e-60, False, 2), (1e-100, False, 2), (1e-60, True, 2)],
+    ids=["None-1", "1e-60-2", "1e-100-2", "homogeneous-1e-60-2"],
+)
+def test_loo_influence_stays_linear_with_a_dominant_study(
+    monkeypatch, dominant_se, homogeneous, most_calls
+):
     # Counts pool_dl calls, not time: the full set, plus at most the dominant
     # study itself pooled directly. Every other study is downdated.
-    effects = _dominated_set(dominant_se)
+    effects = _dominated_set(dominant_se, homogeneous)
     calls = []
 
     def counted(subset):
@@ -504,8 +574,14 @@ def test_loo_influence_stays_linear_with_a_dominant_study(monkeypatch, dominant_
     values = loo_influence(effects)
     monkeypatch.undo()
     assert len(calls) <= most_calls, len(calls)
+    rows = (0, 1, 2, 777, 1499)
     full = pool_dl(effects)
-    for i in (0, 1, 2, 777, 1499):
+    if _mean_is_mostly_rounding(full):
+        assert homogeneous
+        for i, want in zip(rows, _loo_mp_oracle(effects, rows)):
+            assert abs(values[i] - want) <= 1e-10 * want, (i, values[i], want)
+        return
+    for i in rows:
         want = abs(full.random_mean - pool_dl(effects[:i] + effects[i + 1 :]).random_mean)
         want /= full.random_se
         assert abs(values[i] - want) <= 1e-10 * want + 1e-12, (i, values[i], want)
