@@ -8,19 +8,22 @@ literatures with selective reporting, all with deterministic outputs.
 
 __version__ = "0.1.0"
 
-# Each module's __all__ is the one list of its public names.
-from . import counting, diagnostics, model, sim, stats
-from .model import *
-from .stats import *
-from .diagnostics import *
-from .counting import *
-from .sim import *
+_MODULES = ("model", "stats", "diagnostics", "counting", "sim")
 
-__all__ = [
-    "__version__",
-    *model.__all__,
-    *stats.__all__,
-    *diagnostics.__all__,
-    *counting.__all__,
-    *sim.__all__,
-]
+
+def __getattr__(name):
+    # A submodule loads on first use of it or of a name in its __all__.
+    from importlib import import_module
+
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        return ["__version__", *(n for m in _MODULES for n in __getattr__(m).__all__)]
+    for module in map(__getattr__, _MODULES):
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return [*globals(), *__getattr__("__all__")]

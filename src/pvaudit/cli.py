@@ -13,37 +13,22 @@ import argparse
 import csv
 import io
 import math
+import os
 import re
 import sys
-from pathlib import Path
 
 from . import __version__
-from .counting import (
-    SearchSpaceEntry,
-    parse_search_space_csv,
-    serialize_search_space_csv,
-    summarize_spaces,
-)
-from .diagnostics import (
-    classify_shape,
-    expectation_plot,
-    flag_outliers,
-    pvalue_plot,
-    volcano_plot,
-)
 from .model import (
     CSV_COLUMNS,
     DEFAULT_CONFIDENCE_LEVEL,
     Dataset,
     DerivedDataset,
-    ParseError,
     SchemaError,
     dataset_from_json,
+    format_number,
     parse_dataset,
     record_values,
 )
-from .report import build_audit_report, build_sim_report, dumps, format_number
-from .sim import SimConfig, greenwald_censor_rate, run_experiment
 from .stats import P_FLOOR, derive_dataset, effects_from_dataset, pool_dl
 
 EXIT_OK = 0
@@ -218,35 +203,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
 def _load_dataset(args: argparse.Namespace) -> Dataset:
-    path = Path(args.input)
-    text = path.read_text(encoding="utf-8")
-    given_label = getattr(args, "label", None)
-    label = given_label if given_label is not None else path.stem
+    text = _read_text(args.input)
+    stem, suffix = os.path.splitext(os.path.basename(args.input))
     level = args.confidence_level
-    if path.suffix.lower() == ".json":
+    if suffix.lower() == ".json":
         ds = dataset_from_json(text)
         if level is not None and level != ds.confidence_level:
             raise _UsageError(
                 f"--confidence-level {level} differs from the level "
                 f"{ds.confidence_level} recorded in {args.input}"
             )
-        if given_label is not None:
-            ds = ds._replace(label=label)
     else:
         if level is None:
             level = DEFAULT_CONFIDENCE_LEVEL
-        ds = parse_dataset(text, label=label, confidence_level=level)
+        ds = parse_dataset(text, confidence_level=level)
     if len(ds) == 0:
         raise _NoRecords(f"{args.input}: data section is empty")
-    return ds
+    # --label, else the label a JSON mirror records, else the file stem
+    label = getattr(args, "label", None)
+    return ds._replace(label=(ds.label or stem) if label is None else label)
 
 
-def _load_entries(path: str) -> list[SearchSpaceEntry]:
-    entries = parse_search_space_csv(Path(path).read_text(encoding="utf-8"))
+def _load_entries(path: str) -> tuple:
+    """A counting CSV's entries and their summary."""
+    from .counting import parse_search_space_csv, summarize_spaces
+
+    entries = parse_search_space_csv(_read_text(path))
     if not entries:
         raise _NoRecords(f"{path}: data section is empty")
-    return entries
+    return entries, summarize_spaces(entries)
 
 
 def _resolve(args: argparse.Namespace) -> tuple[DerivedDataset, dict]:
@@ -295,7 +286,8 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 def _exact_number(x: float) -> str:
@@ -318,6 +310,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from .diagnostics import expectation_plot, flag_outliers, pvalue_plot, volcano_plot
     from .svgplot import reference_lines_csv, render_series, series_csv
 
     if args.kind != "volcano" and (args.exclude.strip() or args.exclude_flagged):
@@ -352,24 +345,22 @@ def cmd_plot(args: argparse.Namespace) -> int:
             exclude.extend(f.row for f in flag_outliers(ds, **rules).flagged)
         series = volcano_plot(ds, exclude=tuple(dict.fromkeys(exclude)))
     title = args.title if args.title is not None else f"{ds.label}: {args.kind}"
-    out = Path(args.output)
-    _write_text(str(out), render_series(series, title=title))
-    sibling = out.parent / (out.stem + ".csv")
-    _write_text(str(sibling), series_csv(series))
-    ref_sibling = out.parent / (out.stem + ".ref.csv")
-    _write_text(str(ref_sibling), reference_lines_csv(series))
+    base = os.path.splitext(args.output)[0]
+    _write_text(args.output, render_series(series, title=title))
+    _write_text(base + ".csv", series_csv(series))
+    _write_text(base + ".ref.csv", reference_lines_csv(series))
     return EXIT_OK
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .diagnostics import classify_shape, flag_outliers
+    from .report import build_audit_report, dumps
+
     ds, rules = _resolve(args)
     shape = classify_shape(ds)
     outliers = flag_outliers(ds, **rules)
     pool = pool_dl(effects_from_dataset(ds)) if len(ds) >= 2 else None
-    space_entries = space_summary = None
-    if args.counting:
-        space_entries = _load_entries(args.counting)
-        space_summary = summarize_spaces(space_entries)
+    entries, summary = _load_entries(args.counting) if args.counting else (None, None)
     config = {
         "confidence_level": ds.confidence_level,
         "critical_value": ds.critical_value,
@@ -379,18 +370,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "manual_rows": list(rules["manual"]),
         "profile": args.profile,
     }
-    report = build_audit_report(
-        ds, shape, outliers, pool, space_entries, space_summary, config
-    )
+    report = build_audit_report(ds, shape, outliers, pool, entries, summary, config)
     _write_text(args.output, dumps(report))
     return EXIT_OK
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    entries = _load_entries(args.input)
-    text = serialize_search_space_csv(entries)
-    summary = summarize_spaces(entries)
-    _write_text(args.output, text)
+    from .counting import serialize_search_space_csv
+
+    entries, summary = _load_entries(args.input)
+    _write_text(args.output, serialize_search_space_csv(entries))
     if args.output is not None:
         print(
             f"space: n={len(entries)} median={format_number(summary.median)} "
@@ -400,6 +389,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .report import build_sim_report, dumps
+    from .sim import SimConfig, greenwald_censor_rate, run_experiment
+
     if args.censor_rate is not None and args.censor_preset is not None:
         raise _UsageError("--censor-rate and --censor-preset are mutually exclusive")
     try:
@@ -418,8 +410,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    outcome = run_experiment(cfg)
-    report = build_sim_report(outcome)
+    report = build_sim_report(run_experiment(cfg))
     report["config"]["censor_preset"] = args.censor_preset
     _write_text(args.output, dumps(report))
     return EXIT_OK
@@ -433,6 +424,15 @@ _COMMANDS = {
     "simulate": cmd_simulate,
 }
 
+# The first kind that matches wins: a SchemaError is also a ValueError.
+_FAILURES = {
+    SchemaError: EXIT_SCHEMA,
+    _NoRecords: EXIT_NO_RECORDS,
+    _UsageError: EXIT_USAGE,
+    ValueError: EXIT_DATA,
+    OSError: EXIT_IO,
+}
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -442,24 +442,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SchemaError as exc:
+    except tuple(_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except _NoRecords as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_RECORDS
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _FAILURES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

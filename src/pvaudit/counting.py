@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import statistics
 from typing import Iterable, NamedTuple
 
 from .model import ParseError, _csv_rows, _parse_int
@@ -95,9 +94,9 @@ def summarize_spaces(entries: Iterable[SearchSpaceEntry]) -> SpaceSummary:
     spaces = sorted(e.space for e in entries)
     if not spaces:
         raise ValueError("summary needs at least one entry")
-    return SpaceSummary(
-        median=statistics.median(spaces), min=spaces[0], max=spaces[-1]
-    )
+    mid = len(spaces) // 2
+    median = spaces[mid] if len(spaces) % 2 else (spaces[mid - 1] + spaces[mid]) / 2
+    return SpaceSummary(median=median, min=spaces[0], max=spaces[-1])
 
 
 def parse_search_space_csv(text: str) -> list[SearchSpaceEntry]:

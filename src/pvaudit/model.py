@@ -34,6 +34,11 @@ REQUIRED_COLUMNS = ("author", "year", "ref", "rr", "cl_low", "cl_high")
 DEFAULT_CONFIDENCE_LEVEL = 0.95
 
 
+def format_number(x: float) -> str:
+    """Nine significant digits, shortest form ('%.9g'); -0.0 prints as "0"."""
+    return format(float(x) + 0.0, ".9g")
+
+
 class SchemaError(ValueError):
     """Input header (or JSON structure) does not match the expected schema."""
 

@@ -17,17 +17,10 @@ from typing import Any
 from . import __version__
 from .counting import SearchSpaceEntry, SpaceSummary, entry_as_dict
 from .diagnostics import SHAPE_THRESHOLDS, OutlierReport, ShapeVerdict
-from .model import CSV_COLUMNS, DerivedDataset, record_values
-from .sim import RNG_ALGORITHM, RNG_COUNTER_LAYOUT, SimOutcome
+from .model import CSV_COLUMNS, DerivedDataset, format_number, record_values
 from .stats import PoolResult
 
 TOOL_NAME = "pvaudit"
-
-
-def format_number(x: float) -> str:
-    """Nine significant digits, shortest form ('%.9g'); -0.0 prints as "0"."""
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is
-    return format(float(x) + 0.0, ".9g")
 
 
 def _encode(value: Any, pad: str) -> str:
@@ -132,8 +125,10 @@ def build_audit_report(
     return report
 
 
-def build_sim_report(outcome: SimOutcome) -> dict:
-    """Assemble the simulation report: config echo, RNG scheme, verdict table."""
+def build_sim_report(outcome) -> dict:
+    """Assemble a ``sim.SimOutcome``'s report: config echo, RNG scheme, verdict table."""
+    from .sim import RNG_ALGORITHM, RNG_COUNTER_LAYOUT
+
     cfg = outcome.config
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},

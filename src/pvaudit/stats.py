@@ -12,7 +12,6 @@ usually unwound in practice; both choices can be overridden.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
 from .model import Dataset, DerivedDataset, DerivedStats, StudyRecord
@@ -79,6 +78,8 @@ def two_sided_critical_value(confidence_level: float, exact: bool = False) -> fl
     _check_level(confidence_level)
     if not exact and abs(confidence_level - 0.95) < 1e-12:
         return DEFAULT_CRITICAL_VALUE
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf(0.5 + confidence_level / 2.0)
 
 

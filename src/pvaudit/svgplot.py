@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from .diagnostics import PlotSeries
-from .report import format_number
+from .model import format_number
 
 WIDTH = 800
 HEIGHT = 600

@@ -35,7 +35,8 @@ from pvaudit.cli import (
 )
 from pvaudit.datasets import soy_ldl_search_space_csv, soy_ldl_studies_csv
 from pvaudit.diagnostics import SHAPE_THRESHOLDS
-from pvaudit.report import dumps, format_number
+from pvaudit.model import format_number
+from pvaudit.report import dumps
 from pvaudit.stats import P_FLOOR
 
 TOY = (
@@ -216,6 +217,20 @@ def test_label_only_where_it_is_used(workdir, capsys):
     assert "x: pvalue" in out.read_text(encoding="utf-8")
     assert main(["audit", "--input", src, "--label", "x",
                  "--output", str(workdir / "labelled.json")]) == EXIT_OK
+
+
+def test_a_mirror_without_a_label_takes_the_file_stem(workdir):
+    # as CSV input does; a label the mirror records still wins
+    src = workdir / "n.json"
+    src.write_text(dataset_to_json(parse_dataset(TOY)), encoding="utf-8")
+    svg, report = workdir / "n.svg", workdir / "report.json"
+    assert main(["plot", "--input", str(src), "--kind", "pvalue", "--output", str(svg)]) == EXIT_OK
+    assert ">n: pvalue</text>" in svg.read_text(encoding="utf-8")
+    assert main(["audit", "--input", str(src), "--output", str(report)]) == EXIT_OK
+    assert _read_json(report)["label"] == "n"
+    src.write_text(dataset_to_json(parse_dataset(TOY, label="toy")), encoding="utf-8")
+    assert main(["audit", "--input", str(src), "--output", str(report)]) == EXIT_OK
+    assert _read_json(report)["label"] == "toy"
 
 
 @pytest.mark.parametrize(
@@ -603,12 +618,14 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    # -S: no site hooks, whose .pth files may preload modules (pathlib, say)
+    # that a clean interpreter would load only for pvaudit.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         env=env,
         capture_output=True,
         text=True,
@@ -628,6 +645,7 @@ def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
         f"rc = pvaudit.cli.main(['audit', '--input', {str(soy)!r}, "
         f"'--influence-threshold', '0.2', '--output', {str(report)!r}])\n"
         "assert rc == 0, rc\n"
+        "assert not {'statistics', 'pvaudit.sim'} & set(sys.modules), sorted(sys.modules)\n"
         "rc = pvaudit.cli.main(['simulate', '--n', '30', '--hack-k', '2', "
         f"'--replicates', '5', '--seed', '3', '--output', {str(sim_report)!r}])\n"
         "assert rc == 0, rc\n"
@@ -644,8 +662,8 @@ COLD_START_EXCLUDED = ("dataclasses", "inspect", "urllib", "http", "ssl", "email
 
 
 def test_cli_import_and_plot_load_no_dataclasses_or_http_stack(tmp_path):
-    # Modules the interpreter loaded before pvaudit (site hooks may load
-    # urllib.parse, say) are not pvaudit's; anything loaded after is.
+    # Modules the interpreter loaded before pvaudit are not pvaudit's;
+    # anything loaded after is.
     soy = tmp_path / "soy.csv"
     soy.write_text(soy_ldl_studies_csv(), encoding="utf-8")
     svg = tmp_path / "volcano.svg"
@@ -661,6 +679,76 @@ def test_cli_import_and_plot_load_no_dataclasses_or_http_stack(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert ">a &amp; &lt;b&gt;</text>" in svg.read_text(encoding="utf-8")
+
+
+_BASE_MODULES = {"pvaudit", "pvaudit.cli", "pvaudit.model", "pvaudit.stats"}
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["derive", "--input", "soy.csv"], set()),
+        (["count", "--input", "counts.csv"], {"counting"}),
+        (["plot", "--input", "soy.csv", "--kind", "volcano", "--exclude-flagged",
+          "--output", "v.svg"], {"diagnostics", "svgplot"}),
+        (["audit", "--input", "soy.csv", "--counting", "counts.csv"],
+         {"counting", "diagnostics", "report"}),
+        (["simulate", "--n", "20", "--replicates", "2"],
+         {"counting", "diagnostics", "report", "sim"}),
+    ],
+    ids=["derive", "count", "plot", "audit", "simulate"],
+)
+def test_each_command_loads_only_the_modules_it_runs(workdir, argv, loads):
+    proc = _fresh_python(
+        "import os, sys\n"
+        f"os.chdir({str(workdir)!r})\n"
+        "import pvaudit.cli\n"
+        f"rc = pvaudit.cli.main({argv!r})\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pvaudit'))\n"
+        "print('statistics' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules, statistics = proc.stdout.splitlines()[-2:]
+    assert modules == repr(sorted(_BASE_MODULES | {f"pvaudit.{m}" for m in loads}))
+    assert statistics == repr(argv[0] == "simulate")
+
+
+PACKAGE_ALL = [
+    "__version__",
+    "Dataset", "DerivedDataset", "DerivedStats", "ParseError", "SchemaError",
+    "StudyRecord", "Violation", "dataset_from_json", "dataset_to_json",
+    "parse_dataset", "validate_dataset",
+    "PoolResult", "derive_dataset", "effects_from_dataset", "loo_influence",
+    "normal_sf", "pool_dl", "rank_pvalues", "two_sided_critical_value",
+    "OutlierFlag", "OutlierReport", "PlotSeries", "ReferenceLine",
+    "ShapeThresholds", "ShapeVerdict", "classify_pvalues", "classify_shape",
+    "expectation_plot", "flag_outliers", "ks_uniform", "pvalue_plot",
+    "smallest_p_marker", "volcano_plot",
+    "SearchSpaceEntry", "SpaceSummary", "parse_search_space_csv", "search_space",
+    "serialize_search_space_csv", "summarize_spaces",
+    "ReplicateOutcome", "SimConfig", "SimOutcome", "generate_literature",
+    "greenwald_censor_rate", "run_experiment",
+]
+
+
+def test_package_names_load_on_first_use():
+    # A bare import loads no submodule; a submodule and each public name then
+    # resolve on the package, and dir() lists every name in __all__.
+    proc = _fresh_python(
+        "import sys, pvaudit\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pvaudit.')))\n"
+        "print(pvaudit.stats.pool_dl.__module__, pvaudit.SimConfig.__module__)\n"
+        "print(sorted(set(pvaudit.__all__) - set(dir(pvaudit))))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "pvaudit.stats pvaudit.sim", "[]"]
+    import pvaudit
+
+    assert pvaudit.__all__ == PACKAGE_ALL
+    assert set(PACKAGE_ALL) <= set(dir(pvaudit))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        pvaudit.nope
 
 
 def test_every_public_name_resolves():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import statistics
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,26 @@ def test_summarize_median_conventions():
     assert (summary.min, summary.max) == (1, 3)
     with pytest.raises(ValueError):
         summarize_spaces([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=0, max_value=62),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_summarize_median_matches_statistics_median(counts):
+    # the same value and type (int for an odd count, float for an even one)
+    entries = [search_space(*c) for c in counts]
+    want = statistics.median(e.space for e in entries)
+    got = summarize_spaces(entries).median
+    assert got == want and type(got) is type(want)
 
 
 def test_bundled_counting_table():

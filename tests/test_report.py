@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvaudit.report import dumps, format_number
+from pvaudit.model import format_number
+from pvaudit.report import dumps
 
 
 # The recursive writer that report.dumps replaced, kept verbatim as the

@@ -15,7 +15,8 @@ from pvaudit import (
     pvalue_plot,
     volcano_plot,
 )
-from pvaudit.report import dumps, format_number
+from pvaudit.model import format_number
+from pvaudit.report import dumps
 from pvaudit.svgplot import _escape, reference_lines_csv, render_series, series_csv
 
 
