@@ -230,14 +230,13 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     return ds._replace(label=(ds.label or stem) if label is None else label)
 
 
-def _load_entries(path: str) -> tuple:
-    """A counting CSV's entries and their summary."""
-    from .counting import parse_search_space_csv, summarize_spaces
+def _load_entries(path: str) -> list:
+    from .counting import parse_search_space_csv
 
     entries = parse_search_space_csv(_read_text(path))
     if not entries:
         raise _NoRecords(f"{path}: data section is empty")
-    return entries, summarize_spaces(entries)
+    return entries
 
 
 def _resolve(args: argparse.Namespace) -> tuple[DerivedDataset, dict]:
@@ -353,6 +352,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .counting import summarize_spaces
     from .diagnostics import classify_shape, flag_outliers
     from .report import build_audit_report, dumps
 
@@ -360,7 +360,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     shape = classify_shape(ds)
     outliers = flag_outliers(ds, **rules)
     pool = pool_dl(effects_from_dataset(ds)) if len(ds) >= 2 else None
-    entries, summary = _load_entries(args.counting) if args.counting else (None, None)
+    space_entries = space_summary = None
+    if args.counting:
+        space_entries = _load_entries(args.counting)
+        space_summary = summarize_spaces(space_entries)
     config = {
         "confidence_level": ds.confidence_level,
         "critical_value": ds.critical_value,
@@ -370,16 +373,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "manual_rows": list(rules["manual"]),
         "profile": args.profile,
     }
-    report = build_audit_report(ds, shape, outliers, pool, entries, summary, config)
+    report = build_audit_report(
+        ds, shape, outliers, pool, space_entries, space_summary, config
+    )
     _write_text(args.output, dumps(report))
     return EXIT_OK
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from .counting import serialize_search_space_csv
+    from .counting import serialize_search_space_csv, summarize_spaces
 
-    entries, summary = _load_entries(args.input)
-    _write_text(args.output, serialize_search_space_csv(entries))
+    entries = _load_entries(args.input)
+    text = serialize_search_space_csv(entries)
+    summary = summarize_spaces(entries)
+    _write_text(args.output, text)
     if args.output is not None:
         print(
             f"space: n={len(entries)} median={format_number(summary.median)} "
@@ -410,7 +417,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    report = build_sim_report(run_experiment(cfg))
+    outcome = run_experiment(cfg)
+    report = build_sim_report(outcome)
     report["config"]["censor_preset"] = args.censor_preset
     _write_text(args.output, dumps(report))
     return EXIT_OK
@@ -424,15 +432,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
 }
 
-# The first kind that matches wins: a SchemaError is also a ValueError.
-_FAILURES = {
-    SchemaError: EXIT_SCHEMA,
-    _NoRecords: EXIT_NO_RECORDS,
-    _UsageError: EXIT_USAGE,
-    ValueError: EXIT_DATA,
-    OSError: EXIT_IO,
-}
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -442,9 +441,21 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except tuple(_FAILURES) as exc:
+    except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _FAILURES.items() if isinstance(exc, kind))
+        return EXIT_SCHEMA
+    except _NoRecords as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_RECORDS
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ DEFAULT_CONFIDENCE_LEVEL = 0.95
 
 def format_number(x: float) -> str:
     """Nine significant digits, shortest form ('%.9g'); -0.0 prints as "0"."""
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is
     return format(float(x) + 0.0, ".9g")
 
 

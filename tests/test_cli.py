@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -619,10 +620,12 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
     # -S: no site hooks, whose .pth files may preload modules (pathlib, say)
-    # that a clean interpreter would load only for pvaudit.
+    # that a clean interpreter would load only for pvaudit. site-packages stays
+    # on the path (PYTHONPATH runs no .pth file), so a guarded optional import
+    # of numpy or scipy would still find them and show.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH"), *site.getsitepackages()) if p
     )
     return subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -649,7 +652,9 @@ def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
         "rc = pvaudit.cli.main(['simulate', '--n', '30', '--hack-k', '2', "
         f"'--replicates', '5', '--seed', '3', '--output', {str(sim_report)!r}])\n"
         "assert rc == 0, rc\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+        "from importlib.util import find_spec\n"
+        "assert find_spec('numpy') and find_spec('scipy'), 'the guard needs both importable'"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -749,6 +754,22 @@ def test_package_names_load_on_first_use():
     assert set(PACKAGE_ALL) <= set(dir(pvaudit))
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         pvaudit.nope
+
+
+def test_a_submodule_name_loads_that_module_and_a_public_name_loads_in_order():
+    proc = _fresh_python(
+        "import sys\n"
+        "from pvaudit import cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pvaudit.')))\n"
+        "from pvaudit import search_space\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pvaudit.')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['pvaudit.cli', 'pvaudit.model', 'pvaudit.stats']",
+        "['pvaudit.cli', 'pvaudit.counting', 'pvaudit.diagnostics', 'pvaudit.model', "
+        "'pvaudit.stats']",
+    ]
 
 
 def test_every_public_name_resolves():
