@@ -329,12 +329,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
             "--kind volcano --exclude-flagged"
         )
     ds, rules = _resolve(args)
-    exclude: list[int] = []
-    if args.exclude.strip():
-        try:
-            exclude = [int(tok) for tok in args.exclude.split(",") if tok.strip()]
-        except ValueError:
-            raise _UsageError("--exclude must be comma-separated integers") from None
+    try:
+        exclude = [int(tok) for tok in args.exclude.split(",") if tok.strip()]
+    except ValueError:
+        raise _UsageError("--exclude must be comma-separated integers") from None
     if args.kind == "pvalue":
         series = pvalue_plot(ds)
     elif args.kind == "expectation":

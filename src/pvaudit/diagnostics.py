@@ -411,27 +411,19 @@ def classify_pvalues(pvalues) -> ShapeVerdict:
         slope, sse1 = _line_fit(c)
 
     breakpoint_rank: int | None = None
-    left = right = 0.0
+    left = right = bic_delta = ks_stat = 0.0
+    ks_p = 1.0
     sse2 = sse1
     if n >= 5:
         breakpoint_rank, left, right, sse2 = _two_segment_fit(c)
         # The line is nested in the two-segment model; clamp float noise so
         # the inequality holds exactly.
         sse2 = min(sse2, sse1)
-
-    tiny = 1e-300
-    bic_delta = (
-        n * math.log(max(sse1, tiny) / max(sse2, tiny)) - 2.0 * math.log(n)
-        if n >= 5
-        else 0.0
-    )
-
-    ks_stat, ks_p = (0.0, 1.0)
-    if n >= 5:
+        tiny = 1e-300
+        bic_delta = n * math.log(max(sse1, tiny) / max(sse2, tiny)) - 2.0 * math.log(n)
         ks_stat, ks_p = _ks_sorted(ps)
 
     verdict = "indeterminate"
-    is_bilinear = False
     if n >= t.min_points:
         if ks_p >= t.ks_alpha and t.slope_band[0] <= slope <= t.slope_band[1]:
             verdict = "uniform_null"
@@ -442,12 +434,11 @@ def classify_pvalues(pvalues) -> ShapeVerdict:
             verdict = "significant_effect"
         elif bic_delta > t.bic_evidence and left < t.slope_ratio_max * right:
             verdict = "bilinear_mixture"
-            is_bilinear = True
 
     return ShapeVerdict(
         verdict=verdict,
         slope_single=slope,
-        breakpoint=breakpoint_rank if is_bilinear else None,
+        breakpoint=breakpoint_rank if verdict == "bilinear_mixture" else None,
         sse_single=sse1,
         sse_two_segment=sse2,
         bic_delta=bic_delta,

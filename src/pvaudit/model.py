@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -222,14 +221,14 @@ def validate_dataset(ds: Dataset) -> list[Violation]:
 def _parse_int(row: int, field: str, text: str) -> int:
     try:
         return int(text.strip())
-    except (ValueError, AttributeError):
+    except ValueError:
         raise ParseError(row, field, f"malformed integer {text!r}") from None
 
 
 def _parse_float(row: int, field: str, text: str) -> float:
     try:
         value = float(text.strip())
-    except (ValueError, AttributeError):
+    except ValueError:
         raise ParseError(row, field, f"malformed number {text!r}") from None
     if value != value or value in (float("inf"), float("-inf")):
         raise ParseError(row, field, f"malformed number {text!r}")
@@ -238,13 +237,13 @@ def _parse_float(row: int, field: str, text: str) -> float:
 
 def _make_record(row: int, fields: dict) -> StudyRecord:
     rec = StudyRecord(
-        author=(fields.get("author") or "").strip(),
-        year=_parse_int(row, "year", fields.get("year") or ""),
-        ref_id=_parse_int(row, "ref", fields.get("ref") or ""),
-        rr=_parse_float(row, "rr", fields.get("rr") or ""),
-        cl_low=_parse_float(row, "cl_low", fields.get("cl_low") or ""),
-        cl_high=_parse_float(row, "cl_high", fields.get("cl_high") or ""),
-        comment=(fields.get("comment") or "").strip(),
+        author=fields["author"].strip(),
+        year=_parse_int(row, "year", fields["year"]),
+        ref_id=_parse_int(row, "ref", fields["ref"]),
+        rr=_parse_float(row, "rr", fields["rr"]),
+        cl_low=_parse_float(row, "cl_low", fields["cl_low"]),
+        cl_high=_parse_float(row, "cl_high", fields["cl_high"]),
+        comment=fields.get("comment", "").strip(),
     )
     hit = _record_violations(rec)
     if hit is not None:
@@ -299,6 +298,8 @@ def dataset_to_json(ds: Dataset) -> str:
         "confidence_level": ds.confidence_level,
         "records": [dict(zip(CSV_COLUMNS, record_values(rec))) for rec in ds.records],
     }
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -313,6 +314,8 @@ def dataset_from_json(text: str) -> Dataset:
     A null reads as an empty cell, as a missing CSV cell does. A recorded
     ``confidence_level`` that is not a number raises SchemaError.
     """
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -68,15 +68,14 @@ def _check_level(confidence_level: float) -> None:
         )
 
 
-def two_sided_critical_value(confidence_level: float, exact: bool = False) -> float:
+def two_sided_critical_value(confidence_level: float) -> float:
     """Critical value z* matching a two-sided confidence level.
 
-    For the 95% level this returns the tabulated constant 1.96 unless
-    ``exact`` is set, in which case the exact normal quantile is used.
-    Other levels always use the exact quantile.
+    For the 95% level this returns the tabulated constant 1.96; other levels
+    use the exact normal quantile.
     """
     _check_level(confidence_level)
-    if not exact and abs(confidence_level - 0.95) < 1e-12:
+    if abs(confidence_level - 0.95) < 1e-12:
         return DEFAULT_CRITICAL_VALUE
     from statistics import NormalDist
 

@@ -44,14 +44,14 @@ def _fmt_tick(v: float) -> str:
     return format(v, ".6g")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] using the 1/2/5 ladder."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / max(target, 2)))
+    step = 10.0 ** math.floor(math.log10(span / 6))
     for mult in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
-        if span / (step * mult) <= target:
+        if span / (step * mult) <= 6:
             step *= mult
             break
     first = math.ceil(lo / step) * step

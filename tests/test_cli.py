@@ -711,12 +711,15 @@ def test_each_command_loads_only_the_modules_it_runs(workdir, argv, loads):
         f"rc = pvaudit.cli.main({argv!r})\n"
         "assert rc == 0, rc\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pvaudit'))\n"
-        "print('statistics' in sys.modules)"
+        "print('statistics' in sys.modules)\n"
+        "print('json' in sys.modules)"
     )
     assert proc.returncode == 0, proc.stderr
-    modules, statistics = proc.stdout.splitlines()[-2:]
+    modules, statistics, json_loaded = proc.stdout.splitlines()[-3:]
     assert modules == repr(sorted(_BASE_MODULES | {f"pvaudit.{m}" for m in loads}))
     assert statistics == repr(argv[0] == "simulate")
+    # CSV input never needs the JSON mirror; only the report writer loads json
+    assert json_loaded == repr(argv[0] in ("audit", "simulate"))
 
 
 PACKAGE_ALL = [

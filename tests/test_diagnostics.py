@@ -365,6 +365,29 @@ def test_classify_single_value():
     assert verdict.ks_pvalue == 1.0
 
 
+# Below five points no two-segment fit, BIC delta or KS test runs:
+# sse_two_segment repeats sse_single and the rest keep their defaults.
+_SMALL_N_VERDICTS = [
+    ("indeterminate", 0.0, None, 0.0, 0.0, 0.0, 0.0, 1.0),
+    ("indeterminate", 0.0, None, 0.0, 0.0, 0.0, 0.0, 1.0),
+    ("indeterminate", 1.0, None, 1.5407439555097887e-33, 1.5407439555097887e-33,
+     0.0, 0.0, 1.0),
+    ("indeterminate", 1.0, None, 0.0, 0.0, 0.0, 0.0, 1.0),
+    ("indeterminate", 1.0, None, 4.622231866529366e-33, 4.622231866529366e-33,
+     0.0, 0.0, 1.0),
+    ("indeterminate", 1.0, None, 3.0814879110195774e-33, 7.703719777548943e-34,
+     3.7125959807312525, 0.16666666666666666, 0.999066588976776),
+    ("indeterminate", 1.0, None, 6.162975822039155e-33, 6.162975822039155e-33,
+     -3.58351893845611, 0.1428571428571429, 0.9996983527325511),
+]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_classify_small_n_pins_every_field(n):
+    verdict = classify_pvalues([(i + 1) / (n + 1) for i in range(n)])
+    assert tuple(verdict) == _SMALL_N_VERDICTS[n]
+
+
 def test_classify_rejects_out_of_range():
     with pytest.raises(ValueError):
         classify_pvalues([0.5, 0.0, 0.2])

@@ -411,6 +411,23 @@ def test_spaces_after_the_bom_are_stripped():
     assert _counts(counts) == [(1, "A", 1999, 2, 3, 1)]
 
 
+@pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x1f", " ", " \x1f\x1c "])
+def test_padded_number_cells_still_parse(pad):
+    # str.strip() removes U+001C..U+001F, which int() and float() refuse.
+    def cell(text: str) -> str:
+        return f"{pad}{text}{pad}"
+
+    row = ("A", cell("1999"), "", cell("1"), cell("1.05"), cell("0.95"), cell("1.15"))
+    want = [("A", 1999, "", 1, 1.05, 0.95, 1.15)]
+    assert _studies(f"{_STUDY_HEADER}\n{','.join(row)}\n") == want
+    mirror = json.dumps({"records": [dict(zip(_STUDY_HEADER.split(","), row))]})
+    ds = dataset_from_json(mirror)
+    assert [(r.author, r.year, r.comment, r.ref_id, r.rr, r.cl_low, r.cl_high)
+            for r in ds.records] == want
+    counts = f"{_COUNT_HEADER}\n{cell('1')},A,{cell('1999')},{cell('2')},{cell('3')},{cell('1')}\n"
+    assert _counts(counts) == [(1, "A", 1999, 2, 3, 1)]
+
+
 def test_quoted_cells_keep_commas_quotes_and_newlines():
     studies = (
         f"{_STUDY_HEADER}\n"
