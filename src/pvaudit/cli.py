@@ -312,6 +312,13 @@ def cmd_plot(args: argparse.Namespace) -> int:
     from .diagnostics import expectation_plot, flag_outliers, pvalue_plot, volcano_plot
     from .svgplot import reference_lines_csv, render_series, series_csv
 
+    base = os.path.splitext(args.output)[0]
+    paths = (args.input, args.output, base + ".csv", base + ".ref.csv")
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise _UsageError(
+            f"--input, --output and the sidecars {base}.csv and {base}.ref.csv "
+            "must be four different files"
+        )
     if args.kind != "volcano" and (args.exclude.strip() or args.exclude_flagged):
         raise _UsageError("--exclude and --exclude-flagged apply only to --kind volcano")
     rule_flags = [
@@ -342,7 +349,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
             exclude.extend(f.row for f in flag_outliers(ds, **rules).flagged)
         series = volcano_plot(ds, exclude=tuple(dict.fromkeys(exclude)))
     title = args.title if args.title is not None else f"{ds.label}: {args.kind}"
-    base = os.path.splitext(args.output)[0]
     _write_text(args.output, render_series(series, title=title))
     _write_text(base + ".csv", series_csv(series))
     _write_text(base + ".ref.csv", reference_lines_csv(series))

@@ -96,7 +96,13 @@ def _reconstruct(rec: StudyRecord, zstar: float, scale: str) -> tuple[float, flo
             f"interval for {rec.author} {rec.year} has non-positive width"
         )
     se = width / (2.0 * zstar)
+    if not 0 < se < math.inf:
+        raise ValueError(
+            f"interval for {rec.author} {rec.year} gives se {se!r}, not positive and finite"
+        )
     z = effect / se
+    if not math.isfinite(z):
+        raise ValueError(f"study {rec.author} {rec.year} gives z {z!r}, not finite")
     p = 2.0 * normal_sf(abs(z))
     floored = p <= 0.0
     if floored:
@@ -131,10 +137,11 @@ def derive_dataset(
     ds : Dataset
         Records with positive risk ratios and limits that bracket them.
     critical_value : float, optional
-        Override for z*. When omitted, :func:`two_sided_critical_value` of
-        ``ds.confidence_level`` is used (1.96 at the 95% level). z* is
-        fixed once, and the result records it with ``scale``; pooling,
-        flagging and reports read both from the dataset.
+        Override for z*, positive and finite. When omitted,
+        :func:`two_sided_critical_value` of ``ds.confidence_level`` is used
+        (1.96 at the 95% level). z* is fixed once, and the result records it
+        with ``scale``; pooling, flagging and reports read both from the
+        dataset.
     scale : str
         ``"linear"`` works with the interval width as printed and tests
         ``rr - 1``; ``"log"`` takes logs of the limits first and tests
@@ -145,8 +152,8 @@ def derive_dataset(
     _check_level(ds.confidence_level)
     if critical_value is None:
         critical_value = two_sided_critical_value(ds.confidence_level)
-    if not critical_value > 0:
-        raise ValueError(f"critical value must be positive, got {critical_value!r}")
+    if not 0 < critical_value < math.inf:
+        raise ValueError(f"critical value must be positive and finite, got {critical_value!r}")
     stats = [_reconstruct(rec, critical_value, scale) for rec in ds.records]
     ranks = _ranks([s[2] for s in stats])
     derived = tuple(

@@ -24,6 +24,8 @@ AXIS_LABELS = {
     "expectation": ("-log10 expected p", "-log10 observed p"),
     "volcano": ("risk ratio", "-log10 p-value"),
 }
+AXIS_STROKE = f'stroke="{AXIS_COLOR}" stroke-width="1"'
+DASHED_STROKE = f'stroke="{REFLINE_COLOR}" stroke-width="1.5" stroke-dasharray="6 4"'
 
 
 def _escape(text: str) -> str:
@@ -44,10 +46,21 @@ def _fmt_tick(v: float) -> str:
     return format(v, ".6g")
 
 
+def _line(x1: float | str, y1: float | str, x2: float | str, y2: float | str, style: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>'
+
+
+def _text(
+    x: float | str, y: float | str, anchor: str, size: int, text: str, extra: str = ""
+) -> str:
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+        f'font-size="{size}" fill="{AXIS_COLOR}"{extra}>{text}</text>'
+    )
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] using the 1/2/5 ladder."""
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / 6))
     for mult in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
@@ -74,114 +87,71 @@ def _data_range(values: list[float]) -> tuple[float, float]:
 
 def render_series(series: PlotSeries, title: str = "") -> str:
     """Render one diagnostic series to a standalone SVG document string."""
+    # the smallest-p marker is a level of y on the volcano plot, of x elsewhere
+    marker_on_y = series.kind == "volcano"
     xs = [p[0] for p in series.points]
     ys = [p[1] for p in series.points]
-    ref_x: list[float] = []
-    ref_y: list[float] = []
-    for ref in series.reference_lines:
-        if ref.kind == "smallest_p_marker":
-            if series.kind == "volcano":
-                ref_y.append(ref.parameters[0])
-            else:
-                ref_x.append(ref.parameters[0])
-    x_lo, x_hi = _data_range(xs + ref_x)
-    y_lo, y_hi = _data_range(ys + ref_y)
+    (ys if marker_on_y else xs).extend(
+        ref.parameters[0] for ref in series.reference_lines if ref.kind == "smallest_p_marker"
+    )
+    x_lo, x_hi = _data_range(xs)
+    y_lo, y_hi = _data_range(ys)
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    x_axis_y = HEIGHT - MARGIN_BOTTOM
 
-    def px(x: float) -> float:
-        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+    def px(x: float) -> str:
+        return _fmt(MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w)
 
-    def py(y: float) -> float:
-        return HEIGHT - MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
+    def py(y: float, shift: float = 0.0) -> str:
+        return _fmt(x_axis_y - (y - y_lo) / (y_hi - y_lo) * plot_h + shift)
 
     x_label, y_label = AXIS_LABELS.get(series.kind, ("x", "y"))
+    mid_y = f"{MARGIN_TOP + plot_h / 2:.0f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="28" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16" fill="{AXIS_COLOR}">'
-            f"{_escape(title)}</text>"
-        )
+        parts.append(_text(WIDTH // 2, 28, "middle", 16, _escape(title)))
 
     # axes
-    x_axis_y = HEIGHT - MARGIN_BOTTOM
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{x_axis_y}" x2="{WIDTH - MARGIN_RIGHT}" '
-        f'y2="{x_axis_y}" stroke="{AXIS_COLOR}" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{x_axis_y}" stroke="{AXIS_COLOR}" stroke-width="1"/>'
-    )
+    parts.append(_line(MARGIN_LEFT, x_axis_y, WIDTH - MARGIN_RIGHT, x_axis_y, AXIS_STROKE))
+    parts.append(_line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, x_axis_y, AXIS_STROKE))
     for t in _nice_ticks(x_lo, x_hi):
         x = px(t)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{x_axis_y}" x2="{_fmt(x)}" '
-            f'y2="{x_axis_y + 5}" stroke="{AXIS_COLOR}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{x_axis_y + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="{AXIS_COLOR}">'
-            f"{_fmt_tick(t)}</text>"
-        )
+        parts.append(_line(x, x_axis_y, x, x_axis_y + 5, AXIS_STROKE))
+        parts.append(_text(x, x_axis_y + 20, "middle", 12, _fmt_tick(t)))
     for t in _nice_ticks(y_lo, y_hi):
         y = py(t)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(y)}" x2="{MARGIN_LEFT}" '
-            f'y2="{_fmt(y)}" stroke="{AXIS_COLOR}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 9}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12" fill="{AXIS_COLOR}">'
-            f"{_fmt_tick(t)}</text>"
-        )
+        parts.append(_line(MARGIN_LEFT - 5, y, MARGIN_LEFT, y, AXIS_STROKE))
+        parts.append(_text(MARGIN_LEFT - 9, py(t, 4), "end", 12, _fmt_tick(t)))
     parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 12}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="14" '
-        f'fill="{AXIS_COLOR}">{_escape(x_label)}</text>'
+        _text(f"{MARGIN_LEFT + plot_w / 2:.0f}", HEIGHT - 12, "middle", 14, _escape(x_label))
     )
     parts.append(
-        f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" fill="{AXIS_COLOR}" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.0f})">'
-        f"{_escape(y_label)}</text>"
+        _text(18, mid_y, "middle", 14, _escape(y_label), f' transform="rotate(-90 18 {mid_y})"')
     )
 
     # reference lines, dashed
     for ref in series.reference_lines:
         if ref.kind == "expected_order":
             slope, intercept = ref.parameters
-            x0, x1 = x_lo, x_hi
-            parts.append(
-                f'<line x1="{_fmt(px(x0))}" y1="{_fmt(py(slope * x0 + intercept))}" '
-                f'x2="{_fmt(px(x1))}" y2="{_fmt(py(slope * x1 + intercept))}" '
-                f'stroke="{REFLINE_COLOR}" stroke-width="1.5" stroke-dasharray="6 4"/>'
-            )
+            y0, y1 = py(slope * x_lo + intercept), py(slope * x_hi + intercept)
+            parts.append(_line(px(x_lo), y0, px(x_hi), y1, DASHED_STROKE))
         elif ref.kind == "smallest_p_marker":
             v = ref.parameters[0]
-            if series.kind == "volcano":
-                parts.append(
-                    f'<line x1="{MARGIN_LEFT}" y1="{_fmt(py(v))}" '
-                    f'x2="{WIDTH - MARGIN_RIGHT}" y2="{_fmt(py(v))}" '
-                    f'stroke="{REFLINE_COLOR}" stroke-width="1.5" stroke-dasharray="6 4"/>'
-                )
+            if marker_on_y:
+                ends = (MARGIN_LEFT, py(v), WIDTH - MARGIN_RIGHT, py(v))
             else:
-                parts.append(
-                    f'<line x1="{_fmt(px(v))}" y1="{MARGIN_TOP}" '
-                    f'x2="{_fmt(px(v))}" y2="{x_axis_y}" '
-                    f'stroke="{REFLINE_COLOR}" stroke-width="1.5" stroke-dasharray="6 4"/>'
-                )
+                ends = (px(v), MARGIN_TOP, px(v), x_axis_y)
+            parts.append(_line(*ends, DASHED_STROKE))
 
     # one marker per point
     for x, y in series.points:
         parts.append(
-            f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="3" '
-            f'fill="{POINT_COLOR}" fill-opacity="0.85"/>'
+            f'<circle cx="{px(x)}" cy="{py(y)}" r="3" fill="{POINT_COLOR}" fill-opacity="0.85"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -207,6 +207,28 @@ def test_json_mirror_nulls(workdir, capsys, mirror, code, want):
         assert out == "" and want in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "row, extra, want",
+    [
+        # se underflows to 0
+        ("Tiny,1990,,1,2.2250738585072014e-308,2.2250738585072014e-308,"
+         "2.225073858507202e-308", [], "Tiny 1990 gives se 0.0,"),
+        # se is tiny but positive, and z overflows
+        ("Small,1991,,1,1e-300,1e-300,1.0000000000000002e-300", [], "Small 1991 gives z -inf,"),
+        # a subnormal z* makes se overflow
+        ("Alpha,1999,,1,1.05,0.95,1.15", ["--critical-value", "1e-320"], "Alpha 1999 gives se inf,"),
+    ],
+)
+def test_derive_refuses_a_row_it_cannot_represent(workdir, capsys, row, extra, want):
+    src = workdir / "row.csv"
+    src.write_text(TOY.splitlines()[0] + "\n" + row + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["derive", "--input", str(src), *extra]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert want in err
+
+
 def test_label_only_where_it_is_used(workdir, capsys):
     # derive writes no label, so --label there is a usage error
     src = str(workdir / "toy.csv")
@@ -374,6 +396,20 @@ def test_plot_bad_exclude_index(workdir, capsys):
     rc = main(["plot", "--input", str(workdir / "toy.csv"), "--kind", "volcano",
                "--exclude", "99", "--output", str(workdir / "x.svg")])
     assert rc == EXIT_DATA
+
+
+@pytest.mark.parametrize("output", ["soy.svg", "fig.csv", "../{dir}/soy.svg"])
+def test_plot_refuses_to_overwrite_its_input_or_its_svg(workdir, capsys, monkeypatch, output):
+    # soy.svg's point CSV would replace the input, fig.csv's the SVG itself
+    monkeypatch.chdir(workdir)
+    before = sorted(os.listdir(workdir))
+    rc = main(["plot", "--input", "soy.csv", "--kind", "pvalue",
+               "--output", output.format(dir=workdir.name)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (workdir / "soy.csv").read_text(encoding="utf-8") == soy_ldl_studies_csv()
+    assert sorted(os.listdir(workdir)) == before
 
 
 # -------------------------------------------------------------------- audit

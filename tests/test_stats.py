@@ -158,6 +158,8 @@ def test_derive_dataset_checks_its_parameters_before_any_row():
         derive_dataset(empty, scale="bogus", critical_value=-1.0)
     with pytest.raises(ValueError, match="critical value must be positive"):
         derive_dataset(empty, critical_value=-1.0)
+    with pytest.raises(ValueError, match="critical value must be positive and finite"):
+        derive_dataset(empty, critical_value=math.inf)
 
 
 @pytest.mark.parametrize("level", [1.5, 0.0, float("nan")])
