@@ -38,6 +38,25 @@ EXIT_SCHEMA = 3
 EXIT_NO_RECORDS = 4
 EXIT_DATA = 5
 
+
+class _NoRecords(Exception):
+    pass
+
+
+class _UsageError(Exception):
+    pass
+
+
+# The exit code of each error main() reports, read in order: a SchemaError
+# is also a ValueError.
+_EXIT_CODES = {
+    SchemaError: EXIT_SCHEMA,
+    _NoRecords: EXIT_NO_RECORDS,
+    _UsageError: EXIT_USAGE,
+    ValueError: EXIT_DATA,
+    OSError: EXIT_IO,
+}
+
 # The bundled reproduction profile: the tabulated 1.96 critical value at any
 # confidence level, and one judgment-call manual exclusion identified by
 # author and year in the bundled dataset. Scale and p threshold keep the
@@ -53,14 +72,6 @@ PROFILES = {
 _NEGATIVE_NUMBER = re.compile(
     r"^-(\d+\.?\d*(e[-+]?\d+)?|\.\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
 )
-
-
-class _NoRecords(Exception):
-    pass
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -445,21 +456,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SchemaError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except _NoRecords as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_RECORDS
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

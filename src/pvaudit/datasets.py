@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .counting import SearchSpaceEntry, parse_search_space_csv
 from .model import Dataset, parse_dataset
 
 STUDIES_FILE = "soy_ldl_studies.csv"
@@ -29,8 +28,3 @@ def soy_ldl_search_space_csv() -> str:
 def load_soy_ldl_studies() -> Dataset:
     """The bundled 50-comparison dataset (95% intervals), ready to derive."""
     return parse_dataset(soy_ldl_studies_csv(), label="soy-ldl")
-
-
-def load_soy_ldl_search_space() -> list[SearchSpaceEntry]:
-    """Search-space counts for the nine bundled studies that report them."""
-    return parse_search_space_csv(soy_ldl_search_space_csv())

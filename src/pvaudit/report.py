@@ -15,7 +15,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from . import __version__
-from .counting import SearchSpaceEntry, SpaceSummary, entry_as_dict
 from .diagnostics import SHAPE_THRESHOLDS, OutlierReport, ShapeVerdict
 from .model import CSV_COLUMNS, DerivedDataset, format_number, record_values
 from .stats import PoolResult
@@ -90,11 +89,12 @@ def build_audit_report(
     shape: ShapeVerdict,
     outliers: OutlierReport,
     pool: PoolResult | None,
-    space_entries: list[SearchSpaceEntry] | None,
-    space_summary: SpaceSummary | None,
+    space_entries: list | None,
+    space_summary: tuple | None,
     config: dict,
 ) -> dict:
-    """Assemble the audit report structure (dataset table, verdict, flags, pool)."""
+    """Assemble the audit report structure (dataset table, verdict, flags, pool,
+    and the ``counting`` search-space entries with their summary, or None)."""
     keys = CSV_COLUMNS + ("se", "z", "p", "p_floored", "rank")
     studies = [
         dict(zip(keys, record_values(rec) + (d.se, d.z, d.p, d.p_floored, d.rank)))
@@ -116,6 +116,8 @@ def build_audit_report(
         "pool": None if pool is None else pool._asdict(),
     }
     if space_entries is not None and space_summary is not None:
+        from .counting import entry_as_dict
+
         report["search_space"] = {
             "entries": [entry_as_dict(e) for e in space_entries],
             **space_summary._asdict(),

@@ -207,6 +207,13 @@ class PoolResult(NamedTuple):
     weights_random: tuple[float, ...]
 
 
+def _overflow_error(study: int, se: float, context: str = "") -> ValueError:
+    return ValueError(
+        f"weighted sums overflow{context}; cannot pool (study {study}, se {se!r},"
+        " has the largest weight)"
+    )
+
+
 def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
     """Random-effects pooling by the moment (DerSimonian-Laird) estimator.
 
@@ -278,10 +285,7 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
         # of weights after every se^2 (or se^2 + tau^2) overflowed.
         sums_finite = False
     if not sums_finite:
-        raise ValueError(
-            f"weighted sums overflow; cannot pool (study {top}, se {pairs[top][1]!r},"
-            " has the largest weight)"
-        )
+        raise _overflow_error(top, pairs[top][1])
     random_se = swr ** -0.5
     i2 = max(0.0, (q - (k - 1)) / q) if q > 0 else 0.0
     return PoolResult(
@@ -461,7 +465,12 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
                 out.append(abs(shift_i))
                 continue
         # pooled directly; its mean, too, is taken off the centre
-        weights = pool_dl(pairs[:i] + pairs[i + 1 :]).weights_random
+        try:
+            weights = pool_dl(pairs[:i] + pairs[i + 1 :]).weights_random
+        except ValueError:
+            # the subset's sums overflow; name its heaviest study by input row
+            j = max((j for j in range(k) if j != i), key=w.__getitem__)
+            raise _overflow_error(j, pairs[j][1], f" without study {i}") from None
         mean_i = math.fsum(x * c for x, c in zip(weights, centred[:i] + centred[i + 1 :]))
         out.append(abs(mean_i - offset))
     return out

@@ -4,6 +4,7 @@ no timestamps, no randomness: identical input gives identical bytes."""
 from __future__ import annotations
 
 import math
+import sys
 
 from .diagnostics import PlotSeries
 from .model import format_number
@@ -24,6 +25,8 @@ AXIS_LABELS = {
     "expectation": ("-log10 expected p", "-log10 observed p"),
     "volcano": ("risk ratio", "-log10 p-value"),
 }
+_FLOAT_MAX = sys.float_info.max
+_TINY = math.ulp(0.0)
 AXIS_STROKE = f'stroke="{AXIS_COLOR}" stroke-width="1"'
 DASHED_STROKE = f'stroke="{REFLINE_COLOR}" stroke-width="1.5" stroke-dasharray="6 4"'
 
@@ -59,30 +62,40 @@ def _text(
     )
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """``(hi - lo) * s`` and ``s``: 1, or 1/2 where ``hi - lo`` overflows.
+
+    Only an overflowing span is halved: halving a subnormal bound rounds it.
+    """
+    s = 1.0 if hi - lo < math.inf else 0.5
+    return hi * s - lo * s, s
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] using the 1/2/5 ladder."""
-    span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / 6))
+    span, s = _span(lo, hi)
+    # a subnormal span's sixth can round to 0, and its power of ten to 0
+    step = max(10.0 ** math.floor(math.log10(max(span / (6 * s), _TINY))), _TINY)
     for mult in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
-        if span / (step * mult) <= 6:
+        if span / (step * mult * s) <= 6:
             step *= mult
             break
     first = math.ceil(lo / step) * step
+    end = min(hi + step * 1e-9, _FLOAT_MAX)
     ticks = []
     v = first
-    while v <= hi + step * 1e-9:
+    while v <= end:
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
+        if v + step == v:  # the step is below v's precision
+            break
         v += step
     return ticks
 
 
 def _data_range(values: list[float]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
-    if hi == lo:
-        pad = 0.5 if lo == 0 else abs(lo) * 0.1
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
-    return lo - pad, hi + pad
+    pad = (hi - lo) * 0.05 or abs(lo) * 0.1 or 0.5
+    return max(lo - pad, -_FLOAT_MAX), min(hi + pad, _FLOAT_MAX)
 
 
 def render_series(series: PlotSeries, title: str = "") -> str:
@@ -96,15 +109,17 @@ def render_series(series: PlotSeries, title: str = "") -> str:
     )
     x_lo, x_hi = _data_range(xs)
     y_lo, y_hi = _data_range(ys)
+    x_span, x_s = _span(x_lo, x_hi)
+    y_span, y_s = _span(y_lo, y_hi)
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     x_axis_y = HEIGHT - MARGIN_BOTTOM
 
     def px(x: float) -> str:
-        return _fmt(MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w)
+        return _fmt(MARGIN_LEFT + (x * x_s - x_lo * x_s) / x_span * plot_w)
 
     def py(y: float, shift: float = 0.0) -> str:
-        return _fmt(x_axis_y - (y - y_lo) / (y_hi - y_lo) * plot_h + shift)
+        return _fmt(x_axis_y - (y * y_s - y_lo * y_s) / y_span * plot_h + shift)
 
     x_label, y_label = AXIS_LABELS.get(series.kind, ("x", "y"))
     mid_y = f"{MARGIN_TOP + plot_h / 2:.0f}"

@@ -24,10 +24,10 @@ from pvaudit import (
     volcano_plot,
 )
 from pvaudit.cli import main
-from pvaudit.counting import search_space
+from pvaudit.counting import parse_search_space_csv, search_space
 from pvaudit.datasets import (
-    load_soy_ldl_search_space,
     load_soy_ldl_studies,
+    soy_ldl_search_space_csv,
     soy_ldl_studies_csv,
 )
 
@@ -80,7 +80,7 @@ def test_c1_study_table_reconstruction(golden_rows, soy_ranked):
 
 def test_c2_search_space_table_exact():
     start = time.monotonic()
-    entries = load_soy_ldl_search_space()
+    entries = parse_search_space_csv(soy_ldl_search_space_csv())
     expected = {
         "Bakhit": (40, 8, 320),
         "Chen": (9, 16, 144),

@@ -412,6 +412,27 @@ def test_plot_refuses_to_overwrite_its_input_or_its_svg(workdir, capsys, monkeyp
     assert sorted(os.listdir(workdir)) == before
 
 
+@pytest.mark.parametrize(
+    "rows, kind",
+    [
+        # every p is floored at 5e-324: a tenth of it underflows to 0
+        (["A,2000,,1,61,60,62", "B,2001,,2,61,60,62", "C,2002,,3,61,60,62"], "pvalue"),
+        # the padded rr axis spans more than the largest double
+        (["A,2000,,1,1.7e308,1e308,1.79e308", "B,2001,,2,1.5,1.1,2.0",
+          "C,2002,,3,1.2,0.9,1.6"], "volcano"),
+        # one point: rr plus its pad passes the largest double
+        (["A,2000,,1,1.7e308,1e308,1.79e308"], "volcano"),
+    ],
+    ids=["floored-p", "huge-rr-span", "huge-rr"],
+)
+def test_plot_draws_every_finite_range(workdir, capsys, rows, kind):
+    src, svg = workdir / "rows.csv", workdir / "edge.svg"
+    src.write_text("\n".join([TOY.splitlines()[0], *rows]) + "\n", encoding="utf-8")
+    rc = main(["plot", "--input", str(src), "--kind", kind, "--output", str(svg)])
+    assert rc == EXIT_OK, capsys.readouterr().err
+    assert svg.read_text(encoding="utf-8").count("<circle") == len(rows)
+
+
 # -------------------------------------------------------------------- audit
 
 def test_audit_full_report(workdir):
@@ -611,6 +632,22 @@ def test_audit_refuses_an_se_too_small_to_pool(workdir, capsys, limits, flags):
     assert "Traceback" not in err
 
 
+def test_leave_one_out_overflow_names_input_rows(workdir, capsys):
+    # Without row 0, every weight underflows to 0; the subset's heaviest study
+    # is row 1, which is index 0 of that subset.
+    src = workdir / "loo.csv"
+    rows = ["A,2000,,1,1.1,0.9,1.3"] + [f"{a},2001,,2,1,0.5,4e200" for a in "BCD"]
+    src.write_text("\n".join([TOY.splitlines()[0], *rows]) + "\n", encoding="utf-8")
+    out = str(workdir / "loo.json")
+    assert main(["audit", "--input", str(src), "--output", out]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["audit", "--input", str(src), "--influence-threshold", "0.5", "--output", out])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "without study 0;" in err and "(study 1, se 1.0204081632653062e+200," in err
+
+
 @pytest.mark.parametrize("command", ["audit", "derive", "plot"])
 def test_json_mirror_refuses_a_different_confidence_level(workdir, capsys, command):
     # The mirror records its own level; an explicit flag that disagrees with
@@ -735,7 +772,7 @@ _BASE_MODULES = {"pvaudit", "pvaudit.cli", "pvaudit.model", "pvaudit.stats"}
         (["audit", "--input", "soy.csv", "--counting", "counts.csv"],
          {"counting", "diagnostics", "report"}),
         (["simulate", "--n", "20", "--replicates", "2"],
-         {"counting", "diagnostics", "report", "sim"}),
+         {"diagnostics", "report", "sim"}),
     ],
     ids=["derive", "count", "plot", "audit", "simulate"],
 )

@@ -14,7 +14,7 @@ from pvaudit import (
     serialize_search_space_csv,
     summarize_spaces,
 )
-from pvaudit.datasets import load_soy_ldl_search_space
+from pvaudit.datasets import soy_ldl_search_space_csv
 
 
 def test_search_space_basic():
@@ -99,7 +99,7 @@ def test_summarize_median_matches_statistics_median(counts):
 
 
 def test_bundled_counting_table():
-    entries = load_soy_ldl_search_space()
+    entries = parse_search_space_csv(soy_ldl_search_space_csv())
     assert len(entries) == 9
     by_author = {e.author: e for e in entries}
     assert (by_author["Bakhit"].tests, by_author["Bakhit"].models, by_author["Bakhit"].space) == (40, 8, 320)

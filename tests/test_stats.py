@@ -526,6 +526,9 @@ def _mean_is_mostly_rounding(full):
 @example([(0.3, 1e-8), (0.1, 1.0), (-0.4, 0.7), (0.5, 1.2), (0.2, 0.9)])
 # tau^2 = 0, but leaving out the last study gives Q = 2.1 > k-2: tau^2 > 0
 @example([(0.3, 1e-8), (0.3 + 1.2**0.5, 1.0), (0.3 - 0.9**0.5, 1.0), (0.3 + 0.1**0.5, 0.5)])
+# two equal dominant weights: downdating the heavier, or the other, loses more
+# than ten bits, so both go to direct pooling
+@example([(0.1, 1e-3), (0.3, 1e-3), (0.5, 1.0), (-0.2, 1.0), (0.9, 2.0)])
 def test_loo_influence_matches_per_subset_pooling(effects):
     # Per-subset pooling is the oracle except where it returns rounding;
     # there, exact DL arithmetic is, with no absolute slack.

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from pvaudit import (
     Dataset,
+    PlotSeries,
     StudyRecord,
     derive_dataset,
     expectation_plot,
@@ -18,7 +20,18 @@ from pvaudit import (
 )
 from pvaudit.model import format_number
 from pvaudit.report import dumps
-from pvaudit.svgplot import _escape, reference_lines_csv, render_series, series_csv
+from pvaudit.svgplot import (
+    HEIGHT,
+    MARGIN_BOTTOM,
+    MARGIN_LEFT,
+    MARGIN_RIGHT,
+    MARGIN_TOP,
+    WIDTH,
+    _escape,
+    reference_lines_csv,
+    render_series,
+    series_csv,
+)
 
 
 def test_svg_is_deterministic(soy):
@@ -82,6 +95,42 @@ def test_svg_bytes_pinned(soy):
     }
     digests = {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in svgs.items()}
     assert digests == SVG_DIGESTS
+
+
+def _rows(*rr_limits):
+    return derive_dataset(
+        Dataset(tuple(StudyRecord(f"S{i}", 2000, i, *v) for i, v in enumerate(rr_limits)))
+    )
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        # every p floored at 5e-324, and a spread of p whose twentieth underflows
+        *(plot(_rows(*[(61.0, 60.0, 62.0)] * 3)) for plot in (pvalue_plot, expectation_plot)),
+        PlotSeries("pvalue_rank", ((1.0, 5e-324), (2.0, 1e-323)), (), 2),
+        # six times the smallest double: the padded span's sixth rounds to 0
+        PlotSeries("pvalue_rank", ((1.0, 3e-323),), (), 1),
+        # a padded rr span, and a padded rr, past the largest double
+        volcano_plot(_rows((1.7e308, 1e308, 1.79e308), (1.5, 1.1, 2.0), (1.2, 0.9, 1.6))),
+        volcano_plot(_rows((1.7e308, 1e308, 1.79e308))),
+        PlotSeries("other", ((-1.7e308, 0.0), (1.7e308, 1.0)), (), 2),
+        # one ulp of spread: the tick step is below the precision of x
+        volcano_plot(_rows((1.0, 0.5, 2.0), (1.0000000000000002, 0.5, 2.0))),
+    ],
+    ids=["floored-pvalue", "floored-expectation", "subnormal-span", "subnormal-constant",
+         "huge-span", "huge-rr",
+         "huge-both-signs", "one-ulp"],
+)
+def test_every_finite_range_draws_inside_the_plot_area(series):
+    svg = render_series(series)
+    coords = re.findall(r' (?:x|y|x1|y1|x2|y2|cx|cy)="([^"]+)"', svg)
+    assert all(math.isfinite(float(c)) for c in coords)
+    points = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg)
+    assert len(points) == len(series.points)
+    for cx, cy in points:
+        assert MARGIN_LEFT <= float(cx) <= WIDTH - MARGIN_RIGHT
+        assert MARGIN_TOP <= float(cy) <= HEIGHT - MARGIN_BOTTOM
 
 
 def test_series_csv_round_trip(soy):
