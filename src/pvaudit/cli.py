@@ -358,7 +358,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     else:
         if args.exclude_flagged:
             exclude.extend(f.row for f in flag_outliers(ds, **rules).flagged)
-        series = volcano_plot(ds, exclude=tuple(dict.fromkeys(exclude)))
+        series = volcano_plot(ds, exclude=tuple(exclude))
     title = args.title if args.title is not None else f"{ds.label}: {args.kind}"
     _write_text(args.output, render_series(series, title=title))
     _write_text(base + ".csv", series_csv(series))

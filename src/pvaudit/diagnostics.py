@@ -41,8 +41,9 @@ VERDICTS = ("uniform_null", "significant_effect", "bilinear_mixture", "indetermi
 
 
 class ReferenceLine(NamedTuple):
-    """A dashed guide: ``expected_order`` (slope, intercept) on the expectation
-    plot's -log10 scale, or ``smallest_p_marker`` with the single value
+    """A dashed guide: ``expected_order``, the identity y = x on the expectation
+    plot's -log10 scale, whose parameters (1, 0) are its slope and intercept
+    for the sidecar CSV; or ``smallest_p_marker`` with the single value
     -log10(1/(n+1))."""
 
     kind: str
@@ -137,9 +138,9 @@ class _DataclassFields:
 class OutlierReport(NamedTuple):
     """Rows flagged for exclusion, with the thresholds that produced them."""
 
-    flagged: tuple[OutlierFlag, ...]
     p_threshold: float
     influence_threshold: float | None  # None when the influence rule was off
+    flagged: tuple[OutlierFlag, ...]
 
     __dataclass_fields__ = _DataclassFields()
 

@@ -108,11 +108,7 @@ def build_audit_report(
         "n_studies": len(ds),
         "studies": studies,
         "shape": shape._asdict(),
-        "outliers": {
-            "p_threshold": outliers.p_threshold,
-            "influence_threshold": outliers.influence_threshold,
-            "flagged": [f._asdict() for f in outliers.flagged],
-        },
+        "outliers": {**outliers._asdict(), "flagged": [f._asdict() for f in outliers.flagged]},
         "pool": None if pool is None else pool._asdict(),
     }
     if space_entries is not None and space_summary is not None:

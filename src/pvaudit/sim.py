@@ -170,7 +170,7 @@ def greenwald_censor_rate(hack_k: int = 1) -> float:
     """
     if hack_k < 1:
         raise ValueError(f"hack_k must be at least 1, got {hack_k}")
-    s = 1.0 - 0.95 ** hack_k
+    s = 1.0 - (1.0 - SIGNIFICANCE) ** hack_k
     return min(1.0, 10.0 * s / (1.0 - s))
 
 

@@ -152,9 +152,9 @@ def render_series(series: PlotSeries, title: str = "") -> str:
     # reference lines, dashed
     for ref in series.reference_lines:
         if ref.kind == "expected_order":
-            slope, intercept = ref.parameters
-            y0, y1 = py(slope * x_lo + intercept), py(slope * x_hi + intercept)
-            parts.append(_line(px(x_lo), y0, px(x_hi), y1, DASHED_STROKE))
+            lo, hi = max(x_lo, y_lo), min(x_hi, y_hi)
+            if lo < hi:
+                parts.append(_line(px(lo), py(lo), px(hi), py(hi), DASHED_STROKE))
         elif ref.kind == "smallest_p_marker":
             v = ref.parameters[0]
             if marker_on_y:

@@ -229,6 +229,29 @@ def test_derive_refuses_a_row_it_cannot_represent(workdir, capsys, row, extra, w
     assert want in err
 
 
+@pytest.mark.parametrize(
+    "name, text, code, want",
+    [
+        ("low.csv", "A,2000,,1,1.1,0,1.3", EXIT_DATA,
+         "row 0, field 'cl_low': cl_low must be positive"),
+        ("high.csv", "A,2000,,1,1.1,0.9,-1", EXIT_DATA,
+         "row 0, field 'cl_high': cl_high must be positive"),
+        ("above.csv", "A,2000,,1,2.0,1.0,1.5", EXIT_DATA,
+         "row 0, field 'cl_high': rr exceeds cl_high"),
+        ("map.json", '{"records": {}}', EXIT_SCHEMA, "'records' must be an array"),
+        ("scalar.json", '{"records": [1]}', EXIT_DATA,
+         "row 0, field 'record': record must be an object"),
+    ],
+)
+def test_derive_names_the_first_invalid_field(workdir, capsys, name, text, code, want):
+    src = workdir / name
+    header = "" if name.endswith(".json") else TOY.splitlines()[0] + "\n"
+    src.write_text(header + text + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["derive", "--input", str(src)]) == code
+    assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
 def test_label_only_where_it_is_used(workdir, capsys):
     # derive writes no label, so --label there is a usage error
     src = str(workdir / "toy.csv")
@@ -925,6 +948,20 @@ def test_every_name_perfbench_uses_resolves():
             bound += 1
     assert checked > 20
     assert bound > 20
+
+
+@pytest.mark.parametrize("workload", ["BundledSession", "LargeAudit", "SimMixture"])
+def test_perfbench_traced_pipeline_finds_no_problems(workload, tmp_path, monkeypatch):
+    # The test above sees names and calls, not the attributes perfbench reads
+    # off what those calls return (``PlotSeries.n``, ``OutlierReport`` fields):
+    # run each workload's traced pipeline once, on inputs written to tmp_path.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import traced
+    import workloads
+
+    wl = getattr(workloads, workload)(1)
+    wl.make_inputs(tmp_path)
+    assert traced.Pipeline(wl, tmp_path, traced.Tracer()).run() == []
 
 
 def test_sim_names_still_import_from_the_package():

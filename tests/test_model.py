@@ -163,7 +163,7 @@ VALUE_TYPES = [
     ShapeThresholds(),
     _VERDICT,
     OutlierFlag(0, "manual"),
-    OutlierReport((OutlierFlag(0, "manual"),), 1e-3, 0.5),
+    OutlierReport(1e-3, 0.5, (OutlierFlag(0, "manual"),)),
     PoolResult(2, 0.1, 0.5, 0.0, 0.1, 0.05, 0.0, (0.5, 0.5), (0.5, 0.5)),
     SearchSpaceEntry(1, 1, 0, 1, 1, 1),
     SpaceSummary(1.0, 1, 1),
@@ -182,6 +182,13 @@ def test_value_types_are_frozen(value):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert getattr(value, first) is before
+
+
+def test_dataset_fields_cannot_be_deleted():
+    ds = Dataset(records=(_REC,))
+    with pytest.raises(AttributeError, match="cannot delete field 'label'"):
+        del ds.label
+    assert ds.label == Dataset(records=(_REC,)).label
 
 
 def test_derived_must_parallel_records():

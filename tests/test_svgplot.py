@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pvaudit import (
     Dataset,
     PlotSeries,
+    ReferenceLine,
     StudyRecord,
     derive_dataset,
     expectation_plot,
@@ -67,14 +68,15 @@ def test_svg_escapes_text(soy):
 
 
 # sha256 of each SVG, recorded before the renderer was rewritten to write
-# each element form once; the first is also the bundled-session pvalue.svg
+# each element form once; the first is also the bundled-session pvalue.svg.
+# one-expectation has no identity line, which misses its plot area.
 SVG_DIGESTS = {
     "soy-pvalue": "22796dc8be9eabbf6fa62c1edabfacdf4081ed1e7a4c202f8d82cc46b9f8f5e9",
     "soy-expectation-escaped": "31f0e8bba9c8b3d64b970eb2dce533920c3346658d1b34c380dba26ab43e0791",
     "soy-volcano": "933ce981b4ee833e0a005913d34c204755a4840d75b8ab1d50f9c294e113b3b5",
     "soy-volcano-exclude": "c3c4cd5d7335a3eac8cc69bd58f2f597f09be0a82b6a2ac8d94c83f677e9826a",
     "one-volcano": "a08ab48d96925241ad1f9c3d0bdc8674ccc218a69cb4bf380a79974da41f3d8e",
-    "one-expectation": "19cebedd831b1b4df80352ce34d358d1223b9183724d09672b7af596613394a0",
+    "one-expectation": "082e0fe6d52f2a87dec19fe93bbf676b4cf1c677f9b03192a33641786d10fd60",
     "constant-pvalue": "0bf793141fa1ed988f42d8e93bf676bfaae34ca815c95aa5dc8887621db2bfc8",
 }
 
@@ -117,10 +119,18 @@ def _rows(*rr_limits):
         PlotSeries("other", ((-1.7e308, 0.0), (1.7e308, 1.0)), (), 2),
         # one ulp of spread: the tick step is below the precision of x
         volcano_plot(_rows((1.0, 0.5, 2.0), (1.0000000000000002, 0.5, 2.0))),
+        # a subnormal y range under an identity line that never meets it
+        PlotSeries(
+            "expectation",
+            ((0.3, 0.0), (0.6, 1e-310)),
+            (ReferenceLine("expected_order", (1.0, 0.0)),
+             ReferenceLine("smallest_p_marker", (0.45,))),
+            2,
+        ),
     ],
     ids=["floored-pvalue", "floored-expectation", "subnormal-span", "subnormal-constant",
          "huge-span", "huge-rr",
-         "huge-both-signs", "one-ulp"],
+         "huge-both-signs", "one-ulp", "subnormal-expectation"],
 )
 def test_every_finite_range_draws_inside_the_plot_area(series):
     svg = render_series(series)
@@ -131,6 +141,22 @@ def test_every_finite_range_draws_inside_the_plot_area(series):
     for cx, cy in points:
         assert MARGIN_LEFT <= float(cx) <= WIDTH - MARGIN_RIGHT
         assert MARGIN_TOP <= float(cy) <= HEIGHT - MARGIN_BOTTOM
+    # every dashed reference line lies inside the plot rectangle
+    for ends in re.findall(r'<line x1="(.+?)" y1="(.+?)" x2="(.+?)" y2="(.+?)" .*dasharray', svg):
+        x1, y1, x2, y2 = map(float, ends)
+        assert MARGIN_LEFT <= min(x1, x2) <= max(x1, x2) <= WIDTH - MARGIN_RIGHT
+        assert MARGIN_TOP <= min(y1, y2) <= max(y1, y2) <= HEIGHT - MARGIN_BOTTOM
+
+
+def test_identity_line_is_clipped_to_the_plot_area():
+    # two rows whose identity line enters the plot through the x axis and
+    # leaves it through the right edge
+    svg = render_series(expectation_plot(_rows((1.1, 0.9, 1.3), (1.2, 1.0, 1.44))))
+    dashed = [line for line in svg.splitlines() if "dasharray" in line]
+    assert dashed[0].startswith(
+        f'<line x1="693.34" y1="{HEIGHT - MARGIN_BOTTOM}.00" x2="{WIDTH - MARGIN_RIGHT}.00" '
+        'y2="516.65" '
+    )
 
 
 def test_series_csv_round_trip(soy):
