@@ -26,17 +26,18 @@ MAX_COVARIATES = 62
 
 
 class SearchSpaceEntry(NamedTuple):
-    """Counts for one study: inputs plus the derived tests/models/space."""
+    """One study's identity, its counts and the derived tests/models/space,
+    in OUTPUT_COLUMNS order (ref_id under "ref")."""
 
+    ref_id: int | None
+    author: str
+    year: int | None
     outcomes: int
     causes: int
     covariates: int
     tests: int
     models: int
     space: int
-    ref_id: int | None = None
-    author: str = ""
-    year: int | None = None
 
 
 class SpaceSummary(NamedTuple):
@@ -122,18 +123,11 @@ def parse_search_space_csv(text: str) -> list[SearchSpaceEntry]:
     return entries
 
 
-def entry_as_dict(entry: SearchSpaceEntry) -> dict:
-    """Entry fields keyed by the output column names (ref_id exposed as 'ref')."""
-    d = entry._asdict()
-    d["ref"] = d.pop("ref_id")
-    return {k: d[k] for k in OUTPUT_COLUMNS}
-
-
 def serialize_search_space_csv(entries: Iterable[SearchSpaceEntry]) -> str:
     """Write entries back out with tests, models, and space columns appended."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(OUTPUT_COLUMNS)
     for e in entries:
-        writer.writerow(["" if v is None else v for v in entry_as_dict(e).values()])
+        writer.writerow(["" if v is None else v for v in e])
     return buf.getvalue()

@@ -51,12 +51,16 @@ class ReferenceLine(NamedTuple):
 
 
 class PlotSeries(NamedTuple):
-    """Render-ready points for one diagnostic plot, plus its reference lines."""
+    """Render-ready points for one diagnostic plot, plus its reference lines;
+    ``n`` counts the points."""
 
     kind: str
     points: tuple[tuple[float, float], ...]
     reference_lines: tuple[ReferenceLine, ...]
-    n: int
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
 
 
 class ShapeThresholds(NamedTuple):
@@ -155,9 +159,8 @@ def smallest_p_marker(n: int) -> float:
 def pvalue_plot(ds: DerivedDataset) -> PlotSeries:
     """Sorted p-values against their ranks 1..n."""
     ps = sorted(ds.pvalues)
-    n = len(ps)
     points = tuple((float(i), p) for i, p in enumerate(ps, start=1))
-    return PlotSeries(kind="pvalue_rank", points=points, reference_lines=(), n=n)
+    return PlotSeries(kind="pvalue_rank", points=points, reference_lines=())
 
 
 def expectation_plot(ds: DerivedDataset) -> PlotSeries:
@@ -179,7 +182,7 @@ def expectation_plot(ds: DerivedDataset) -> PlotSeries:
         ReferenceLine(kind="expected_order", parameters=(1.0, 0.0)),
         ReferenceLine(kind="smallest_p_marker", parameters=(smallest_p_marker(n),)),
     )
-    return PlotSeries(kind="expectation", points=points, reference_lines=refs, n=n)
+    return PlotSeries(kind="expectation", points=points, reference_lines=refs)
 
 
 def volcano_plot(ds: DerivedDataset, exclude: tuple[int, ...] = ()) -> PlotSeries:
@@ -202,7 +205,7 @@ def volcano_plot(ds: DerivedDataset, exclude: tuple[int, ...] = ()) -> PlotSerie
     if n == 0:
         raise ValueError("volcano plot needs at least one remaining row")
     refs = (ReferenceLine(kind="smallest_p_marker", parameters=(smallest_p_marker(n),)),)
-    return PlotSeries(kind="volcano", points=points, reference_lines=refs, n=n)
+    return PlotSeries(kind="volcano", points=points, reference_lines=refs)
 
 
 def ks_uniform(pvalues) -> tuple[float, float]:

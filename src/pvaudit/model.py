@@ -73,17 +73,18 @@ class StudyRecord(NamedTuple):
 
 
 class DerivedStats(NamedTuple):
-    """Statistics reconstructed from one record's interval: se, z, two-sided p, rank.
+    """Statistics reconstructed from one record's interval, in the order an
+    audit report prints them.
 
-    ``rank`` (1..n by ascending p) is always set. ``p_floored`` marks a p-value
-    clamped to the smallest positive double instead of underflowing to zero.
+    ``p_floored`` marks a p-value clamped to the smallest positive double
+    instead of underflowing to zero; ``rank`` is 1..n by ascending p.
     """
 
     se: float
     z: float
     p: float
+    p_floored: bool
     rank: int
-    p_floored: bool = False
 
 
 class Violation(NamedTuple):

@@ -16,7 +16,7 @@ from typing import Any
 
 from . import __version__
 from .diagnostics import SHAPE_THRESHOLDS, OutlierReport, ShapeVerdict
-from .model import CSV_COLUMNS, DerivedDataset, format_number, record_values
+from .model import CSV_COLUMNS, DerivedDataset, DerivedStats, format_number, record_values
 from .stats import PoolResult
 
 TOOL_NAME = "pvaudit"
@@ -95,11 +95,8 @@ def build_audit_report(
 ) -> dict:
     """Assemble the audit report structure (dataset table, verdict, flags, pool,
     and the ``counting`` search-space entries with their summary, or None)."""
-    keys = CSV_COLUMNS + ("se", "z", "p", "p_floored", "rank")
-    studies = [
-        dict(zip(keys, record_values(rec) + (d.se, d.z, d.p, d.p_floored, d.rank)))
-        for rec, d in zip(ds.records, ds.derived)
-    ]
+    keys = CSV_COLUMNS + DerivedStats._fields
+    studies = [dict(zip(keys, record_values(rec) + d)) for rec, d in zip(ds.records, ds.derived)]
     report = {
         "tool": {"name": TOOL_NAME, "version": __version__},
         "label": ds.label,
@@ -112,10 +109,10 @@ def build_audit_report(
         "pool": None if pool is None else pool._asdict(),
     }
     if space_entries is not None and space_summary is not None:
-        from .counting import entry_as_dict
+        from .counting import OUTPUT_COLUMNS
 
         report["search_space"] = {
-            "entries": [entry_as_dict(e) for e in space_entries],
+            "entries": [dict(zip(OUTPUT_COLUMNS, e)) for e in space_entries],
             **space_summary._asdict(),
         }
     else:

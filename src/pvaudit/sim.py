@@ -224,12 +224,6 @@ def _philox_words(seed: int, replicate_index: int, count: int) -> list[int]:
     return out
 
 
-def _philox_uniforms(seed: int, replicate_index: int, count: int) -> list[float]:
-    """The first ``count`` doubles of the Philox4x64-10 stream keyed by ``seed``
-    with counter ``(0, 0, replicate_index, 0)``."""
-    return [w * _WORD_SCALE for w in _philox_words(seed, replicate_index, count)]
-
-
 def _word_cut(fraction: float) -> int:
     """The int c such that a draw's word w, lifted to ``w or 1``, reads as a
     uniform below ``fraction`` exactly when ``w < c``.

@@ -156,10 +156,7 @@ def derive_dataset(
         raise ValueError(f"critical value must be positive and finite, got {critical_value!r}")
     stats = [_reconstruct(rec, critical_value, scale) for rec in ds.records]
     ranks = _ranks([s[2] for s in stats])
-    derived = tuple(
-        DerivedStats(se, z, p, rank, floored)
-        for (se, z, p, floored), rank in zip(stats, ranks)
-    )
+    derived = tuple(DerivedStats(*s, rank) for s, rank in zip(stats, ranks))
     return DerivedDataset(
         ds.records, ds.label, ds.confidence_level,
         derived=derived, scale=scale, critical_value=critical_value,

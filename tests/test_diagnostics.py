@@ -46,7 +46,8 @@ def _ds_from_ps(ps: list[float], rrs: list[float] | None = None) -> DerivedDatas
         for i, rr in enumerate(rrs)
     )
     derived = tuple(
-        DerivedStats(se=0.1, z=0.0, p=p, rank=rank) for p, rank in zip(ps, _ranks(ps))
+        DerivedStats(se=0.1, z=0.0, p=p, p_floored=False, rank=rank)
+        for p, rank in zip(ps, _ranks(ps))
     )
     return DerivedDataset(records, derived=derived, scale="linear", critical_value=1.96)
 

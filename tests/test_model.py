@@ -152,20 +152,23 @@ _VERDICT = ShapeVerdict("indeterminate", 1.0, None, 0.0, 0.0, 0.0, 0.1, 0.9)
 _CONFIG = SimConfig(n_studies=5)
 VALUE_TYPES = [
     _REC,
-    DerivedStats(0.1, 0.0, 1.0, 1),
+    DerivedStats(0.1, 0.0, 1.0, False, 1),
     Violation(0, "rr", "rr must be positive"),
     Dataset(records=(_REC,)),
     DerivedDataset(
-        (_REC,), derived=(DerivedStats(0.1, 0.0, 1.0, 1),), scale="linear", critical_value=1.96
+        (_REC,),
+        derived=(DerivedStats(0.1, 0.0, 1.0, False, 1),),
+        scale="linear",
+        critical_value=1.96,
     ),
     ReferenceLine("smallest_p_marker", (0.3,)),
-    PlotSeries("pvalue_rank", ((1.0, 0.5),), (), 1),
+    PlotSeries("pvalue_rank", ((1.0, 0.5),), ()),
     ShapeThresholds(),
     _VERDICT,
     OutlierFlag(0, "manual"),
     OutlierReport(1e-3, 0.5, (OutlierFlag(0, "manual"),)),
     PoolResult(2, 0.1, 0.5, 0.0, 0.1, 0.05, 0.0, (0.5, 0.5), (0.5, 0.5)),
-    SearchSpaceEntry(1, 1, 0, 1, 1, 1),
+    SearchSpaceEntry(None, "", None, 1, 1, 0, 1, 1, 1),
     SpaceSummary(1.0, 1, 1),
     _CONFIG,
     ReplicateOutcome(0, (0.5,), 0, _VERDICT),
@@ -193,7 +196,7 @@ def test_dataset_fields_cannot_be_deleted():
 
 def test_derived_must_parallel_records():
     rec = StudyRecord(author="A", year=2000, ref_id=1, rr=1.0, cl_low=0.9, cl_high=1.1)
-    one = (DerivedStats(0.1, 0.0, 1.0, 1),)
+    one = (DerivedStats(0.1, 0.0, 1.0, False, 1),)
     with pytest.raises(ValueError):
         DerivedDataset((rec,), derived=one * 2, scale="linear", critical_value=1.96)
     ds = DerivedDataset((rec,), derived=one, scale="linear", critical_value=1.96)

@@ -18,20 +18,21 @@ from pvaudit import (
 )
 from pvaudit import sim
 from pvaudit.report import build_sim_report, dumps
-from pvaudit.sim import _philox_uniforms
+from pvaudit.sim import _philox_words
 
 _MASK64 = (1 << 64) - 1
 
 
-def _philox_reference(seed: int, replicate_index: int, count: int) -> list[float]:
-    """Philox4x64-10 one four-word block at a time: the simulator's former
-    generator, kept as the reference for the lane-packed one."""
+def _philox_reference(seed: int, replicate_index: int, count: int) -> list[int]:
+    """The 53-bit words ``x >> 11`` of Philox4x64-10, one four-word block at a
+    time: the simulator's former generator, kept as the reference for the
+    lane-packed one."""
     keys = [
         ((seed + i * 0x9E3779B97F4A7C15) & _MASK64,
          ((seed >> 64) + i * 0xBB67AE8584CAA73B) & _MASK64)
         for i in range(10)
     ]
-    out: list[float] = []
+    out: list[int] = []
     for block in range(1, (count + 3) // 4 + 1):
         x0, x1, x2, x3 = block, 0, replicate_index, 0
         for k0, k1 in keys:
@@ -43,7 +44,7 @@ def _philox_reference(seed: int, replicate_index: int, count: int) -> list[float
                 (p0 >> 64) ^ x3 ^ k1,
                 p0 & _MASK64,
             )
-        out += [(x >> 11) * 2.0 ** -53 for x in (x0, x1, x2, x3)]
+        out += [x >> 11 for x in (x0, x1, x2, x3)]
     del out[count:]
     return out
 
@@ -77,10 +78,9 @@ def _reference_from_uniforms(cfg: SimConfig, u: np.ndarray) -> list[tuple[float,
 def test_philox_uniforms_equal_numpy_bit_for_bit(seed, replicate_index):
     # n_studies x (hack_k + 2) draws; most sizes end partway through a block
     for n_studies, hack_k in [(1, 1), (3, 1), (2, 2), (7, 3), (5, 4), (13, 5)]:
-        shape = (n_studies, hack_k + 2)
-        want = Generator(Philox(key=seed, counter=[0, 0, replicate_index, 0])).random(shape)
-        got = _philox_uniforms(seed, replicate_index, n_studies * (hack_k + 2))
-        assert got == want.ravel().tolist(), shape
+        count = n_studies * (hack_k + 2)
+        want = Philox(key=seed, counter=[0, 0, replicate_index, 0]).random_raw(count) >> 11
+        assert _philox_words(seed, replicate_index, count) == want.tolist(), count
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 + 5, 2 ** 128 - 1])
@@ -89,14 +89,14 @@ def test_philox_lanes_equal_per_block_reference(seed, replicate_index):
     # one block, partial and whole blocks, sim-mixture's 300, and 1001 blocks
     for count in (1, 3, 4, 5, 300, 4 * 1000 + 3):
         want = _philox_reference(seed, replicate_index, count)
-        assert _philox_uniforms(seed, replicate_index, count) == want, count
+        assert _philox_words(seed, replicate_index, count) == want, count
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1])
 @pytest.mark.parametrize("count", [300, 6001])
 def test_philox_uniforms_equal_numpy_long_streams(seed, count):
-    want = Generator(Philox(key=seed, counter=[0, 0, 37, 0])).random(count)
-    assert _philox_uniforms(seed, 37, count) == want.tolist()
+    want = Philox(key=seed, counter=[0, 0, 37, 0]).random_raw(count) >> 11
+    assert _philox_words(seed, 37, count) == want.tolist()
 
 
 def _literature_digest(cfg: SimConfig) -> str:
@@ -191,7 +191,9 @@ def test_word_path_equals_per_draw_reference(hack_k, seed):
             cfg = SimConfig(n_studies=30, hack_k=hack_k, seed=seed, noncentrality=2.5,
                             effect_fraction=effect_fraction, censor_rate=censor_rate)
             for r in (0, 7):
-                u = _philox_uniforms(seed, r, cfg.n_studies * (hack_k + 2))
+                u = Generator(Philox(key=seed, counter=[0, 0, r, 0])).random(
+                    cfg.n_studies * (hack_k + 2)
+                ).tolist()
                 want = _per_draw_reference(cfg, u)
                 assert _hex(generate_literature(cfg, r)) == _hex(want)
 

@@ -110,13 +110,13 @@ def _rows(*rr_limits):
     [
         # every p floored at 5e-324, and a spread of p whose twentieth underflows
         *(plot(_rows(*[(61.0, 60.0, 62.0)] * 3)) for plot in (pvalue_plot, expectation_plot)),
-        PlotSeries("pvalue_rank", ((1.0, 5e-324), (2.0, 1e-323)), (), 2),
+        PlotSeries("pvalue_rank", ((1.0, 5e-324), (2.0, 1e-323)), ()),
         # six times the smallest double: the padded span's sixth rounds to 0
-        PlotSeries("pvalue_rank", ((1.0, 3e-323),), (), 1),
+        PlotSeries("pvalue_rank", ((1.0, 3e-323),), ()),
         # a padded rr span, and a padded rr, past the largest double
         volcano_plot(_rows((1.7e308, 1e308, 1.79e308), (1.5, 1.1, 2.0), (1.2, 0.9, 1.6))),
         volcano_plot(_rows((1.7e308, 1e308, 1.79e308))),
-        PlotSeries("other", ((-1.7e308, 0.0), (1.7e308, 1.0)), (), 2),
+        PlotSeries("other", ((-1.7e308, 0.0), (1.7e308, 1.0)), ()),
         # one ulp of spread: the tick step is below the precision of x
         volcano_plot(_rows((1.0, 0.5, 2.0), (1.0000000000000002, 0.5, 2.0))),
         # a subnormal y range under an identity line that never meets it
@@ -125,7 +125,6 @@ def _rows(*rr_limits):
             ((0.3, 0.0), (0.6, 1e-310)),
             (ReferenceLine("expected_order", (1.0, 0.0)),
              ReferenceLine("smallest_p_marker", (0.45,))),
-            2,
         ),
     ],
     ids=["floored-pvalue", "floored-expectation", "subnormal-span", "subnormal-constant",
