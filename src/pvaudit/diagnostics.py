@@ -13,8 +13,10 @@ uniformity check, into one of four verdicts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul, sub
 from typing import NamedTuple
 
 from .model import DerivedDataset
@@ -240,12 +242,17 @@ def ks_uniform(pvalues) -> tuple[float, float]:
     return _ks_sorted(ps)
 
 
+@lru_cache(maxsize=64)
+def _ks_grid(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The ECDF steps of n points: i/n and (i-1)/n for i = 1..n."""
+    return tuple(i / n for i in range(1, n + 1)), tuple(i / n for i in range(n))
+
+
 def _ks_sorted(ps: list[float]) -> tuple[float, float]:
     """:func:`ks_uniform` of values already sorted and checked."""
     n = len(ps)
-    d_plus = max(i / n - u for i, u in enumerate(ps, start=1))
-    d_minus = max(u - (i - 1) / n for i, u in enumerate(ps, start=1))
-    d = max(d_plus, d_minus)
+    above, below = _ks_grid(n)
+    d = max(max(map(sub, above, ps)), max(map(sub, ps, below)))
     return d, _kolmogorov_sf(math.sqrt(n) * d)
 
 
@@ -284,19 +291,26 @@ def _centred(y: list[float]) -> list[float]:
     return [v - ybar for v in y]
 
 
+@lru_cache(maxsize=64)
+def _rank_offsets(n: int) -> tuple[float, ...]:
+    """The centred ranks i - (n+1)/2 of n points, i = 1..n."""
+    tbar = (n + 1) / 2.0
+    return tuple(i - tbar for i in range(1, n + 1))
+
+
 def _line_fit(c: list[float]) -> tuple[float, float]:
     """Least-squares line through sorted values against x_i = i/(n+1).
 
     Takes the values centred by :func:`_centred` and returns (slope, sse).
-    The sums run over centred ranks and values with ``math.fsum``;
-    sum((i - (n+1)/2)^2) = n(n^2 - 1)/12 exactly.
+    The sums run over centred ranks (:func:`_rank_offsets`) and values with
+    ``math.fsum``; sum((i - (n+1)/2)^2) = n(n^2 - 1)/12 exactly.
     """
     n = len(c)
-    tbar = (n + 1) / 2.0
-    slope = math.fsum((i - tbar) * v for i, v in enumerate(c, 1)) / (
-        n * (n * n - 1) / 12.0
-    )
-    sse = math.fsum((v - slope * (i - tbar)) ** 2 for i, v in enumerate(c, 1))
+    offsets = _rank_offsets(n)
+    slope = math.fsum(map(mul, offsets, c)) / (n * (n * n - 1) / 12.0)
+    # ``** 2``, not ``r * r``: the two round differently for some doubles,
+    # and the printed SSE must not move
+    sse = math.fsum([(v - slope * t) ** 2 for t, v in zip(offsets, c)])
     return slope * (n + 1), sse
 
 
@@ -349,9 +363,9 @@ def _two_segment_fit(c: list[float]) -> tuple[int, float, float, float]:
     """
     n = len(c)
     cum_c = list(accumulate(c))
-    cum_ic = list(accumulate(i * v for i, v in enumerate(c, 1)))
+    cum_ic = list(accumulate(map(mul, range(1, n + 1), c)))
     total_c, total_ic = cum_c[-1], cum_ic[-1]
-    scc = math.fsum(v * v for v in c)
+    scc = math.fsum(map(mul, c, c))
     table = _hinge_table(n)
 
     best_b, best_sse = 0, math.inf
@@ -369,14 +383,15 @@ def _two_segment_fit(c: list[float]) -> tuple[int, float, float, float]:
     b = best_b
     su, suu, sv, svv, d = table[b - 2]
     r0 = math.fsum(c)
-    r1 = math.fsum((i - b) * v for i, v in enumerate(c[:b], 1))
-    r2 = math.fsum((i - b) * v for i, v in enumerate(c[b:], b + 1))
+    # ranks less b: 1-b..0 left of the join, 1..n-b right of it
+    r1 = math.fsum(map(mul, range(1 - b, 1), c[:b]))
+    r2 = math.fsum(map(mul, range(1, n - b + 1), c[b:]))
     a = (r0 - (su * r1 / suu + sv * r2 / svv)) / d
     left = (r1 - su * a) / suu
     right = (r2 - sv * a) / svv
     sse = math.fsum(
-        (v - a - (left if i <= b else right) * (i - b)) ** 2
-        for i, v in enumerate(c, 1)
+        [(v - a - left * k) ** 2 for k, v in zip(range(1 - b, 1), c[:b])]
+        + [(v - a - right * k) ** 2 for k, v in zip(range(1, n - b + 1), c[b:])]
     )
     return b, left * (n + 1), right * (n + 1), sse
 
@@ -405,7 +420,8 @@ def classify_pvalues(pvalues) -> ShapeVerdict:
     t = SHAPE_THRESHOLDS
     ps = sorted(map(float, pvalues))
     n = len(ps)
-    if not all(0.0 < p <= 1.0 for p in ps):
+    # a NaN sorts anywhere, so the ends bound the rest only once none is found
+    if ps and (not 0.0 < ps[0] or not ps[-1] <= 1.0 or any(map(math.isnan, ps))):
         raise ValueError("classification requires every p-value in (0, 1]")
 
     slope = 0.0
@@ -432,7 +448,7 @@ def classify_pvalues(pvalues) -> ShapeVerdict:
         if ks_p >= t.ks_alpha and t.slope_band[0] <= slope <= t.slope_band[1]:
             verdict = "uniform_null"
         elif (
-            sum(p < t.small_p for p in ps) / n >= t.small_p_majority
+            bisect_left(ps, t.small_p) / n >= t.small_p_majority
             and math.sqrt(sse1 / n) <= t.adequate_rmse
         ):
             verdict = "significant_effect"

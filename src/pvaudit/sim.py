@@ -27,14 +27,20 @@ each four-word block, so the first block of replicate r is computed from
 ``(x >> 11) * 2**-53``. That is the convention of numpy's ``Philox`` bit
 generator and ``Generator.random``, whose streams these are, bit for bit.
 
-The blocks of a replicate are evaluated together, as 128-bit lanes of four
-Python integers (one integer per counter word, block b in bits 128b up).
+The blocks of several replicates are evaluated together, as 128-bit lanes
+of four Python integers (one integer per counter word, lane l in bits 128l
+up). Each replicate's blocks take consecutive lanes, replicate after
+replicate, and counter word 2 of a lane holds its own replicate's index.
 This is exact: a block carries no state to the next, so each round is the
 same operation on every lane, and a lane's 64-bit word times a 64-bit
-multiplier stays below 2**128, so no carry crosses into the next lane. Each
-round is then a few big-integer operations, not a Python loop per block.
-The round keys spread over the lanes depend only on the seed and the block
-count, so they are computed once and reused by every replicate.
+multiplier stays below 2**128, so no carry crosses into the next lane; no
+counter word passes 2**64 either, as replicate indices stop at 2**64 - 1.
+Each round is then a few big-integer operations, not a Python loop per
+block or per replicate. ``run_experiment`` takes as many whole replicates
+per pass as fit in ``_BATCH_WORDS`` words, and ``generate_literature`` is
+the pass of one. The round keys spread over the lanes depend only on the
+seed and the lane count, so they are computed once and reused by every
+batch of that size.
 
 The simulator reads the 53-bit words ``x >> 11`` themselves and turns only
 the z draws into doubles. The effect and censor draws are compared as
@@ -48,6 +54,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
+from itertools import chain
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -83,6 +90,12 @@ _WORD_SCALE = 2.0 ** -53
 _LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 _SQRT2 = math.sqrt(2.0)
+
+# run_experiment draws the words of as many whole replicates as fit in this
+# many words in one pass over the Philox rounds (at least one replicate), so
+# a batch's big integers stay a few hundred kilobytes whatever the size of
+# a replicate.
+_BATCH_WORDS = 2 ** 14
 
 _normal_quantile = NormalDist().inv_cdf
 
@@ -130,8 +143,11 @@ class SimConfig(_SimConfigFields):
             raise ValueError(f"hack_k must be at least 1, got {self.hack_k}")
         if not 0 <= self.seed < 2 ** 128:
             raise ValueError("seed must be a non-negative integer below 2**128")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be at least 1, got {self.replicates}")
+        if not 1 <= self.replicates <= 2 ** 64:
+            # replicate indices are counter words, below 2**64
+            raise ValueError(
+                f"replicates must lie in [1, 2**64], got {self.replicates}"
+            )
         return self
 
     @classmethod
@@ -175,21 +191,32 @@ def greenwald_censor_rate(hack_k: int = 1) -> float:
 
 
 @lru_cache(maxsize=4)
-def _lanes(blocks: int) -> tuple[int, int, int]:
-    """For ``blocks`` 128-bit lanes: the integer with 1 in every lane (a 64-bit
-    value times it fills every lane), the mask of every lane's low 64 bits,
-    and the counter word 0 of the lanes, 1, 2, ..., blocks."""
-    ones = int.from_bytes((b"\x01" + bytes(15)) * blocks, "little")
-    counters = b"".join(b.to_bytes(16, "little") for b in range(1, blocks + 1))
-    return ones, _MASK64 * ones, int.from_bytes(counters, "little")
+def _lanes(lanes: int) -> tuple[int, int]:
+    """For ``lanes`` 128-bit lanes: the integer with 1 in every lane (a 64-bit
+    value times it fills every lane) and the mask of every lane's low 64
+    bits."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
+    return ones, _MASK64 * ones
 
 
 @lru_cache(maxsize=4)
-def _round_keys(seed: int, blocks: int) -> tuple[tuple[int, int], ...]:
-    """The ten round keys for ``seed``, each key word spread over ``blocks``
+def _stream_counters(blocks: int, streams: int) -> tuple[int, int]:
+    """Counter words 0 and 2 of ``streams`` streams of ``blocks`` lanes each,
+    stream after stream: word 0 is 1, 2, ..., blocks within every stream,
+    and word 2 is the stream's offset 0, 1, ..., streams - 1 (the first
+    replicate index is added to every lane)."""
+    counters = b"".join(b.to_bytes(16, "little") for b in range(1, blocks + 1))
+    offsets = b"".join(r.to_bytes(16, "little") * blocks for r in range(streams))
+    return (int.from_bytes(counters * streams, "little"),
+            int.from_bytes(offsets, "little"))
+
+
+@lru_cache(maxsize=4)
+def _round_keys(seed: int, lanes: int) -> tuple[tuple[int, int], ...]:
+    """The ten round keys for ``seed``, each key word spread over ``lanes``
     lanes: round i is keyed by the seed's two words plus i times the Weyl
     increments."""
-    ones = _lanes(blocks)[0]
+    ones = _lanes(lanes)[0]
     k0, k1 = seed & _MASK64, seed >> 64
     keys = []
     for _ in range(_PHILOX_ROUNDS):
@@ -199,14 +226,20 @@ def _round_keys(seed: int, blocks: int) -> tuple[tuple[int, int], ...]:
     return tuple(keys)
 
 
-def _philox_words(seed: int, replicate_index: int, count: int) -> list[int]:
-    """The first ``count`` 53-bit words ``x >> 11`` of the Philox4x64-10 stream
-    keyed by ``seed`` with counter ``(0, 0, replicate_index, 0)``."""
+def _philox_words(
+    seed: int, replicate_index: int, count: int, replicates: int = 1
+) -> list[int]:
+    """The first ``count`` 53-bit words ``x >> 11`` of each Philox4x64-10
+    stream keyed by ``seed`` with counter ``(0, 0, r, 0)``, for the
+    ``replicates`` replicates r from ``replicate_index`` on, stream after
+    stream; ``replicate_index + replicates`` may not pass 2**64."""
     blocks = (count + 3) // 4
-    ones, low, x0 = _lanes(blocks)
+    lanes = blocks * replicates
+    ones, low = _lanes(lanes)
+    x0, offsets = _stream_counters(blocks, replicates)
     x1 = x3 = 0
-    x2 = replicate_index * ones
-    for k0, k1 in _round_keys(seed, blocks):
+    x2 = replicate_index * ones + offsets
+    for k0, k1 in _round_keys(seed, lanes):
         p0 = _PHILOX_M0 * x0
         p1 = _PHILOX_M1 * x2
         x0, x1, x2, x3 = (
@@ -216,12 +249,15 @@ def _philox_words(seed: int, replicate_index: int, count: int) -> list[int]:
             p0 & low,
         )
     # Bits shifted down from lane b+1 land in lane b's high half, never read.
-    size = 16 * blocks
-    out = [0] * (4 * blocks)
+    size = 16 * lanes
+    out = [0] * (4 * lanes)
     for j, x in enumerate((x0, x1, x2, x3)):
         out[j::4] = memoryview((x >> 11).to_bytes(size, sys.byteorder)).cast("Q")[_LOW_WORDS]
-    del out[count:]
-    return out
+    stride = 4 * blocks
+    if stride == count:
+        return out
+    # each stream's last block runs past its count
+    return list(chain.from_iterable(out[s : s + count] for s in range(0, len(out), stride)))
 
 
 def _word_cut(fraction: float) -> int:
@@ -237,34 +273,44 @@ def _word_cut(fraction: float) -> int:
     return 0 if c == 1 else c
 
 
+def _literatures(cfg: SimConfig, first: int, replicates: int) -> list[list[float]]:
+    """The reported p-values of the replicates ``first``, ``first + 1``, ...,
+    one list per replicate, each in study order."""
+    hack_k = cfg.hack_k
+    width = hack_k + 2
+    words = _philox_words(cfg.seed, first, cfg.n_studies * width, replicates)
+    effect_cut = _word_cut(cfg.effect_fraction)
+    censor_cut = _word_cut(cfg.censor_rate)
+    noncentrality = cfg.noncentrality
+    quantile, erfc, scale = _normal_quantile, math.erfc, _WORD_SCALE
+    # Every study of the batch at once, one strided slice per draw slot.
+    shifts = [noncentrality if w < effect_cut else 0.0 for w in words[::width]]
+    # 2 * normal_sf(|z|); the halving stays, as 0.5 * x rounds when x is
+    # subnormal
+    tries = [
+        [2.0 * (0.5 * erfc(abs(quantile((w or 1) * scale) + shift) / _SQRT2))
+         for w, shift in zip(words[slot::width], shifts)]
+        for slot in range(1, hack_k + 1)
+    ]
+    # min keeps the earliest of equal values, as the draws' order decides
+    best = tries[0] if hack_k == 1 else list(map(min, *tries))
+    censors = words[width - 1 :: width]
+    n = cfg.n_studies
+    # p underflows to 0.0 once |z| passes ~38.5; floor it as derivation does
+    return [
+        [p or P_FLOOR for p, w in zip(best[s : s + n], censors[s : s + n])
+         if not (p > SIGNIFICANCE and w < censor_cut)]
+        for s in range(0, len(best), n)
+    ]
+
+
 def generate_literature(cfg: SimConfig, replicate_index: int = 0) -> list[float]:
     """The reported p-values of one replicate, in study order."""
     if not 0 <= replicate_index < 2 ** 64:
         raise ValueError(
             f"replicate_index must lie in [0, 2**64), got {replicate_index}"
         )
-    hack_k = cfg.hack_k
-    width = hack_k + 2
-    words = _philox_words(cfg.seed, replicate_index, cfg.n_studies * width)
-    effect_cut = _word_cut(cfg.effect_fraction)
-    censor_cut = _word_cut(cfg.censor_rate)
-    noncentrality = cfg.noncentrality
-    quantile, erfc, scale = _normal_quantile, math.erfc, _WORD_SCALE
-    reported = []
-    for j in range(0, len(words), width):
-        shift = noncentrality if words[j] < effect_cut else 0.0
-        best_p = math.inf
-        for w in words[j + 1 : j + 1 + hack_k]:
-            z = quantile((w or 1) * scale) + shift
-            # 2 * normal_sf(|z|); the halving stays, as 0.5 * x rounds
-            # when x is subnormal
-            p = 2.0 * (0.5 * erfc(abs(z) / _SQRT2))
-            if p < best_p:
-                best_p = p
-        if not (best_p > SIGNIFICANCE and words[j + width - 1] < censor_cut):
-            # p underflows to 0.0 once |z| passes ~38.5; floor it as derivation does
-            reported.append(best_p or P_FLOOR)
-    return reported
+    return _literatures(cfg, replicate_index, 1)[0]
 
 
 def run_experiment(cfg: SimConfig) -> SimOutcome:
@@ -278,8 +324,12 @@ def run_experiment(cfg: SimConfig) -> SimOutcome:
     suppressed_fracs = []
     ks_total = 0
     ks_rejected = 0
-    for r in range(cfg.replicates):
-        kept = generate_literature(cfg, r)
+    per_batch = max(1, _BATCH_WORDS // (cfg.n_studies * (cfg.hack_k + 2)))
+    batches = (
+        _literatures(cfg, first, min(per_batch, cfg.replicates - first))
+        for first in range(0, cfg.replicates, per_batch)
+    )
+    for r, kept in enumerate(chain.from_iterable(batches)):
         verdict = classify_pvalues(kept)
         n_suppressed = cfg.n_studies - len(kept)
         outcomes.append(

@@ -1093,3 +1093,31 @@ def test_simulate_bad_fraction_usage_error(workdir, capsys):
 
 def test_simulate_missing_n_usage_error():
     assert main(["simulate", "--replicates", "2"]) == EXIT_USAGE
+
+
+# sha256 of simulate's stdout, recorded before the simulator computed several
+# replicates' Philox lanes at once. They pin every printed p-value and KS
+# figure, which the benchmark's verdict digests leave out.
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        # the benchmark's sim-mixture call at seed 1
+        (["--n", "100", "--effect-fraction", "0.2", "--noncentrality", "3.0",
+          "--censor-rate", "0.3", "--replicates", "600", "--seed", "1"],
+         "cce8a6f566b279bf4d0e122e32ccbca2cc0caeddd6550e3c60c9abd03d08ad6a"),
+        # 185 words a replicate (not a whole number of four-word blocks), and
+        # more replicates than one batch of lanes holds
+        (["--n", "37", "--hack-k", "3", "--censor-preset", "greenwald",
+          "--replicates", "130", "--seed", "9"],
+         "0a785725718a5662b6dc3c732c1d73e724267b82ce0435c65cd41db8a730af92"),
+        # too few studies to classify: every replicate is indeterminate
+        (["--n", "4", "--replicates", "60"],
+         "2367c9b5f88b3d807314458a61262b955b66607f666b7a6de2eef9429b5b4056"),
+    ],
+    ids=["sim-mixture", "batch-crossing", "indeterminate"],
+)
+def test_simulate_bytes_pinned(capsys, args, digest):
+    assert main(["simulate", *args]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
@@ -29,8 +30,11 @@ from pvaudit import (
     volcano_plot,
 )
 from pvaudit.diagnostics import (
+    SHAPE_THRESHOLDS,
     VERDICTS,
+    ShapeVerdict,
     _centred,
+    _hinge_table,
     _kolmogorov_sf,
     _line_fit,
     _two_segment_fit,
@@ -483,6 +487,133 @@ def test_classify_shape_reads_dataset(soy):
     direct = classify_pvalues(soy.pvalues)
     via_ds = classify_shape(soy)
     assert direct == via_ds
+
+
+def _reference_classify(pvalues) -> ShapeVerdict:
+    """:func:`classify_pvalues` as it was written before its sums moved onto
+    cached rank grids, one generator pass per sum: the oracle that every
+    verdict field stays bit-identical."""
+    t = SHAPE_THRESHOLDS
+    ps = sorted(map(float, pvalues))
+    n = len(ps)
+    if not all(0.0 < p <= 1.0 for p in ps):
+        raise ValueError("classification requires every p-value in (0, 1]")
+    slope = sse1 = 0.0
+    if n >= 2:
+        c = _centred(ps)
+        tbar = (n + 1) / 2.0
+        slope = math.fsum((i - tbar) * v for i, v in enumerate(c, 1)) / (
+            n * (n * n - 1) / 12.0
+        )
+        sse1 = math.fsum((v - slope * (i - tbar)) ** 2 for i, v in enumerate(c, 1))
+        slope *= n + 1
+    breakpoint_rank = None
+    left = right = bic_delta = ks_stat = 0.0
+    ks_p = 1.0
+    sse2 = sse1
+    if n >= 5:
+        cum_c = list(accumulate(c))
+        cum_ic = list(accumulate(i * v for i, v in enumerate(c, 1)))
+        total_c, total_ic = cum_c[-1], cum_ic[-1]
+        scc = math.fsum(v * v for v in c)
+        table = _hinge_table(n)
+        best_b, best_sse = 0, math.inf
+        for b, (su, suu, sv, svv, d), ic, cc in zip(
+            range(2, n - 1), table, cum_ic[1:], cum_c[1:]
+        ):
+            r1 = ic - b * cc
+            r2 = (total_ic - ic) - b * (total_c - cc)
+            e = su * r1 / suu + sv * r2 / svv
+            sse = scc - (r1 * r1 / suu + r2 * r2 / svv + e * e / d)
+            if sse < best_sse:
+                best_b, best_sse = b, sse
+        b = breakpoint_rank = best_b
+        su, suu, sv, svv, d = table[b - 2]
+        r1 = math.fsum((i - b) * v for i, v in enumerate(c[:b], 1))
+        r2 = math.fsum((i - b) * v for i, v in enumerate(c[b:], b + 1))
+        a = (math.fsum(c) - (su * r1 / suu + sv * r2 / svv)) / d
+        left = (r1 - su * a) / suu
+        right = (r2 - sv * a) / svv
+        sse2 = math.fsum(
+            (v - a - (left if i <= b else right) * (i - b)) ** 2
+            for i, v in enumerate(c, 1)
+        )
+        left, right = left * (n + 1), right * (n + 1)
+        sse2 = min(sse2, sse1)
+        bic_delta = n * math.log(max(sse1, 1e-300) / max(sse2, 1e-300)) - 2.0 * math.log(n)
+        d_plus = max(i / n - u for i, u in enumerate(ps, start=1))
+        d_minus = max(u - (i - 1) / n for i, u in enumerate(ps, start=1))
+        ks_stat = max(d_plus, d_minus)
+        ks_p = _kolmogorov_sf(math.sqrt(n) * ks_stat)
+    verdict = "indeterminate"
+    if n >= t.min_points:
+        if ks_p >= t.ks_alpha and t.slope_band[0] <= slope <= t.slope_band[1]:
+            verdict = "uniform_null"
+        elif (
+            sum(p < t.small_p for p in ps) / n >= t.small_p_majority
+            and math.sqrt(sse1 / n) <= t.adequate_rmse
+        ):
+            verdict = "significant_effect"
+        elif bic_delta > t.bic_evidence and left < t.slope_ratio_max * right:
+            verdict = "bilinear_mixture"
+    return ShapeVerdict(
+        verdict=verdict,
+        slope_single=slope,
+        breakpoint=breakpoint_rank if verdict == "bilinear_mixture" else None,
+        sse_single=sse1,
+        sse_two_segment=sse2,
+        bic_delta=bic_delta,
+        ks_statistic=ks_stat,
+        ks_pvalue=ks_p,
+    )
+
+
+def _bits(verdict: ShapeVerdict) -> tuple:
+    """Every field, with each float as its exact hex form."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in verdict)
+
+
+# Edge values and the classifier's own cut at 0.05, so draws tie on them.
+_EDGE_PS = (5e-324, 1e-300, 0.05, 0.5, 1.0)
+
+
+@st.composite
+def _pvalue_lists(draw) -> list[float]:
+    """Unsorted p-value sets of 1 to 300 values, mixing the edge values, a
+    few repeated draws (ties) and fresh doubles across all of (0, 1]."""
+    pool = draw(st.lists(st.floats(min_value=5e-324, max_value=1.0), min_size=1, max_size=8))
+    value = st.one_of(
+        st.floats(min_value=5e-324, max_value=1.0),
+        st.sampled_from(_EDGE_PS + tuple(pool)),
+    )
+    return draw(st.lists(value, min_size=1, max_size=300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pvalue_lists())
+def test_classify_equals_generator_reference(ps):
+    assert _bits(classify_pvalues(ps)) == _bits(_reference_classify(ps))
+
+
+@pytest.mark.parametrize(
+    "ps, field, squared, multiplied",
+    [
+        ([0.09, 0.13, 0.23, 0.24, 0.51, 0.74, 0.78], "sse_single",
+         "0x1.43abf9365c1a1p-5", "0x1.43abf9365c1a0p-5"),
+        # a residual left of the breakpoint, then one right of it
+        ([0.11, 0.17, 0.5, 0.53, 0.63, 0.65, 0.69], "sse_two_segment",
+         "0x1.d871c07417a38p-7", "0x1.d871c07417a37p-7"),
+        ([0.08, 0.22, 0.35, 0.87, 0.89], "sse_two_segment",
+         "0x1.5ce2b52f02a81p-5", "0x1.5ce2b52f02a80p-5"),
+    ],
+)
+def test_classify_sse_keeps_power_of_two(ps, field, squared, multiplied):
+    # On these inputs the sum of squared residuals comes out one bit apart
+    # when each square is written ``r ** 2`` (squared) or ``r * r``
+    # (multiplied); the classifier prints the ``** 2`` figure.
+    verdict = classify_pvalues(ps)
+    assert getattr(verdict, field).hex() == squared != multiplied
+    assert _bits(verdict) == _bits(_reference_classify(ps))
 
 
 # --------------------------------------------------------------- outliers

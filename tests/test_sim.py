@@ -99,6 +99,38 @@ def test_philox_uniforms_equal_numpy_long_streams(seed, count):
     assert _philox_words(seed, 37, count) == want.tolist()
 
 
+# One word count per residue mod 4 (300 is sim-mixture's), so the last block
+# of each stream is whole or ends one, two or three words short.
+@pytest.mark.parametrize("count", [300, 185, 14, 7])
+@pytest.mark.parametrize("seed", [3, 2 ** 128 - 1])
+def test_batched_philox_equals_per_replicate_calls(seed, count):
+    batch = sim._BATCH_WORDS // count
+    for m in (1, 2, batch - 1, batch, batch + 1):
+        for first in (0, 12345, 2 ** 64 - m):
+            want = [w for r in range(first, first + m) for w in _philox_words(seed, r, count)]
+            assert _philox_words(seed, first, count, m) == want, (m, first)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # 54 replicates a batch: the run ends partway through its third
+        SimConfig(n_studies=100, effect_fraction=0.2, noncentrality=3.0, censor_rate=0.3,
+                  replicates=120, seed=1),
+        # 88 replicates a batch of 185 words each, not whole blocks
+        SimConfig(n_studies=37, hack_k=3, censor_rate=greenwald_censor_rate(3),
+                  replicates=130, seed=9),
+        # 18000 words, more than a batch holds: one replicate at a time
+        SimConfig(n_studies=6000, effect_fraction=0.5, noncentrality=2.0, replicates=3, seed=4),
+    ],
+)
+def test_run_experiment_batches_equal_single_replicates(cfg):
+    outcome = run_experiment(cfg)
+    assert [rep.index for rep in outcome.replicates] == list(range(cfg.replicates))
+    for r, rep in enumerate(outcome.replicates):
+        assert rep.pvalues == tuple(generate_literature(cfg, r)), r
+
+
 def _literature_digest(cfg: SimConfig) -> str:
     h = hashlib.sha256()
     for r in range(cfg.replicates):
@@ -140,7 +172,7 @@ def test_zero_word_lifted_like_reference(monkeypatch, effect_fraction, censor_ra
     words = [0, _HALF, _HALF, _HALF,
              _HALF, _HALF, 0, _HALF,
              _HALF, _HALF, _HALF, 0]
-    monkeypatch.setattr(sim, "_philox_words", lambda seed, r, count: list(words))
+    monkeypatch.setattr(sim, "_philox_words", lambda seed, r, count, replicates=1: list(words))
     cfg = SimConfig(n_studies=3, hack_k=2, effect_fraction=effect_fraction,
                     noncentrality=5.0, censor_rate=censor_rate)
     got = generate_literature(cfg, 0)
@@ -215,7 +247,7 @@ def test_word_path_equals_per_draw_reference_on_edge_words(monkeypatch, hack_k):
         words.append(_EDGE_WORDS[j // m])
         words += [_EDGE_WORDS[(j + s) % m] for s in range(hack_k)]
         words.append(_EDGE_WORDS[j % m])
-    monkeypatch.setattr(sim, "_philox_words", lambda seed, r, count: list(words))
+    monkeypatch.setattr(sim, "_philox_words", lambda seed, r, count, replicates=1: list(words))
     u = [w * 2.0 ** -53 for w in words]
     # with a shift of 30 the largest words' p is subnormal, where halving
     # and doubling again loses the last bit
@@ -264,6 +296,10 @@ def test_config_validation():
         SimConfig(n_studies=10, seed=-1)
     with pytest.raises(ValueError):
         SimConfig(n_studies=10, replicates=0)
+    # replicate indices are Philox counter words, so they stop at 2**64 - 1
+    SimConfig(n_studies=10, replicates=2 ** 64)
+    with pytest.raises(ValueError, match="replicates"):
+        SimConfig(n_studies=10, replicates=2 ** 64 + 1)
     with pytest.raises(ValueError):
         SimConfig(n_studies=10, noncentrality=math.inf)
     # integer fields take ints only, so a bad value fails here, not mid-run
