@@ -198,18 +198,19 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="studies per replicate",
     )
-    sp.add_argument("--effect-fraction", type=float, default=0.0)
-    sp.add_argument("--noncentrality", type=float, default=0.0)
-    sp.add_argument("--censor-rate", type=float, default=None)
+    # SimConfig's defaults fill in what is left unset
+    sp.add_argument("--effect-fraction", type=float)
+    sp.add_argument("--noncentrality", type=float)
+    sp.add_argument("--censor-rate", type=float)
     sp.add_argument(
         "--censor-preset",
         choices=("greenwald",),
         default=None,
         help="derive the censor rate from a named publication-asymmetry preset",
     )
-    sp.add_argument("--hack-k", type=int, default=1, help="analyses tried per study")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--replicates", type=int, default=1)
+    sp.add_argument("--hack-k", type=int, help="analyses tried per study")
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--replicates", type=int)
     sp.add_argument("--output", default=None, help="output JSON path (default stdout)")
     return parser
 
@@ -379,15 +380,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.counting:
         space_entries = _load_entries(args.counting)
         space_summary = summarize_spaces(space_entries)
-    config = {
-        "confidence_level": ds.confidence_level,
-        "critical_value": ds.critical_value,
-        "scale": ds.scale,
-        "p_threshold": outliers.p_threshold,
-        "influence_threshold": outliers.influence_threshold,
-        "manual_rows": list(rules["manual"]),
-        "profile": args.profile,
-    }
+    config = {"manual_rows": list(rules["manual"]), "profile": args.profile}
     report = build_audit_report(
         ds, shape, outliers, pool, space_entries, space_summary, config
     )
@@ -416,20 +409,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.censor_rate is not None and args.censor_preset is not None:
         raise _UsageError("--censor-rate and --censor-preset are mutually exclusive")
+    given = {k: v for k, v in vars(args).items() if k in SimConfig._fields and v is not None}
     try:
+        cfg = SimConfig(**given)
         if args.censor_preset == "greenwald":
-            censor_rate = greenwald_censor_rate(args.hack_k)
-        else:
-            censor_rate = args.censor_rate if args.censor_rate is not None else 0.0
-        cfg = SimConfig(
-            n_studies=args.n_studies,
-            effect_fraction=args.effect_fraction,
-            noncentrality=args.noncentrality,
-            censor_rate=censor_rate,
-            hack_k=args.hack_k,
-            seed=args.seed,
-            replicates=args.replicates,
-        )
+            cfg = cfg._replace(censor_rate=greenwald_censor_rate(cfg.hack_k))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     outcome = run_experiment(cfg)

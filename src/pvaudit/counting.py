@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from typing import Iterable, NamedTuple
 
 from .model import ParseError, _csv_rows, _parse_int
@@ -23,6 +24,10 @@ OUTPUT_COLUMNS = COUNT_COLUMNS + ("tests", "models", "space")
 # 2**covariates must stay an exact integer; beyond 62 the doubled count would
 # not even fit a signed 64-bit intermediate in downstream consumers.
 MAX_COVARIATES = 62
+
+# The summary's median is a float, so a parsed space must fit a double; at or
+# below this bound neither the midpoint (a + b) / 2 nor float(median) overflows.
+MAX_SPACE = int(sys.float_info.max)
 
 
 class SearchSpaceEntry(NamedTuple):
@@ -112,14 +117,17 @@ def parse_search_space_csv(text: str) -> list[SearchSpaceEntry]:
                 raise ParseError(i, name, problem)
             counts.append(value)
         ref, year = fields["ref"], fields["year"]
-        entries.append(
-            search_space(
-                *counts,
-                ref_id=_parse_int(i, "ref", ref) if ref.strip() else None,
-                author=fields["author"].strip(),
-                year=_parse_int(i, "year", year) if year.strip() else None,
-            )
+        entry = search_space(
+            *counts,
+            ref_id=_parse_int(i, "ref", ref) if ref.strip() else None,
+            author=fields["author"].strip(),
+            year=_parse_int(i, "year", year) if year.strip() else None,
         )
+        if entry.space > MAX_SPACE:
+            raise ParseError(
+                i, "space", "outcomes * causes * 2**covariates exceeds the largest double"
+            )
+        entries.append(entry)
     return entries
 
 

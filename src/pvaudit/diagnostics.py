@@ -41,6 +41,9 @@ __all__ = [
 
 VERDICTS = ("uniform_null", "significant_effect", "bilinear_mixture", "indeterminate")
 
+# The fewest values the KS test (and with it the two-segment fit) runs on.
+KS_MIN_POINTS = 5
+
 
 class ReferenceLine(NamedTuple):
     """A dashed guide: ``expected_order``, the identity y = x on the expectation
@@ -235,8 +238,8 @@ def ks_uniform(pvalues) -> tuple[float, float]:
     """
     ps = sorted(map(float, pvalues))
     n = len(ps)
-    if n < 5:
-        raise ValueError(f"KS test needs at least 5 values, got {n}")
+    if n < KS_MIN_POINTS:
+        raise ValueError(f"KS test needs at least {KS_MIN_POINTS} values, got {n}")
     if not all(0.0 < p <= 1.0 for p in ps):
         raise ValueError("KS test requires every value in (0, 1]")
     return _ks_sorted(ps)
@@ -434,7 +437,7 @@ def classify_pvalues(pvalues) -> ShapeVerdict:
     left = right = bic_delta = ks_stat = 0.0
     ks_p = 1.0
     sse2 = sse1
-    if n >= 5:
+    if n >= KS_MIN_POINTS:
         breakpoint_rank, left, right, sse2 = _two_segment_fit(c)
         # The line is nested in the two-segment model; clamp float noise so
         # the inequality holds exactly.

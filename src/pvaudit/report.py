@@ -94,13 +94,23 @@ def build_audit_report(
     config: dict,
 ) -> dict:
     """Assemble the audit report structure (dataset table, verdict, flags, pool,
-    and the ``counting`` search-space entries with their summary, or None)."""
+    and the ``counting`` search-space entries with their summary, or None).
+    The config echo reads the level, critical value and scale from ``ds`` and
+    the thresholds from ``outliers``, then adds ``config``: what only the
+    caller knows (the CLI's ``manual_rows`` and ``profile``)."""
     keys = CSV_COLUMNS + DerivedStats._fields
     studies = [dict(zip(keys, record_values(rec) + d)) for rec, d in zip(ds.records, ds.derived)]
     report = {
         "tool": {"name": TOOL_NAME, "version": __version__},
         "label": ds.label,
-        "config": config,
+        "config": {
+            "confidence_level": ds.confidence_level,
+            "critical_value": ds.critical_value,
+            "scale": ds.scale,
+            "p_threshold": outliers.p_threshold,
+            "influence_threshold": outliers.influence_threshold,
+            **config,
+        },
         "shape_thresholds": SHAPE_THRESHOLDS._asdict(),
         "n_studies": len(ds),
         "studies": studies,

@@ -38,9 +38,10 @@ counter word passes 2**64 either, as replicate indices stop at 2**64 - 1.
 Each round is then a few big-integer operations, not a Python loop per
 block or per replicate. ``run_experiment`` takes as many whole replicates
 per pass as fit in ``_BATCH_WORDS`` words, and ``generate_literature`` is
-the pass of one. The round keys spread over the lanes depend only on the
-seed and the lane count, so they are computed once and reused by every
-batch of that size.
+the pass of one. The lane layout (the lane masks, counter words 0 and 2,
+and the round keys spread over the lanes) depends only on the seed, the
+blocks per replicate and the replicates per pass, so it is computed once
+and reused by every batch of that shape.
 
 The simulator reads the 53-bit words ``x >> 11`` themselves and turns only
 the z draws into doubles. The effect and censor draws are compared as
@@ -58,7 +59,7 @@ from itertools import chain
 from statistics import NormalDist
 from typing import NamedTuple
 
-from .diagnostics import VERDICTS, ShapeVerdict, classify_pvalues
+from .diagnostics import KS_MIN_POINTS, SHAPE_THRESHOLDS, VERDICTS, ShapeVerdict, classify_pvalues
 from .stats import P_FLOOR
 
 __all__ = [
@@ -191,39 +192,27 @@ def greenwald_censor_rate(hack_k: int = 1) -> float:
 
 
 @lru_cache(maxsize=4)
-def _lanes(lanes: int) -> tuple[int, int]:
-    """For ``lanes`` 128-bit lanes: the integer with 1 in every lane (a 64-bit
-    value times it fills every lane) and the mask of every lane's low 64
-    bits."""
+def _layout(seed: int, blocks: int, streams: int) -> tuple[int, int, int, int, tuple]:
+    """The lane layout of ``streams`` streams of ``blocks`` lanes each, stream
+    after stream, under key ``seed``: the integer with 1 in every lane (a
+    64-bit value times it fills every lane), the mask of every lane's low 64
+    bits, counter word 0 (1, 2, ..., blocks within every stream), the stream
+    offsets 0, 1, ..., streams - 1 of counter word 2 (the first replicate
+    index is added to every lane), and the ten round keys, each key word
+    spread over every lane: round i is keyed by the seed's two words plus i
+    times the Weyl increments."""
+    lanes = blocks * streams
     ones = int.from_bytes((b"\x01" + bytes(15)) * lanes, "little")
-    return ones, _MASK64 * ones
-
-
-@lru_cache(maxsize=4)
-def _stream_counters(blocks: int, streams: int) -> tuple[int, int]:
-    """Counter words 0 and 2 of ``streams`` streams of ``blocks`` lanes each,
-    stream after stream: word 0 is 1, 2, ..., blocks within every stream,
-    and word 2 is the stream's offset 0, 1, ..., streams - 1 (the first
-    replicate index is added to every lane)."""
     counters = b"".join(b.to_bytes(16, "little") for b in range(1, blocks + 1))
     offsets = b"".join(r.to_bytes(16, "little") * blocks for r in range(streams))
-    return (int.from_bytes(counters * streams, "little"),
-            int.from_bytes(offsets, "little"))
-
-
-@lru_cache(maxsize=4)
-def _round_keys(seed: int, lanes: int) -> tuple[tuple[int, int], ...]:
-    """The ten round keys for ``seed``, each key word spread over ``lanes``
-    lanes: round i is keyed by the seed's two words plus i times the Weyl
-    increments."""
-    ones = _lanes(lanes)[0]
     k0, k1 = seed & _MASK64, seed >> 64
     keys = []
     for _ in range(_PHILOX_ROUNDS):
         keys.append((k0 * ones, k1 * ones))
         k0 = (k0 + _PHILOX_W0) & _MASK64
         k1 = (k1 + _PHILOX_W1) & _MASK64
-    return tuple(keys)
+    return (ones, _MASK64 * ones, int.from_bytes(counters * streams, "little"),
+            int.from_bytes(offsets, "little"), tuple(keys))
 
 
 def _philox_words(
@@ -235,11 +224,10 @@ def _philox_words(
     stream; ``replicate_index + replicates`` may not pass 2**64."""
     blocks = (count + 3) // 4
     lanes = blocks * replicates
-    ones, low = _lanes(lanes)
-    x0, offsets = _stream_counters(blocks, replicates)
+    ones, low, x0, offsets, keys = _layout(seed, blocks, replicates)
     x1 = x3 = 0
     x2 = replicate_index * ones + offsets
-    for k0, k1 in _round_keys(seed, lanes):
+    for k0, k1 in keys:
         p0 = _PHILOX_M0 * x0
         p1 = _PHILOX_M1 * x2
         x0, x1, x2, x3 = (
@@ -316,8 +304,9 @@ def generate_literature(cfg: SimConfig, replicate_index: int = 0) -> list[float]
 def run_experiment(cfg: SimConfig) -> SimOutcome:
     """Run every replicate, classify each reported literature, and aggregate.
 
-    Replicates whose reported set is too small to test (< 5 values) count as
-    indeterminate and do not enter the KS rejection rate denominator.
+    Replicates whose reported set is too small to test (< ``KS_MIN_POINTS``
+    values) count as indeterminate and do not enter the KS rejection rate
+    denominator.
     """
     outcomes = []
     counts = dict.fromkeys(VERDICTS, 0)
@@ -342,9 +331,9 @@ def run_experiment(cfg: SimConfig) -> SimOutcome:
         )
         counts[verdict.verdict] += 1
         suppressed_fracs.append(n_suppressed / cfg.n_studies)
-        if len(kept) >= 5:
+        if len(kept) >= KS_MIN_POINTS:
             ks_total += 1
-            if verdict.ks_pvalue < SIGNIFICANCE:
+            if verdict.ks_pvalue < SHAPE_THRESHOLDS.ks_alpha:
                 ks_rejected += 1
     return SimOutcome(
         config=cfg,

@@ -811,21 +811,24 @@ def test_cli_import_and_plot_load_no_dataclasses_or_http_stack(tmp_path):
 _BASE_MODULES = {"pvaudit", "pvaudit.cli", "pvaudit.model", "pvaudit.stats"}
 
 
+# statistics loads with the simulator, and for a critical value at any
+# level other than 0.95
 @pytest.mark.parametrize(
-    "argv, loads",
+    "argv, loads, statistics",
     [
-        (["derive", "--input", "soy.csv"], set()),
-        (["count", "--input", "counts.csv"], {"counting"}),
+        (["derive", "--input", "soy.csv"], set(), False),
+        (["derive", "--input", "soy.csv", "--confidence-level", "0.9"], set(), True),
+        (["count", "--input", "counts.csv"], {"counting"}, False),
         (["plot", "--input", "soy.csv", "--kind", "volcano", "--exclude-flagged",
-          "--output", "v.svg"], {"diagnostics", "svgplot"}),
+          "--output", "v.svg"], {"diagnostics", "svgplot"}, False),
         (["audit", "--input", "soy.csv", "--counting", "counts.csv"],
-         {"counting", "diagnostics", "report"}),
+         {"counting", "diagnostics", "report"}, False),
         (["simulate", "--n", "20", "--replicates", "2"],
-         {"diagnostics", "report", "sim"}),
+         {"diagnostics", "report", "sim"}, True),
     ],
-    ids=["derive", "count", "plot", "audit", "simulate"],
+    ids=["derive", "derive-level-0.9", "count", "plot", "audit", "simulate"],
 )
-def test_each_command_loads_only_the_modules_it_runs(workdir, argv, loads):
+def test_each_command_loads_only_the_modules_it_runs(workdir, argv, loads, statistics):
     proc = _fresh_python(
         "import os, sys\n"
         f"os.chdir({str(workdir)!r})\n"
@@ -837,9 +840,9 @@ def test_each_command_loads_only_the_modules_it_runs(workdir, argv, loads):
         "print('json' in sys.modules)"
     )
     assert proc.returncode == 0, proc.stderr
-    modules, statistics, json_loaded = proc.stdout.splitlines()[-3:]
+    modules, statistics_loaded, json_loaded = proc.stdout.splitlines()[-3:]
     assert modules == repr(sorted(_BASE_MODULES | {f"pvaudit.{m}" for m in loads}))
-    assert statistics == repr(argv[0] == "simulate")
+    assert statistics_loaded == repr(statistics)
     # CSV input never needs the JSON mirror; only the report writer loads json
     assert json_loaded == repr(argv[0] in ("audit", "simulate"))
 
@@ -1032,6 +1035,53 @@ def test_count_empty_input(workdir):
     assert main(["count", "--input", str(empty)]) == EXIT_NO_RECORDS
 
 
+# outcomes * 2**62 is the largest finite double, int(sys.float_info.max)
+OUTCOMES_AT_BOUND = int(sys.float_info.max) >> 62
+SPACE_TOO_LARGE = (
+    "error: row {}, field 'space': outcomes * causes * 2**covariates exceeds "
+    "the largest double\n"
+)
+
+
+def _counting_csv(path: Path, *outcomes: int) -> Path:
+    rows = "".join(f"{i},A,2000,{n},1,62\n" for i, n in enumerate(outcomes, 1))
+    path.write_text("ref,author,year,outcomes,causes,covariates\n" + rows, encoding="utf-8")
+    return path
+
+
+# Two rows overflow the median's midpoint; one row alone overflowed only the
+# summary line that count prints after writing its --output file.
+@pytest.mark.parametrize(
+    "argv, outcomes",
+    [
+        (["count", "--input", "big.csv"], (1, OUTCOMES_AT_BOUND + 1)),
+        (["count", "--input", "big.csv", "--output", "out.csv"], (OUTCOMES_AT_BOUND + 1,)),
+        (["audit", "--input", "soy.csv", "--counting", "big.csv"], (1, OUTCOMES_AT_BOUND + 1)),
+    ],
+    ids=["count", "count-output", "audit-counting"],
+)
+def test_a_space_beyond_a_double_is_refused_naming_its_row(
+    workdir, capsys, monkeypatch, argv, outcomes
+):
+    monkeypatch.chdir(workdir)
+    _counting_csv(workdir / "big.csv", *outcomes)
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr() == ("", SPACE_TOO_LARGE.format(len(outcomes) - 1))
+    assert not (workdir / "out.csv").exists()
+
+
+def test_a_space_at_the_largest_double_still_counts(workdir, capsys):
+    counts = _counting_csv(workdir / "max.csv", OUTCOMES_AT_BOUND, OUTCOMES_AT_BOUND)
+    out = workdir / "counted.csv"
+    assert main(["count", "--input", str(counts), "--output", str(out)]) == EXIT_OK
+    space = int(sys.float_info.max)
+    assert out.read_text(encoding="utf-8").splitlines()[1].endswith(f",{space}")
+    largest = format_number(sys.float_info.max)
+    assert capsys.readouterr().out == (
+        f"space: n=2 median={largest} min={space} max={space}\n"
+    )
+
+
 # ----------------------------------------------------------------- simulate
 
 def test_simulate_writes_report(workdir):
@@ -1093,6 +1143,20 @@ def test_simulate_bad_fraction_usage_error(workdir, capsys):
 
 def test_simulate_missing_n_usage_error():
     assert main(["simulate", "--replicates", "2"]) == EXIT_USAGE
+
+
+def test_simulate_echoes_simconfig_defaults_for_unset_options(capsys):
+    assert main(["simulate", "--n", "20"]) == EXIT_OK
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {**SimConfig(n_studies=20)._asdict(), "censor_preset": None}
+    assert list(config) == [*SimConfig._fields, "censor_preset"]
+
+
+def test_simulate_names_the_first_invalid_field_under_a_preset(capsys):
+    # SimConfig checks its fields in order before the preset reads hack_k
+    rc = main(["simulate", "--n", "0", "--hack-k", "0", "--censor-preset", "greenwald"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: n_studies must be at least 1, got 0\n")
 
 
 # sha256 of simulate's stdout, recorded before the simulator computed several
