@@ -10,8 +10,6 @@ are 0-based positions in the data section, header excluded.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import re
@@ -24,6 +22,7 @@ from .model import (
     Dataset,
     DerivedDataset,
     SchemaError,
+    _csv_text,
     dataset_from_json,
     format_number,
     parse_dataset,
@@ -309,14 +308,12 @@ def _exact_number(x: float) -> str:
 
 def cmd_derive(args: argparse.Namespace) -> int:
     ds, _ = _resolve(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS + ("se", "z", "p", "rank"))
-    for rec, d in zip(ds.records, ds.derived):
-        row = [_exact_number(v) if isinstance(v, float) else v for v in record_values(rec)]
-        row += [format_number(d.se), format_number(d.z), format_number(d.p), d.rank]
-        writer.writerow(row)
-    _write_text(args.output, buf.getvalue())
+    rows = (
+        [_exact_number(v) if isinstance(v, float) else v for v in record_values(rec)]
+        + [format_number(d.se), format_number(d.z), format_number(d.p), d.rank]
+        for rec, d in zip(ds.records, ds.derived)
+    )
+    _write_text(args.output, _csv_text(CSV_COLUMNS + ("se", "z", "p", "rank"), rows))
     return EXIT_OK
 
 

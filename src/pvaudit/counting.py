@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import sys
 from typing import Iterable, NamedTuple
 
-from .model import ParseError, _csv_rows, _parse_int
+from .model import ParseError, _csv_rows, _csv_text, _parse_int
 
 __all__ = [
     "SearchSpaceEntry",
@@ -132,10 +130,6 @@ def parse_search_space_csv(text: str) -> list[SearchSpaceEntry]:
 
 
 def serialize_search_space_csv(entries: Iterable[SearchSpaceEntry]) -> str:
-    """Write entries back out with tests, models, and space columns appended."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(OUTPUT_COLUMNS)
-    for e in entries:
-        writer.writerow(["" if v is None else v for v in e])
-    return buf.getvalue()
+    """Write entries back out with tests, models, and space columns appended;
+    a missing ref or year is an empty cell."""
+    return _csv_text(OUTPUT_COLUMNS, entries)

@@ -124,7 +124,8 @@ class OutlierFlag(NamedTuple):
 
 
 class _DataclassFields:
-    """A named tuple's fields as ``dataclasses.Field`` objects, built on read.
+    """A named tuple's fields as ``dataclasses.Field`` objects, those of a
+    dataclass with the same field names, built on read.
 
     This lets ``dataclasses.replace`` rebuild the type, as
     ``perfbench/traced.py`` does with an OutlierReport. Only a caller of
@@ -133,15 +134,9 @@ class _DataclassFields:
     """
 
     def __get__(self, obj, cls) -> dict:
-        import dataclasses
+        from dataclasses import make_dataclass
 
-        fields = {}
-        for name in cls._fields:
-            f = dataclasses.field(default=cls._field_defaults.get(name, dataclasses.MISSING))
-            f.name, f.type = name, cls.__annotations__[name]
-            f._field_type = dataclasses._FIELD
-            fields[name] = f
-        return fields
+        return make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
 
 
 class OutlierReport(NamedTuple):

@@ -273,6 +273,17 @@ def _csv_rows(text: str, required: tuple[str, ...]) -> list[dict[str, str]]:
     return [dict(zip(header, row + pad)) for row in reader if row]
 
 
+def _csv_text(header: tuple[str, ...], rows) -> str:
+    """CSV text of a header and rows in the dialect ``_csv_rows`` reads:
+    comma-separated, ``\n``-terminated, a cell quoted only when it holds a
+    comma, a quote or a line break. None writes as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def parse_dataset(
     text: str,
     label: str = "",
@@ -304,16 +315,30 @@ def dataset_to_json(ds: Dataset) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _json_cell(value) -> str:
-    """A JSON value as the CSV cell it mirrors; null is an empty cell."""
-    return "" if value is None else str(value)
+def _json_cell(value, row: int | None, field: str) -> str:
+    """A JSON value as the CSV cell it mirrors; null is an empty cell.
+
+    JSON may escape a lone surrogate, which no UTF-8 output can hold: it
+    raises ParseError in a record's ``field`` and SchemaError in the label
+    (``row`` None).
+    """
+    text = "" if value is None else str(value)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        problem = f"lone surrogate U+{ord(text[exc.start]):04X} cannot be written as UTF-8"
+        if row is None:
+            raise SchemaError(f"'{field}': {problem}") from None
+        raise ParseError(row, field, problem) from None
+    return text
 
 
 def dataset_from_json(text: str) -> Dataset:
     """Parse the JSON mirror produced by :func:`dataset_to_json`.
 
     A null reads as an empty cell, as a missing CSV cell does. A recorded
-    ``confidence_level`` that is not a number raises SchemaError.
+    ``confidence_level`` that is not a number, or a label holding a lone
+    surrogate, raises SchemaError; a record's text holding one, ParseError.
     """
     import json
 
@@ -333,13 +358,13 @@ def dataset_from_json(text: str) -> Dataset:
         for field in REQUIRED_COLUMNS:
             if field not in item:
                 raise ParseError(i, field, "missing required field")
-        fields = {key: _json_cell(value) for key, value in item.items()}
+        fields = {key: _json_cell(value, i, key) for key, value in item.items()}
         records.append(_make_record(i, fields))
     level = payload.get("confidence_level", DEFAULT_CONFIDENCE_LEVEL)
     if isinstance(level, bool) or not isinstance(level, (int, float)):
         raise SchemaError(f"'confidence_level' must be a number, got {level!r}")
     return Dataset(
         records=tuple(records),
-        label=_json_cell(payload.get("label")),
+        label=_json_cell(payload.get("label"), None, "label"),
         confidence_level=float(level),
     )

@@ -11,6 +11,7 @@ since "-0" would read back as the integer 0 and re-serialize without its sign.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
@@ -20,63 +21,56 @@ from .model import CSV_COLUMNS, DerivedDataset, DerivedStats, format_number, rec
 from .stats import PoolResult
 
 TOOL_NAME = "pvaudit"
+_NO_KEY = object()  # the key of every list item in _encode
 
 
 def _encode(value: Any, pad: str) -> str:
     """JSON text of ``value``, its continuation lines indented by ``pad``.
 
-    One pass per container writes exact float, str and int items inline;
-    the rest (bool, None, subclasses, errors) take the ``isinstance`` chain.
+    One loop over a container's (key, item) pairs writes exact float, str
+    and int items inline; the rest (bool, None, subclasses, errors) take the
+    ``isinstance`` chain. A list's items pair with ``_NO_KEY``.
     """
     if isinstance(value, dict):
-        inner = pad + "  "
-        parts = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise ValueError(f"report keys must be strings, got {key!r}")
-            t = type(item)
-            if t is float and -math.inf < item < math.inf:
-                text = "%.9g" % (item + 0.0)
-            elif t is str:
-                text = _quote(item)
-            elif t is int:
-                text = repr(item)
-            else:
-                text = _encode(item, inner)
-            parts.append(f"{inner}{_quote(key)}: {text}")
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}" if parts else "{}"
-    if isinstance(value, (list, tuple)):
+        pairs, brackets = value.items(), "{}"
+    elif isinstance(value, (list, tuple)):
         if hasattr(value, "_fields"):
             raise ValueError(
                 f"named tuple {type(value).__name__} must enter a report as _asdict()"
             )
-        inner = pad + "  "
-        parts = []
-        for item in value:
-            t = type(item)
-            if t is float and -math.inf < item < math.inf:
-                text = "%.9g" % (item + 0.0)
-            elif t is str:
-                text = _quote(item)
-            elif t is int:
-                text = repr(item)
-            else:
-                text = _encode(item, inner)
-            parts.append(inner + text)
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]" if parts else "[]"
-    if value is None:
+        pairs, brackets = zip(repeat(_NO_KEY), value), "[]"
+    elif value is None:
         return "null"
-    if isinstance(value, bool):
+    elif isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
+    elif isinstance(value, int):
         return repr(value)
-    if isinstance(value, float):
+    elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite number {value!r} cannot enter a report")
         return format_number(value)
-    if isinstance(value, str):
+    elif isinstance(value, str):
         return _quote(value)
-    raise ValueError(f"unsupported report value {value!r}")
+    else:
+        raise ValueError(f"unsupported report value {value!r}")
+    inner = pad + "  "
+    parts = []
+    for key, item in pairs:
+        if key is not _NO_KEY and not isinstance(key, str):
+            raise ValueError(f"report keys must be strings, got {key!r}")
+        t = type(item)
+        if t is float and -math.inf < item < math.inf:
+            text = "%.9g" % (item + 0.0)
+        elif t is str:
+            text = _quote(item)
+        elif t is int:
+            text = repr(item)
+        else:
+            text = _encode(item, inner)
+        parts.append(text if key is _NO_KEY else f"{_quote(key)}: {text}")
+    if not parts:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{brackets[1]}"
 
 
 def dumps(value: Any) -> str:

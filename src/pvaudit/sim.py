@@ -188,7 +188,8 @@ def greenwald_censor_rate(hack_k: int = 1) -> float:
     if hack_k < 1:
         raise ValueError(f"hack_k must be at least 1, got {hack_k}")
     s = 1.0 - (1.0 - SIGNIFICANCE) ** hack_k
-    return min(1.0, 10.0 * s / (1.0 - s))
+    # from hack_k 730 on, s rounds to 1
+    return min(1.0, 10.0 * s / (1.0 - s)) if s < 1.0 else 1.0
 
 
 @lru_cache(maxsize=4)

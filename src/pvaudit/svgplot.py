@@ -4,10 +4,11 @@ no timestamps, no randomness: identical input gives identical bytes."""
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 from .diagnostics import PlotSeries
-from .model import format_number
+from .model import _csv_text, format_number
 
 WIDTH = 800
 HEIGHT = 600
@@ -29,14 +30,19 @@ _FLOAT_MAX = sys.float_info.max
 _TINY = math.ulp(0.0)
 AXIS_STROKE = f'stroke="{AXIS_COLOR}" stroke-width="1"'
 DASHED_STROKE = f'stroke="{REFLINE_COLOR}" stroke-width="1.5" stroke-dasharray="6 4"'
+# The characters XML 1.0 forbids: C0 controls but tab, LF and CR, surrogates,
+# U+FFFE and U+FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _escape(text: str) -> str:
-    """Escape &, > and < for XML character data; quotes are left as they are.
+    """Escape &, > and < for XML character data; quotes are left as they are,
+    and a character XML forbids becomes U+FFFD.
 
     The same replacements as ``xml.sax.saxutils.escape``, whose import would
     pull in urllib and the HTTP stack.
     """
+    text = _NOT_XML.sub("\ufffd", text)
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
@@ -174,18 +180,14 @@ def render_series(series: PlotSeries, title: str = "") -> str:
 
 def series_csv(series: PlotSeries) -> str:
     """The plotted points as a two-column CSV (x, y)."""
-    lines = ["x,y"]
-    for x, y in series.points:
-        lines.append(f"{format_number(x)},{format_number(y)}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(("x", "y"), ((format_number(x), format_number(y)) for x, y in series.points))
 
 
 def reference_lines_csv(series: PlotSeries) -> str:
-    """Sidecar CSV describing the reference lines (kind plus parameters)."""
-    lines = ["kind,param1,param2"]
-    for ref in series.reference_lines:
-        params = [format_number(v) for v in ref.parameters]
-        while len(params) < 2:
-            params.append("")
-        lines.append(",".join([ref.kind] + params[:2]))
-    return "\n".join(lines) + "\n"
+    """Sidecar CSV describing the reference lines: kind plus two parameters,
+    a missing one an empty cell."""
+    rows = (
+        [ref.kind, *map(format_number, ref.parameters), "", ""][:3]
+        for ref in series.reference_lines
+    )
+    return _csv_text(("kind", "param1", "param2"), rows)

@@ -253,6 +253,33 @@ def test_derive_names_the_first_invalid_field(workdir, capsys, name, text, code,
     assert capsys.readouterr() == ("", f"error: {want}\n")
 
 
+@pytest.mark.parametrize(
+    "where, code, want",
+    [
+        ("author", EXIT_DATA,
+         "row 0, field 'author': lone surrogate U+DCFF cannot be written as UTF-8"),
+        ("label", EXIT_SCHEMA, "'label': lone surrogate U+DCFF cannot be written as UTF-8"),
+    ],
+    ids=["author", "label"],
+)
+def test_a_mirror_with_a_lone_surrogate_is_refused_before_writing(
+    workdir, capsys, where, code, want
+):
+    # valid JSON, but no UTF-8 output can hold the text
+    payload = json.loads(dataset_to_json(parse_dataset(TOY, label="toy")))
+    if where == "label":
+        payload["label"] = "A\udcff"
+    else:
+        payload["records"][0]["author"] = "A\udcff"
+    src = workdir / "surrogate.json"
+    src.write_text(json.dumps(payload), encoding="utf-8")
+    out = workdir / "out.csv"
+    capsys.readouterr()
+    assert main(["derive", "--input", str(src), "--output", str(out)]) == code
+    assert capsys.readouterr() == ("", f"error: {want}\n")
+    assert not out.exists()
+
+
 def test_label_only_where_it_is_used(workdir, capsys):
     # derive writes no label, so --label there is a usage error
     src = str(workdir / "toy.csv")
@@ -409,6 +436,28 @@ def test_plot_profile_accepted_on_every_kind(workdir, kind):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "mirror_label, flags, title",
+    [
+        ("x\u0001y", [], "x\ufffdy: pvalue"),  # a C0 control the mirror's JSON escapes
+        ("toy", ["--label", "x\u0001y"], "x\ufffdy: pvalue"),
+        ("toy", ["--title", "a\udcffb"], "a\ufffdb"),  # how argv decodes the byte 0xff
+    ],
+    ids=["mirror-label", "label", "title"],
+)
+def test_plot_writes_parseable_svg_for_any_title(workdir, capsys, mirror_label, flags, title):
+    from xml.dom.minidom import parse
+
+    payload = json.loads(dataset_to_json(parse_dataset(TOY, label=mirror_label)))
+    src = workdir / "toy.json"
+    src.write_text(json.dumps(payload), encoding="utf-8")
+    out = workdir / "title.svg"
+    assert main(["plot", "--input", str(src), "--kind", "pvalue", *flags,
+                 "--output", str(out)]) == EXIT_OK
+    assert parse(str(out)).getElementsByTagName("text")[0].firstChild.data == title
+    assert capsys.readouterr().err == ""
+
+
 def test_plot_malformed_exclude_is_usage_error(workdir, capsys):
     rc = main(["plot", "--input", str(workdir / "toy.csv"), "--kind", "volcano",
                "--exclude", "1,x", "--output", str(workdir / "x.svg")])
@@ -542,10 +591,12 @@ def test_audit_report_roundtrip_bytes(workdir):
 
 # sha256 of the stdout of each call on the bundled tables, recorded before
 # DerivedStats and SearchSpaceEntry took their fields in report order; they
-# pin the key order of the audit's ``studies`` rows and ``entries`` too.
+# pin the key order of the audit's ``studies`` rows and ``entries`` too. The
+# derive digest was recorded before derive and count shared one CSV writer.
 REPORT_DIGESTS = {
     "audit": "8933940a21d24c05893d6dbe5085c7db9f539aeddc88acb55a720d1ca97d65a6",
     "count": "290f9057ff6f73185fbc15ca085e717199acbe105501d92d024481065b8af128",
+    "derive": "069de2d5ba8e277838a8fd8b23c71546ca5a0a16f44433a745fbec8c8efee07d",
 }
 
 
@@ -555,6 +606,7 @@ REPORT_DIGESTS = {
         ("audit", ["--input", "soy.csv", "--counting", "counts.csv",
                    "--profile", "paper-reproduction"]),
         ("count", ["--input", "counts.csv"]),
+        ("derive", ["--input", "soy.csv"]),
     ],
 )
 def test_report_bytes_pinned(workdir, capsys, monkeypatch, command, args):
@@ -1150,6 +1202,15 @@ def test_simulate_echoes_simconfig_defaults_for_unset_options(capsys):
     config = json.loads(capsys.readouterr().out)["config"]
     assert config == {**SimConfig(n_studies=20)._asdict(), "censor_preset": None}
     assert list(config) == [*SimConfig._fields, "censor_preset"]
+
+
+def test_simulate_greenwald_preset_saturates_at_any_hack_k(capsys):
+    # 0.95**1000 is below half an ulp of 1, so the preset's s rounds to 1
+    rc = main(["simulate", "--n", "5", "--hack-k", "1000", "--censor-preset", "greenwald"])
+    assert rc == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["config"]["censor_rate"] == 1
 
 
 def test_simulate_names_the_first_invalid_field_under_a_preset(capsys):

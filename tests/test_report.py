@@ -126,6 +126,7 @@ _REJECTED = [
     pytest.param(math.inf, "non-finite number inf cannot enter a report", id="inf"),
     pytest.param(-math.inf, "non-finite number -inf cannot enter a report", id="-inf"),
     pytest.param({1: "x"}, "report keys must be strings, got 1", id="int-key"),
+    pytest.param({None: 1}, "report keys must be strings, got None", id="none-key"),
     pytest.param(
         _Pair(1, 2), "named tuple _Pair must enter a report as _asdict()", id="namedtuple"
     ),

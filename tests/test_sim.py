@@ -433,6 +433,9 @@ def test_greenwald_preset_values():
     assert greenwald_censor_rate(1) == pytest.approx(10.0 / 19.0, rel=1e-12)
     assert greenwald_censor_rate(2) == 1.0
     assert greenwald_censor_rate(5) == 1.0
+    # 0.95**k below half an ulp of 1: s rounds to 1, and the rate stays 1
+    for hack_k in (730, 1000, 10**6):
+        assert greenwald_censor_rate(hack_k) == 1.0
     with pytest.raises(ValueError):
         greenwald_censor_rate(0)
 

@@ -69,7 +69,9 @@ def test_svg_escapes_text(soy):
 
 # sha256 of each SVG, recorded before the renderer was rewritten to write
 # each element form once; the first is also the bundled-session pvalue.svg.
-# one-expectation has no identity line, which misses its plot area.
+# one-expectation has no identity line, which misses its plot area. The
+# sidecar CSVs of the three kinds were recorded before they shared the
+# derive and count CSV writer.
 SVG_DIGESTS = {
     "soy-pvalue": "22796dc8be9eabbf6fa62c1edabfacdf4081ed1e7a4c202f8d82cc46b9f8f5e9",
     "soy-expectation-escaped": "31f0e8bba9c8b3d64b970eb2dce533920c3346658d1b34c380dba26ab43e0791",
@@ -78,6 +80,12 @@ SVG_DIGESTS = {
     "one-volcano": "a08ab48d96925241ad1f9c3d0bdc8674ccc218a69cb4bf380a79974da41f3d8e",
     "one-expectation": "082e0fe6d52f2a87dec19fe93bbf676b4cf1c677f9b03192a33641786d10fd60",
     "constant-pvalue": "0bf793141fa1ed988f42d8e93bf676bfaae34ca815c95aa5dc8887621db2bfc8",
+    "soy-pvalue.csv": "06ffe4f48d6f1bb405cbe49c7046cdcd4908a033e3accd8ab265ef7905ac8906",
+    "soy-pvalue.ref.csv": "35a64a662d1b0f36a130784b297a0df07d9a6f75e4485c736592164dac44473b",
+    "soy-expectation.csv": "5f1917c7a741823f97b1018128074a6f83a173e81f4f0eb93e732cae03995cd4",
+    "soy-expectation.ref.csv": "91cc15b7577899e3cfff0158a1146d8cca9bb2d233ae26623c74ad79d111e6c9",
+    "soy-volcano.csv": "5307ae5d3dec1a628658999cab438bda891e7b0db523fa9cea5478f3cf75d18c",
+    "soy-volcano.ref.csv": "e096f393f57232c05348c4a19970d7355c71be755e8f59a19f53a90674393492",
 }
 
 
@@ -95,6 +103,10 @@ def test_svg_bytes_pinned(soy):
         "one-expectation": render_series(expectation_plot(one)),
         "constant-pvalue": render_series(pvalue_plot(constant)),
     }
+    for kind, plot in (("pvalue", pvalue_plot), ("expectation", expectation_plot),
+                       ("volcano", volcano_plot)):
+        svgs[f"soy-{kind}.csv"] = series_csv(plot(soy))
+        svgs[f"soy-{kind}.ref.csv"] = reference_lines_csv(plot(soy))
     digests = {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in svgs.items()}
     assert digests == SVG_DIGESTS
 
@@ -221,6 +233,31 @@ def test_escape_matches_saxutils(text):
     from xml.sax.saxutils import escape
 
     assert _escape(text) == escape(text)
+
+
+# any character, surrogates included, and the edges of what XML allows
+_ANY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from("\x00\x08\t\n\x0b\r\x1f &<\ud7ff\ud800\udfff\ue000\ufffd\ufffe\uffff"),
+    ),
+    max_size=12,
+)
+
+
+@given(_ANY_TEXT)
+def test_escaped_text_parses_as_xml(text):
+    from xml.dom.minidom import parseString
+
+    svg = render_series(PlotSeries("pvalue_rank", ((1.0, 0.5),), ()), title=f"[{text}]")
+    title = parseString(svg).getElementsByTagName("text")[0].firstChild.data
+    # every character XML allows comes back, line ends read as LF
+    allowed = "".join(
+        c if c in "\t\n\r" or "\x20" <= c < "\ud800" or "\ue000" <= c <= "\ufffd"
+        or c >= "\U00010000" else "\ufffd"
+        for c in text
+    )
+    assert title == "[" + allowed.replace("\r\n", "\n").replace("\r", "\n") + "]"
 
 
 def test_dumps_is_valid_json_and_stable():
