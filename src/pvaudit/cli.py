@@ -72,6 +72,9 @@ _NEGATIVE_NUMBER = re.compile(
     r"^-(\d+\.?\d*(e[-+]?\d+)?|\.\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
 )
 
+# A lone surrogate: an argv or file-name byte that did not decode as UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 class _Parser(argparse.ArgumentParser):
     """Reads any negative number after an option as its value, where argparse
@@ -236,9 +239,11 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
         ds = parse_dataset(text, confidence_level=level)
     if len(ds) == 0:
         raise _NoRecords(f"{args.input}: data section is empty")
-    # --label, else the label a JSON mirror records, else the file stem
+    # --label, else the label a JSON mirror records, else the file stem; a
+    # mirror refuses a surrogate, and one from argv prints as U+FFFD, as in SVGs
     label = getattr(args, "label", None)
-    return ds._replace(label=(ds.label or stem) if label is None else label)
+    label = (ds.label or stem) if label is None else label
+    return ds._replace(label=_SURROGATE.sub("\ufffd", label))
 
 
 def _load_entries(path: str) -> list:

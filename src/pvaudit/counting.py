@@ -11,7 +11,6 @@ __all__ = [
     "SearchSpaceEntry",
     "SpaceSummary",
     "parse_search_space_csv",
-    "search_space",
     "serialize_search_space_csv",
     "summarize_spaces",
 ]
@@ -49,50 +48,6 @@ class SpaceSummary(NamedTuple):
     max: int
 
 
-def _count_problem(name: str, value: int) -> str | None:
-    """Why ``value`` is not a valid count for field ``name``, or None."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        return f"must be an integer, got {value!r}"
-    if value < 0:
-        return f"must be non-negative, got {value}"
-    if name == "covariates" and value > MAX_COVARIATES:
-        return f"must be at most {MAX_COVARIATES}, got {value}"
-    return None
-
-
-def search_space(
-    outcomes: int,
-    causes: int,
-    covariates: int,
-    *,
-    ref_id: int | None = None,
-    author: str = "",
-    year: int | None = None,
-) -> SearchSpaceEntry:
-    """tests = outcomes * causes, models = 2**covariates, space = tests * models.
-
-    All exact integer arithmetic. Counts must be non-negative and covariates
-    at most 62.
-    """
-    for name, value in (("outcomes", outcomes), ("causes", causes), ("covariates", covariates)):
-        problem = _count_problem(name, value)
-        if problem:
-            raise ValueError(f"{name} {problem}")
-    tests = outcomes * causes
-    models = 2 ** covariates
-    return SearchSpaceEntry(
-        outcomes=outcomes,
-        causes=causes,
-        covariates=covariates,
-        tests=tests,
-        models=models,
-        space=tests * models,
-        ref_id=ref_id,
-        author=author,
-        year=year,
-    )
-
-
 def summarize_spaces(entries: Iterable[SearchSpaceEntry]) -> SpaceSummary:
     """Median (midpoint for even counts), min, and max of the space column."""
     spaces = sorted(e.space for e in entries)
@@ -104,22 +59,36 @@ def summarize_spaces(entries: Iterable[SearchSpaceEntry]) -> SpaceSummary:
 
 
 def parse_search_space_csv(text: str) -> list[SearchSpaceEntry]:
-    """Parse a counting CSV with header ref,author,year,outcomes,causes,covariates."""
+    """Parse a counting CSV with header ref,author,year,outcomes,causes,covariates.
+
+    Each entry adds tests = outcomes * causes, models = 2**covariates and
+    space = tests * models, in exact integer arithmetic. Counts must be
+    non-negative, covariates at most 62, and the space must fit a double.
+    """
     entries = []
     for i, fields in enumerate(_csv_rows(text, COUNT_COLUMNS)):
         counts = []
         for name in ("outcomes", "causes", "covariates"):
             value = _parse_int(i, name, fields[name])
-            problem = _count_problem(name, value)
-            if problem:
-                raise ParseError(i, name, problem)
+            if value < 0:
+                raise ParseError(i, name, f"must be non-negative, got {value}")
             counts.append(value)
+        outcomes, causes, covariates = counts
+        if covariates > MAX_COVARIATES:
+            raise ParseError(
+                i, "covariates", f"must be at most {MAX_COVARIATES}, got {covariates}"
+            )
         ref, year = fields["ref"], fields["year"]
-        entry = search_space(
+        tests = outcomes * causes
+        models = 2 ** covariates
+        entry = SearchSpaceEntry(
+            _parse_int(i, "ref", ref) if ref.strip() else None,
+            fields["author"].strip(),
+            _parse_int(i, "year", year) if year.strip() else None,
             *counts,
-            ref_id=_parse_int(i, "ref", ref) if ref.strip() else None,
-            author=fields["author"].strip(),
-            year=_parse_int(i, "year", year) if year.strip() else None,
+            tests,
+            models,
+            tests * models,
         )
         if entry.space > MAX_SPACE:
             raise ParseError(

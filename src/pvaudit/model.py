@@ -219,18 +219,26 @@ def validate_dataset(ds: Dataset) -> list[Violation]:
     return out
 
 
+# A number cell must be ASCII without "_" once stripped: int() and float()
+# alone would read "1_5" as 15 and the fullwidth digit "\uff12" as 2.
 def _parse_int(row: int, field: str, text: str) -> int:
+    cell = text.strip()
     try:
-        return int(text.strip())
+        if cell.isascii() and "_" not in cell:
+            return int(cell)
     except ValueError:
-        raise ParseError(row, field, f"malformed integer {text!r}") from None
+        pass
+    raise ParseError(row, field, f"malformed integer {text!r}")
 
 
 def _parse_float(row: int, field: str, text: str) -> float:
+    cell = text.strip()
+    value = float("nan")
     try:
-        value = float(text.strip())
+        if cell.isascii() and "_" not in cell:
+            value = float(cell)
     except ValueError:
-        raise ParseError(row, field, f"malformed number {text!r}") from None
+        pass
     if value != value or value in (float("inf"), float("-inf")):
         raise ParseError(row, field, f"malformed number {text!r}")
     return value

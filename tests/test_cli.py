@@ -307,6 +307,25 @@ def test_a_mirror_without_a_label_takes_the_file_stem(workdir):
     assert _read_json(report)["label"] == "toy"
 
 
+# argv and file names decode the byte 0xff as the lone surrogate U+DCFF
+@pytest.mark.parametrize(
+    "name, flags",
+    [("toy.csv", ["--label", "a\udcffb"]), ("a\udcffb.csv", [])],
+    ids=["label", "file-stem"],
+)
+def test_an_undecodable_label_prints_as_a_replacement_character(workdir, name, flags):
+    src = workdir / name
+    src.write_text(TOY, encoding="utf-8")
+    report, svg = workdir / "report.json", workdir / "plot.svg"
+    assert main(["audit", "--input", str(src), *flags, "--output", str(report)]) == EXIT_OK
+    label = json.loads(report.read_bytes().decode("utf-8"))["label"]
+    assert label == "a\ufffdb"
+    assert label.encode("utf-8") == b"a\xef\xbf\xbdb"
+    assert main(["plot", "--input", str(src), *flags, "--kind", "pvalue",
+                 "--output", str(svg)]) == EXIT_OK
+    assert ">a\ufffdb: pvalue</text>" in svg.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "base, option, value",
     [
@@ -910,7 +929,7 @@ PACKAGE_ALL = [
     "ShapeThresholds", "ShapeVerdict", "classify_pvalues", "classify_shape",
     "expectation_plot", "flag_outliers", "ks_uniform", "pvalue_plot",
     "smallest_p_marker", "volcano_plot",
-    "SearchSpaceEntry", "SpaceSummary", "parse_search_space_csv", "search_space",
+    "SearchSpaceEntry", "SpaceSummary", "parse_search_space_csv",
     "serialize_search_space_csv", "summarize_spaces",
     "ReplicateOutcome", "SimConfig", "SimOutcome", "generate_literature",
     "greenwald_censor_rate", "run_experiment",
@@ -941,7 +960,7 @@ def test_a_submodule_name_loads_that_module_and_a_public_name_loads_in_order():
         "import sys\n"
         "from pvaudit import cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('pvaudit.')))\n"
-        "from pvaudit import search_space\n"
+        "from pvaudit import parse_search_space_csv\n"
         "print(sorted(m for m in sys.modules if m.startswith('pvaudit.')))"
     )
     assert proc.returncode == 0, proc.stderr
@@ -1085,6 +1104,99 @@ def test_count_empty_input(workdir):
     empty = workdir / "c.csv"
     empty.write_text("ref,author,year,outcomes,causes,covariates\n", encoding="utf-8")
     assert main(["count", "--input", str(empty)]) == EXIT_NO_RECORDS
+
+
+COUNT_HEADER = "ref,author,year,outcomes,causes,covariates\n"
+# Valid edge rows: blank identity cells, zero outcomes, 62 covariates, a
+# quoted author holding a comma, padded cells, and counts above 2**64.
+COUNT_EDGE_ROWS = (
+    "1,Bakhit,2003,8,5,3\n"
+    ",,,4,1,0\n"
+    "3,Zero,2005,0,5,2\n"
+    "4,Wide,2006,1,1,62\n"
+    '5,"Smith, J.",2007,2,3,1\n'
+    " 6 , Pad , 2008 , 7 , 2 , 1 \n"
+    "7,Big,2009,1180591620717411303424,36893488147419103235,0\n"
+)
+# sha256 of the stdout of each call on the edge rows, recorded before the
+# counting parser built its entries in one place.
+COUNT_EDGE_DIGESTS = {
+    "count": "6af8bbbf747ee8e45abf156d139cfc3dced624d3d56af85b919833644105034c",
+    "audit": "4d081b45bcfb237ee31d0c477cbdf9c3fc2bd1b55faa1384e5f662d41c1669ca",
+}
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("count", ["--input", "edge.csv"]),
+        ("audit", ["--input", "soy.csv", "--counting", "edge.csv"]),
+    ],
+)
+def test_count_edge_rows_pinned(workdir, capsys, monkeypatch, command, args):
+    monkeypatch.chdir(workdir)
+    (workdir / "edge.csv").write_text(COUNT_HEADER + COUNT_EDGE_ROWS, encoding="utf-8")
+    assert main([command, *args]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == COUNT_EDGE_DIGESTS[command]
+    if command == "count":
+        assert main([command, *args, "--output", "out.csv"]) == EXIT_OK
+        assert (workdir / "out.csv").read_text(encoding="utf-8") == out
+        assert capsys.readouterr() == (
+            "space: n=7 median=28 min=0 "
+            "max=43556142965880123326853724613418564976640\n",
+            "",
+        )
+
+
+# The first fault of each row, in the order the parser checks them: the
+# three counts in turn, then ref and year, then the size of the space.
+@pytest.mark.parametrize(
+    "row, want",
+    [
+        ("1,A,2000,-1,2,0", "row 0, field 'outcomes': must be non-negative, got -1"),
+        ("1,A,2000,1,-2,0", "row 0, field 'causes': must be non-negative, got -2"),
+        ("1,A,2000,1,2,-1", "row 0, field 'covariates': must be non-negative, got -1"),
+        ("1,A,2000,1,1,63", "row 0, field 'covariates': must be at most 62, got 63"),
+        ("1,A,2000,1e3,1,0", "row 0, field 'outcomes': malformed integer '1e3'"),
+        ("x1,A,2000,1,1,0", "row 0, field 'ref': malformed integer 'x1'"),
+        ("1,A,20o0,1,1,0", "row 0, field 'year': malformed integer '20o0'"),
+        ("1,A,2000,-1,x,0", "row 0, field 'outcomes': must be non-negative, got -1"),
+        (f"r,A,2000,{2 ** 1000},1,62", "row 0, field 'ref': malformed integer 'r'"),
+    ],
+    ids=[
+        "outcomes-negative", "causes-negative", "covariates-negative", "covariates-63",
+        "float-count", "malformed-ref", "malformed-year", "negative-before-malformed",
+        "malformed-ref-before-overflow",
+    ],
+)
+def test_count_refuses_a_row_naming_its_first_fault(workdir, capsys, row, want):
+    src = workdir / "bad.csv"
+    src.write_text(COUNT_HEADER + row + "\n", encoding="utf-8")
+    assert main(["count", "--input", str(src)]) == EXIT_DATA
+    assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+@pytest.mark.parametrize(
+    "command, text, want",
+    [
+        ("count", COUNT_HEADER + "1,A,2000,1_5,1,0\n",
+         "row 0, field 'outcomes': malformed integer '1_5'"),
+        ("count", COUNT_HEADER + "1,A,\uff12\uff10\uff10\uff11,15,1,0\n",
+         "row 0, field 'year': malformed integer '\uff12\uff10\uff10\uff11'"),
+        ("derive", TOY.splitlines()[0] + "\nA,2000,,1,1_2.5,1.0,20\n",
+         "row 0, field 'rr': malformed number '1_2.5'"),
+    ],
+    ids=["count-underscore", "count-fullwidth", "derive-underscore"],
+)
+def test_a_number_cell_with_underscores_or_non_ascii_digits_is_refused(
+    workdir, capsys, command, text, want
+):
+    src = workdir / "cells.csv"
+    src.write_text(text, encoding="utf-8")
+    assert main([command, "--input", str(src)]) == EXIT_DATA
+    assert capsys.readouterr() == ("", f"error: {want}\n")
 
 
 # outcomes * 2**62 is the largest finite double, int(sys.float_info.max)

@@ -10,47 +10,52 @@ from pvaudit import (
     ParseError,
     SchemaError,
     parse_search_space_csv,
-    search_space,
     serialize_search_space_csv,
     summarize_spaces,
 )
 from pvaudit.datasets import soy_ldl_search_space_csv
 
 
+def _entries(*counts):
+    """Parse one counting row per (outcomes, causes, covariates) triple."""
+    rows = "".join(f"{i},A,2000,{o},{c},{v}\n" for i, (o, c, v) in enumerate(counts, 1))
+    return parse_search_space_csv("ref,author,year,outcomes,causes,covariates\n" + rows)
+
+
+def _entry(outcomes, causes, covariates):
+    return _entries((outcomes, causes, covariates))[0]
+
+
 def test_search_space_basic():
-    e = search_space(8, 5, 3)
+    e = _entry(8, 5, 3)
     assert (e.tests, e.models, e.space) == (40, 8, 320)
 
 
 def test_search_space_zero_covariates_means_one_model():
-    e = search_space(20, 1, 0)
+    e = _entry(20, 1, 0)
     assert (e.tests, e.models, e.space) == (20, 1, 20)
 
 
 def test_search_space_zero_outcomes():
-    e = search_space(0, 5, 2)
+    e = _entry(0, 5, 2)
     assert (e.tests, e.models, e.space) == (0, 4, 0)
 
 
 def test_search_space_large_covariates_exact():
-    e = search_space(1, 1, 62)
+    e = _entry(1, 1, 62)
     assert e.models == 2 ** 62
     assert e.space == 2 ** 62
-    with pytest.raises(ValueError):
-        search_space(1, 1, 63)
+    with pytest.raises(ParseError) as err:
+        _entry(1, 1, 63)
+    assert err.value.field == "covariates"
 
 
 def test_search_space_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        search_space(-1, 2, 0)
-    with pytest.raises(ValueError):
-        search_space(1, -2, 0)
-    with pytest.raises(ValueError):
-        search_space(1, 2, -1)
-    with pytest.raises(ValueError):
-        search_space(True, 2, 1)  # bool is not an acceptable count
-    with pytest.raises(ValueError):
-        search_space(1.0, 2, 1)
+    bad = [((-1, 2, 0), "outcomes"), ((1, -2, 0), "causes"), ((1, 2, -1), "covariates")]
+    for counts, field in bad:
+        with pytest.raises(ParseError) as err:
+            _entry(*counts)
+        assert err.value.field == field
 
 
 @settings(max_examples=60, deadline=None)
@@ -60,7 +65,7 @@ def test_search_space_rejects_bad_counts():
     st.integers(min_value=0, max_value=62),
 )
 def test_search_space_arithmetic_property(outcomes, causes, covariates):
-    e = search_space(outcomes, causes, covariates)
+    e = _entry(outcomes, causes, covariates)
     assert e.tests == outcomes * causes
     assert e.models == 2 ** covariates
     assert e.space == e.tests * e.models
@@ -68,9 +73,9 @@ def test_search_space_arithmetic_property(outcomes, causes, covariates):
 
 
 def test_summarize_median_conventions():
-    entries = [search_space(n, 1, 0) for n in (5, 1, 9)]
+    entries = _entries(*((n, 1, 0) for n in (5, 1, 9)))
     assert summarize_spaces(entries) == (5, 1, 9)
-    entries = [search_space(n, 1, 0) for n in (1, 3)]
+    entries = _entries(*((n, 1, 0) for n in (1, 3)))
     summary = summarize_spaces(entries)
     assert summary.median == 2.0
     assert (summary.min, summary.max) == (1, 3)
@@ -92,7 +97,7 @@ def test_summarize_median_conventions():
 )
 def test_summarize_median_matches_statistics_median(counts):
     # the same value and type (int for an odd count, float for an even one)
-    entries = [search_space(*c) for c in counts]
+    entries = _entries(*counts)
     want = statistics.median(e.space for e in entries)
     got = summarize_spaces(entries).median
     assert got == want and type(got) is type(want)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+import re
 import string
 
 import pytest
@@ -436,6 +437,43 @@ def test_padded_number_cells_still_parse(pad):
             for r in ds.records] == want
     counts = f"{_COUNT_HEADER}\n{cell('1')},A,{cell('1999')},{cell('2')},{cell('3')},{cell('1')}\n"
     assert _counts(counts) == [(1, "A", 1999, 2, 3, 1)]
+
+
+# Each cell reads as the valid value beside it under int() or float() alone:
+# digit-group underscores, fullwidth digits and Arabic-Indic digits.
+_NOT_PLAIN_NUMBERS = [
+    ("year", "1_999", "integer"),
+    ("year", " \uff11\uff19\uff19\uff19 ", "integer"),
+    ("ref", "\u0661", "integer"),
+    ("rr", "1.0_5", "number"),
+    ("rr", "\uff11.05", "number"),
+    ("cl_low", "0.9\u0665", "number"),
+    ("cl_high", "1_1.15e-1", "number"),
+]
+
+
+@pytest.mark.parametrize("field, text, kind", _NOT_PLAIN_NUMBERS)
+def test_study_number_cells_must_be_ascii_without_underscores(field, text, kind):
+    row = dict(zip(_STUDY_HEADER.split(","), ("A", "1999", "", "1", "1.05", "0.95", "1.15")))
+    row[field] = text
+    want = f"row 0, field '{field}': malformed {kind} {text!r}"
+    with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+        parse_dataset(f"{_STUDY_HEADER}\n{','.join(row.values())}\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+        dataset_from_json(json.dumps({"records": [row]}))
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [("outcomes", "1_5"), ("causes", "\u0663"), ("covariates", "\uff11"),
+     ("ref", "1_0"), ("year", "\uff12\uff10\uff10\uff11")],
+)
+def test_count_cells_must_be_ascii_without_underscores(field, text):
+    row = dict(zip(COUNT_COLUMNS, ("1", "A", "2001", "15", "3", "1")))
+    row[field] = text
+    with pytest.raises(ParseError) as err:
+        parse_search_space_csv(f"{_COUNT_HEADER}\n{','.join(row.values())}\n")
+    assert str(err.value) == f"row 0, field '{field}': malformed integer {text!r}"
 
 
 def test_quoted_cells_keep_commas_quotes_and_newlines():
