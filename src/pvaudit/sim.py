@@ -309,37 +309,25 @@ def run_experiment(cfg: SimConfig) -> SimOutcome:
     values) count as indeterminate and do not enter the KS rejection rate
     denominator.
     """
-    outcomes = []
-    counts = dict.fromkeys(VERDICTS, 0)
-    suppressed_fracs = []
-    ks_total = 0
-    ks_rejected = 0
-    per_batch = max(1, _BATCH_WORDS // (cfg.n_studies * (cfg.hack_k + 2)))
+    n = cfg.n_studies
+    per_batch = max(1, _BATCH_WORDS // (n * (cfg.hack_k + 2)))
     batches = (
         _literatures(cfg, first, min(per_batch, cfg.replicates - first))
         for first in range(0, cfg.replicates, per_batch)
     )
-    for r, kept in enumerate(chain.from_iterable(batches)):
-        verdict = classify_pvalues(kept)
-        n_suppressed = cfg.n_studies - len(kept)
-        outcomes.append(
-            ReplicateOutcome(
-                index=r,
-                pvalues=tuple(kept),
-                suppressed=n_suppressed,
-                verdict=verdict,
-            )
-        )
-        counts[verdict.verdict] += 1
-        suppressed_fracs.append(n_suppressed / cfg.n_studies)
-        if len(kept) >= KS_MIN_POINTS:
-            ks_total += 1
-            if verdict.ks_pvalue < SHAPE_THRESHOLDS.ks_alpha:
-                ks_rejected += 1
+    outcomes = tuple(
+        ReplicateOutcome(r, tuple(kept), n - len(kept), classify_pvalues(kept))
+        for r, kept in enumerate(chain.from_iterable(batches))
+    )
+    counts = dict.fromkeys(VERDICTS, 0)
+    for o in outcomes:
+        counts[o.verdict.verdict] += 1
+    tested = [o.verdict.ks_pvalue for o in outcomes if len(o.pvalues) >= KS_MIN_POINTS]
+    rejected = sum(p < SHAPE_THRESHOLDS.ks_alpha for p in tested)
     return SimOutcome(
         config=cfg,
-        replicates=tuple(outcomes),
+        replicates=outcomes,
         verdict_counts=counts,
-        mean_suppressed_fraction=math.fsum(suppressed_fracs) / len(suppressed_fracs),
-        ks_rejection_rate=(ks_rejected / ks_total) if ks_total else 0.0,
+        mean_suppressed_fraction=math.fsum(o.suppressed / n for o in outcomes) / len(outcomes),
+        ks_rejection_rate=rejected / len(tested) if tested else 0.0,
     )

@@ -240,7 +240,14 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
     ``tau2 == 0``. Sums are accumulated with ``math.fsum`` so results do not
     depend on summation order beyond honest rounding.
     """
-    pairs = [(float(y), float(s)) for y, s in effects]
+    return _pool([(float(y), float(s)) for y, s in effects])[0]
+
+
+def _pool(
+    pairs: list[tuple[float, float]],
+) -> tuple[PoolResult, list[float], float, int, list[float], list[float], float]:
+    """:func:`pool_dl` of float pairs, with the weights, their sum, the heaviest
+    study, each effect less its, the random weights and the others' weight."""
     k = len(pairs)
     if k < 2:
         raise ValueError(f"pooling needs at least two studies, got {k}")
@@ -285,7 +292,7 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
         raise _overflow_error(top, pairs[top][1])
     random_se = swr ** -0.5
     i2 = max(0.0, (q - (k - 1)) / q) if q > 0 else 0.0
-    return PoolResult(
+    result = PoolResult(
         k=k,
         fixed_mean=fixed,
         q=q,
@@ -296,6 +303,7 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
         weights_fixed=tuple(wi / sw for wi in w),
         weights_random=tuple(wi / swr for wi in wr),
     )
+    return result, w, sw, top, dev, wr, outside[top]
 
 
 # loo_influence trusts a downdated sum only while cancellation costs it at most
@@ -402,22 +410,15 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     k = len(pairs)
     if k < 3:
         raise ValueError(f"influence needs at least three studies, got {k}")
-    full = pool_dl(pairs)
-
-    ys = [y for y, _ in pairs]
-    vs = [s * s for _, s in pairs]
-    w = [1.0 / v for v in vs]
-    sw = math.fsum(w)
-    top = max(range(k), key=w.__getitem__)
+    full, w, sw, top, dev, u, outside_top = _pool(pairs)
     others = w[:top] + w[top + 1 :]
-    rest = (w[top], math.fsum(others), math.fsum(x * (x / w[top]) for x in others))
-    u = [1.0 / (v + full.tau2) for v in vs]
+    rest = (w[top], outside_top, math.fsum(x * (x / w[top]) for x in others))
     u_max = max(u)
 
     # Per study: the leave-one-out tau^2 and series length, or None to pool
     # that study directly.
     plan: list[tuple[float, int] | None] = []
-    for i, (wi, yi) in enumerate(zip(w, ys)):
+    for i, (wi, (yi, _)) in enumerate(zip(w, pairs)):
         tau2_i = _downdated_tau2(k, sw, rest, full.fixed_mean, full.q, wi, yi, heaviest=i == top)
         r = math.inf if tau2_i is None else abs(tau2_i - full.tau2) * u_max
         if r < _MAX_SERIES_RATIO:
@@ -431,7 +432,6 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     # itself meets that study's weight. They are in units of the full-set
     # standard error, so a small weight times a small deviation stays normal.
     scaled = powers = [x / u_max for x in u]
-    dev = [y - ys[top] for y in ys]
     shift = math.fsum(x * d for x, d in zip(scaled, dev)) / math.fsum(scaled)
     centred = [(d - shift) / full.random_se for d in dev]
     p_sums: list[float] = []
@@ -455,7 +455,8 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
             for m in reversed(range(1, terms)):
                 b = -ratio * (p_sums[m] + b)
                 a = -ratio * (y_sums[m] + a)
-            own = 1.0 / ((vs[i] + tau2_i) * u_max)
+            se = pairs[i][1]
+            own = 1.0 / ((se * se + tau2_i) * u_max)
             b_i = p_sums[0] + b - own
             if own <= _MAX_CANCELLATION * b_i:
                 shift_i = (a - offset * b - own * (centred[i] - offset)) / b_i

@@ -350,6 +350,34 @@ def test_pool_dl_rejects_bad_input():
         pool_dl([(0.2, 1e-154), (0.2, 1e-154), (0.2, 0.1)])
 
 
+_TOO_SMALL = "is too small to pool (1/se^2 overflows)"
+
+
+@pytest.mark.parametrize(
+    "effects, message",
+    [
+        ([], "pooling needs at least two studies, got 0"),
+        ([(0.0, 0.1)], "pooling needs at least two studies, got 1"),
+        ([(0.0, 0.1), (math.nan, 0.1)], "study 1: non-finite effect or se"),
+        ([(0.0, math.inf), (1.0, 0.1)], "study 0: non-finite effect or se"),
+        ([(0.0, 0.1), (1.0, 0.0)], "study 1: se must be positive, got 0.0"),
+        ([(0.0, 0.1), (1.0, -0.5)], "study 1: se must be positive, got -0.5"),
+        # se squares to zero; se squares to a subnormal whose inverse overflows
+        ([(0.0, 0.1), (1.0, 1e-200)], f"study 1: se 1e-200 {_TOO_SMALL}"),
+        ([(0.0, 0.1), (1.0, 1e-160)], f"study 1: se 1e-160 {_TOO_SMALL}"),
+        # each 1/se^2 is finite, their sum is not
+        (
+            [(0.2, 1e-154), (0.2, 1e-154), (0.2, 0.1)],
+            "weighted sums overflow; cannot pool (study 0, se 1e-154, has the largest weight)",
+        ),
+    ],
+)
+def test_pool_dl_error_messages(effects, message):
+    with pytest.raises(ValueError) as caught:
+        pool_dl(effects)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("dominant_se", [1e-6, 1e-20, 1e-60, 1e-100])
 def test_pool_dl_tau2_exact_with_a_dominant_study(dominant_se):
     # One study with nearly all the weight: sum(w) - sum(w^2)/sum(w) must not
@@ -392,6 +420,36 @@ def test_effects_from_dataset_scales():
 def test_loo_influence_needs_three():
     with pytest.raises(ValueError):
         loo_influence([(0.0, 0.1), (1.0, 0.1)])
+
+
+# Without study 0 every weight underflows to zero; the subset's heaviest
+# study is named by its input row.
+_VAST_SE = (4e200 - 0.5) / 3.92
+
+
+@pytest.mark.parametrize(
+    "effects, message",
+    [
+        ([], "influence needs at least three studies, got 0"),
+        ([(0.0, 0.1), (math.nan, 0.1)], "influence needs at least three studies, got 2"),
+        ([(0.0, 0.1), (0.1, 0.1), (math.nan, 0.1)], "study 2: non-finite effect or se"),
+        ([(0.0, 0.1), (0.1, -1.0), (0.2, 0.1)], "study 1: se must be positive, got -1.0"),
+        ([(0.0, 0.1), (0.1, 0.1), (0.2, 1e-160)], f"study 2: se 1e-160 {_TOO_SMALL}"),
+        (
+            [(0.2, 0.1), (0.2, 1e-154), (0.2, 1e-154)],
+            "weighted sums overflow; cannot pool (study 1, se 1e-154, has the largest weight)",
+        ),
+        (
+            [(0.1, 0.4 / 3.92)] + [(0.0, _VAST_SE)] * 3,
+            "weighted sums overflow without study 0; cannot pool"
+            f" (study 1, se {_VAST_SE!r}, has the largest weight)",
+        ),
+    ],
+)
+def test_loo_influence_error_messages(effects, message):
+    with pytest.raises(ValueError) as caught:
+        loo_influence(effects)
+    assert str(caught.value) == message
 
 
 def test_loo_influence_symmetric_studies_equal():
@@ -567,16 +625,17 @@ def _dominated_set(dominant_se, homogeneous=False):
 def test_loo_influence_stays_linear_with_a_dominant_study(
     monkeypatch, dominant_se, homogeneous, most_calls
 ):
-    # Counts pool_dl calls, not time: the full set, plus at most the dominant
+    # Counts pooling passes, not time: the full set, plus at most the dominant
     # study itself pooled directly. Every other study is downdated.
     effects = _dominated_set(dominant_se, homogeneous)
     calls = []
+    pool = stats_module._pool
 
-    def counted(subset):
-        calls.append(len(subset))
-        return pool_dl(subset)
+    def counted(pairs):
+        calls.append(len(pairs))
+        return pool(pairs)
 
-    monkeypatch.setattr(stats_module, "pool_dl", counted)
+    monkeypatch.setattr(stats_module, "_pool", counted)
     values = loo_influence(effects)
     monkeypatch.undo()
     assert len(calls) <= most_calls, len(calls)
