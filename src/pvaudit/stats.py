@@ -12,7 +12,7 @@ usually unwound in practice; both choices can be overridden.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import Dataset, DerivedDataset, DerivedStats, StudyRecord
 
@@ -238,7 +238,11 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
 
     A homogeneous set (Q <= k-1) collapses to the fixed-effect answer with
     ``tau2 == 0``. Sums are accumulated with ``math.fsum`` so results do not
-    depend on summation order beyond honest rounding.
+    depend on summation order beyond honest rounding. Where Q is so near k-1
+    that its rounding could move tau^2 by more than 2^-40 of the heaviest
+    study's random variance (a study carrying nearly all the weight, at the
+    clamp), tau^2 is taken from the weights, fixed mean, Q and denominator
+    recomputed in double-double arithmetic.
     """
     return _pool([(float(y), float(s)) for y, s in effects])[0]
 
@@ -279,6 +283,14 @@ def _pool(
         outside[top] = math.fsum(w[:top] + w[top + 1 :])
         denom = math.fsum(wi * (o / sw) for wi, o in zip(w, outside))
         tau2 = max(0.0, (q - (k - 1)) / denom) if denom > 0 else 0.0
+        # Q's rounding error is below q_err: a few ulps of q, and of the
+        # shift times the spread. Unless it clamps tau^2 for certain, tau^2 is
+        # taken from double-double sums where that error could move it by
+        # more than _TAU2_NOISE of the heaviest study's random variance.
+        q_err = _CLAMP_MARGIN * (q + abs(shift) * math.sqrt(sw) * math.sqrt(q))
+        unclamped = denom > 0 and q - (k - 1) + q_err > 0.0
+        if unclamped and q_err > _TAU2_NOISE * denom * (1.0 / w[top] + tau2):
+            tau2 = _tau2_double_double(pairs, top, tau2)
         wr = [1.0 / (s * s + tau2) for _, s in pairs]
         swr = math.fsum(wr)
         random_mean = math.fsum(wi * y for wi, (y, _) in zip(wr, pairs)) / swr
@@ -306,6 +318,75 @@ def _pool(
     return result, w, sw, top, dev, wr, outside[top]
 
 
+# Double-double arithmetic: a value is a pair (hi, lo) of doubles whose sum
+# carries about 106 bits. TwoProduct splits each factor by Veltkamp's method,
+# since math.fma exists only from Python 3.13 (Dekker 1971, Numer. Math.
+# 18:224; Ogita, Rump & Oishi 2005, SIAM J. Sci. Comput. 26:1955).
+_VELTKAMP = 2.0**27 + 1.0
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    p = a * b
+    c = _VELTKAMP * a
+    a_hi = c - (c - a)
+    c = _VELTKAMP * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
+    s, e = _two_sum(x[0], y[0])
+    t, f = _two_sum(x[1], y[1])
+    s, e = _two_sum(s, e + t)
+    return _two_sum(s, e + f)
+
+
+def _dd_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
+    p, e = _two_product(x[0], y[0])
+    return _two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_div(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
+    # three quotient digits, each from the remainder the last one leaves
+    digits = []
+    for _ in range(3):
+        digits.append(x[0] / y[0])
+        x = _dd_add(x, _dd_mul((-digits[-1], 0.0), y))
+    return _dd_add(_two_sum(digits[0], digits[1]), (digits[2], 0.0))
+
+
+def _dd_sum(values: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    total = (0.0, 0.0)
+    for x in values:
+        total = _dd_add(total, x)
+    return total
+
+
+def _tau2_double_double(pairs: list[tuple[float, float]], top: int, tau2: float) -> float:
+    """DL tau^2 with the weights, the fixed mean, Q and the denominator in
+    double-double, as :func:`pool_dl` forms them in double; ``tau2`` where
+    an intermediate leaves the range of a double."""
+    w = [_dd_div((1.0, 0.0), _two_product(s, s)) for _, s in pairs]
+    dev = [_two_sum(y, -pairs[top][0]) for y, _ in pairs]
+    sw = _dd_sum(w)
+    shift = _dd_div(_dd_sum(map(_dd_mul, w, dev)), sw)
+    shift = (-shift[0], -shift[1])
+    spread = [_dd_add(d, shift) for d in dev]
+    q = _dd_sum(_dd_mul(wi, _dd_mul(r, r)) for wi, r in zip(w, spread))
+    outside = [_dd_add(sw, (-wi[0], -wi[1])) for wi in w]
+    outside[top] = _dd_sum(w[:top] + w[top + 1 :])
+    denom = _dd_div(_dd_sum(map(_dd_mul, w, outside)), sw)
+    exact = _dd_div(_dd_add(q, (1.0 - len(pairs), 0.0)), denom)[0]
+    return max(0.0, exact) if math.isfinite(exact) else tau2
+
+
 # loo_influence trusts a downdated sum only while cancellation costs it at most
 # ten bits more than summing the subset directly would, and a q_i this far
 # (relative to its rounding scale) below k-2 clamps tau^2 for certain. The
@@ -313,6 +394,9 @@ def _pool(
 # and cut once r**M is below 2**-55, where its tail is under a rounding unit.
 _MAX_CANCELLATION = 2.0**10
 _CLAMP_MARGIN = 2.0**-48
+# A tau^2 that Q's rounding could move by more than this share of the heaviest
+# study's random variance is taken from double-double sums.
+_TAU2_NOISE = 2.0**-40
 _MAX_SERIES_RATIO = 0.5
 _LOG_SERIES_TOL = -55.0 * math.log(2.0)
 
@@ -358,8 +442,14 @@ def _downdated_tau2(
     q_scale = q + g * (abs(yi - fixed) + 2.0 * abs(fixed))
     if q_i - (k - 2) + _CLAMP_MARGIN * q_scale < 0.0:
         return 0.0
+    tau2_i = max(0.0, (q_i - (k - 2)) / denom)
+    # pooled directly where the subset's own pooling would take tau^2 from
+    # double-double sums; its heaviest weight is at most s1
+    heaviest_variance = 1.0 / (s1 if heaviest else w_t)
+    if _CLAMP_MARGIN * q_i > _TAU2_NOISE * denom * (heaviest_variance + tau2_i):
+        return None
     if q_scale <= _MAX_CANCELLATION * q_i:
-        return max(0.0, (q_i - (k - 2)) / denom)
+        return tau2_i
     return None
 
 
@@ -401,8 +491,9 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     when a homogeneous set, tau2 = 0, has a heterogeneous subset, or a subset
     clamps a large tau2 to zero), or where a downdate would lose more than
     ten bits to cancellation (the study that carries nearly all the weight
-    or nearly all of Q, or a set near the tau2 clamp); its subset mean, too,
-    is read off the centre above, from :func:`pool_dl`'s random weights.
+    or nearly all of Q, or a set near the tau2 clamp), or where the subset's
+    own pooling would take tau2 from double-double sums; its subset mean,
+    too, is read off the centre above, from :func:`pool_dl`'s random weights.
     Where one study carries nearly all the weight and tau2 = 0, per-subset
     pooling returns mostly the rounding of the mean; these values do not.
     """

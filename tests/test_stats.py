@@ -404,6 +404,55 @@ def test_pool_dl_tau2_survives_squared_weight_overflow():
         assert getattr(tiny, name) == pytest.approx(getattr(small, name), rel=1e-12), name
 
 
+# Q sits at k-1 within rounding, and study 0 carries nearly all the weight:
+# exact DL gives tau^2 = 8.7e-17, which moves study 0's weight by 8.7e-7.
+_AT_CLAMP = [(1.0, 1e-5)] + [(1.0, 1.0)] * 9 + [(4.1622776603264935, 1.0)]
+
+
+def test_pool_dl_tau2_exact_at_the_clamp():
+    got = pool_dl(_AT_CLAMP)
+    want = _pool_fraction_oracle(_AT_CLAMP)
+    assert float(want["q"]) - 10 == pytest.approx(1.73e-15, rel=0.01)
+    for name in ("tau2", "random_mean", "random_se"):
+        assert abs(getattr(got, name) - float(want[name])) <= 1e-12 * float(want[name]), name
+    influence = loo_influence(_AT_CLAMP)[0]
+    assert influence == pytest.approx(_loo_mp_oracle(_AT_CLAMP, [0])[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("dominant_se", [1e-3, 1e-5, 1e-8])
+@pytest.mark.parametrize("k", [3, 11, 40])
+def test_pool_dl_tau2_exact_when_q_is_scaled_to_the_clamp(k, dominant_se):
+    rng = np.random.default_rng(k)
+    effects = [(float(rng.normal(0, 1)), float(rng.uniform(0.2, 1.0))) for _ in range(k)]
+    effects[0] = (effects[0][0], dominant_se)
+    full = pool_dl(effects)
+    scale = math.sqrt((k - 1) / full.q)
+    effects = [(full.fixed_mean + scale * (y - full.fixed_mean), se) for y, se in effects]
+    got = pool_dl(effects)
+    want = _pool_fraction_oracle(effects)
+    assert abs(float(want["q"]) / (k - 1) - 1) < 1e-14
+    for name in ("tau2", "random_mean", "random_se"):
+        assert abs(getattr(got, name) - float(want[name])) <= 1e-12 * abs(float(want[name])), name
+
+
+def test_pool_dl_takes_double_double_sums_only_near_the_clamp(monkeypatch, soy):
+    calls = []
+    exact = stats_module._tau2_double_double
+
+    def counted(pairs, top, tau2):
+        calls.append(len(pairs))
+        return exact(pairs, top, tau2)
+
+    monkeypatch.setattr(stats_module, "_tau2_double_double", counted)
+    pool_dl(effects_from_dataset(soy))
+    # at the clamp but with even weights, Q's rounding moves no weight
+    half = math.sqrt(0.5)
+    assert pool_dl([(1.0, 1.0), (-1.0, 1.0), (half, 1.0), (-half, 1.0)]).q == 3.0
+    assert calls == []
+    pool_dl(_AT_CLAMP)
+    assert calls == [11]
+
+
 def test_effects_from_dataset_scales():
     # the effects come out on the scale the dataset was derived on
     ds = parse_dataset("author,year,comment,ref,rr,cl_low,cl_high\nA,2000,,1,1.2,1.0,1.4\n")
@@ -484,8 +533,11 @@ def _loo_oracle(effects):
     ]
 
 
+_LOO_KINDS = ("spread", "homogeneous", "clamp", "dominant", "overwhelming", "quiet", "repeated")
+
+
 @st.composite
-def _loo_sets(draw):
+def _loo_sets(draw, kinds=_LOO_KINDS):
     """(effect, se) sets with se in [e^-6, e] and effects in [-1, 1].
 
     Beside plain heterogeneous sets: homogeneous sets (Q < k-1, so tau^2 is
@@ -498,13 +550,13 @@ def _loo_sets(draw):
     keep clear of the clamp, where a dominant study makes DL ill-conditioned:
     a rounding of Q moves tau^2 by about 2^-52 Q over the other studies'
     weight, and that study's weight with it.
+
+    Edge sets sit there on purpose: one study carries nearly all the weight
+    (se 1e-3 down to 1e-8, the others at least e^-3) and Q is scaled to k-1,
+    so tau^2 is within rounding of the clamp.
     """
     k = draw(st.integers(min_value=3, max_value=30))
-    kind = draw(
-        st.sampled_from(
-            ("spread", "homogeneous", "clamp", "dominant", "overwhelming", "quiet", "repeated")
-        )
-    )
+    kind = draw(st.sampled_from(kinds))
     log_se = st.floats(min_value=-6.0, max_value=1.0)
     effect = st.floats(min_value=-1.0, max_value=1.0)
     if kind == "repeated":
@@ -515,10 +567,10 @@ def _loo_sets(draw):
     ys = draw(st.lists(effect, min_size=k, max_size=k))
     if kind == "dominant":
         ses = [math.exp(-6.0)] + [max(se, math.exp(-1.0)) for se in ses[1:]]
-    elif kind in ("overwhelming", "quiet"):
-        exponent = draw(st.floats(min_value=3.0, max_value=100.0))
+    elif kind in ("overwhelming", "quiet", "edge"):
+        exponent = draw(st.floats(min_value=3.0, max_value=8.0 if kind == "edge" else 100.0))
         ses = [10.0 ** -exponent] + [max(se, math.exp(-3.0)) for se in ses[1:]]
-    if kind in ("homogeneous", "clamp", "quiet"):
+    if kind in ("homogeneous", "clamp", "quiet", "edge"):
         centre = ys[0]
         shifts = draw(
             st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=k, max_size=k)
@@ -528,6 +580,8 @@ def _loo_sets(draw):
         if q > 1e-3:
             if kind == "clamp":
                 target = draw(st.floats(min_value=k - 1.5, max_value=k - 0.5))
+            elif kind == "edge":
+                target = k - 1
             else:
                 share = draw(st.floats(min_value=0.0, max_value=0.9))
                 target = share * (k - 1 if kind == "homogeneous" else k - 2)
@@ -598,6 +652,20 @@ def test_loo_influence_matches_per_subset_pooling(effects):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert abs(g - w) <= 1e-10 * abs(w) + slack, (i, g, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_loo_sets(kinds=("edge",)))
+@example(_AT_CLAMP)
+# the set and its subset without study 9 are both at their clamp
+@example([(1.0, 1e-5)] + [(1.0, 1.0)] * 8 + [(2.00000000035, 1.0), (4.00000000015, 1.0)])
+def test_loo_influence_exact_at_the_clamp_with_a_dominant_study(effects):
+    # Per-subset pooling returns mostly the rounding of the mean here, and
+    # the clamp decides study 0's weight; exact DL arithmetic is the oracle.
+    got = loo_influence(effects)
+    want = _loo_mp_oracle(effects)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-10 * abs(w), (i, g, w)
 
 
 def _dominated_set(dominant_se, homogeneous=False):
