@@ -407,54 +407,33 @@ def test_effect_fraction_one_mostly_significant():
 
 
 def test_run_experiment_aggregates():
-    cfg = SimConfig(n_studies=30, seed=19, replicates=25)
-    outcome = run_experiment(cfg)
-    assert len(outcome.replicates) == 25
-    assert sum(outcome.verdict_counts.values()) == 25
-    assert set(outcome.verdict_counts) == {
-        "uniform_null",
-        "significant_effect",
-        "bilinear_mixture",
-        "indeterminate",
-    }
-    assert 0.0 <= outcome.mean_suppressed_fraction <= 1.0
-    assert 0.0 <= outcome.ks_rejection_rate <= 1.0
-    for rep in outcome.replicates:
-        assert rep.verdict.verdict in outcome.verdict_counts
-
-
-@pytest.mark.parametrize(
-    "cfg, tested",
-    [
+    # The aggregate table is read off the replicates. The KS rejection rate
+    # counts only replicates with at least KS_MIN_POINTS values: all of them,
+    # some (n 6, half of the non-significant studies censored), and none
+    # (n 4), where the rate is 0.0.
+    for cfg, tested in [
         (SimConfig(n_studies=30, seed=19, replicates=25), "all"),
-        # most replicates keep fewer than KS_MIN_POINTS values, some keep more
         (SimConfig(n_studies=6, seed=4, replicates=60, censor_rate=0.5), "some"),
-        # no replicate reaches KS_MIN_POINTS, so the rate is 0.0
         (SimConfig(n_studies=4, seed=4, replicates=20), "none"),
-    ],
-)
-def test_run_experiment_aggregate_table_is_read_off_its_replicates(cfg, tested):
-    outcome = run_experiment(cfg)
-    reps = outcome.replicates
-    assert [rep.index for rep in reps] == list(range(cfg.replicates))
-    tally = dict.fromkeys(
-        ("uniform_null", "significant_effect", "bilinear_mixture", "indeterminate"), 0
-    )
-    for rep in reps:
-        assert rep.suppressed == cfg.n_studies - len(rep.pvalues)
-        tally[rep.verdict.verdict] += 1
-    assert outcome.verdict_counts == tally
-    assert list(outcome.verdict_counts) == list(tally)
-    fracs = math.fsum(rep.suppressed / cfg.n_studies for rep in reps) / len(reps)
-    assert outcome.mean_suppressed_fraction == fracs
-    ks = [rep.verdict.ks_pvalue for rep in reps if len(rep.pvalues) >= KS_MIN_POINTS]
-    assert {"all": len(reps), "none": 0}.get(tested, len(ks)) == len(ks)
-    if tested == "some":
-        assert 0 < len(ks) < len(reps)
-    rejected = sum(p < SHAPE_THRESHOLDS.ks_alpha for p in ks)
-    assert outcome.ks_rejection_rate == (rejected / len(ks) if ks else 0.0)
-    if tested == "none":
-        assert outcome.ks_rejection_rate == 0.0
+    ]:
+        outcome = run_experiment(cfg)
+        reps = outcome.replicates
+        assert [rep.index for rep in reps] == list(range(cfg.replicates))
+        tally = dict.fromkeys(
+            ("uniform_null", "significant_effect", "bilinear_mixture", "indeterminate"), 0
+        )
+        for rep in reps:
+            assert rep.suppressed == cfg.n_studies - len(rep.pvalues)
+            tally[rep.verdict.verdict] += 1
+        assert list(outcome.verdict_counts.items()) == list(tally.items())
+        fracs = math.fsum(rep.suppressed / cfg.n_studies for rep in reps) / len(reps)
+        assert outcome.mean_suppressed_fraction == fracs
+        ks = [rep.verdict.ks_pvalue for rep in reps if len(rep.pvalues) >= KS_MIN_POINTS]
+        assert {"all": len(reps), "none": 0}.get(tested, len(ks)) == len(ks)
+        if tested == "some":
+            assert 0 < len(ks) < len(reps)
+        rejected = sum(p < SHAPE_THRESHOLDS.ks_alpha for p in ks)
+        assert outcome.ks_rejection_rate == (rejected / len(ks) if ks else 0.0)
 
 
 def test_run_experiment_reports_are_byte_identical():
