@@ -251,7 +251,8 @@ def _pool(
     pairs: list[tuple[float, float]],
 ) -> tuple[PoolResult, list[float], float, int, list[float], list[float], float]:
     """:func:`pool_dl` of float pairs, with the weights, their sum, the heaviest
-    study, each effect less its, the random weights and the others' weight."""
+    study, each effect less its effect, the random weights and the sum of the
+    other weights."""
     k = len(pairs)
     if k < 2:
         raise ValueError(f"pooling needs at least two studies, got {k}")
@@ -290,7 +291,7 @@ def _pool(
         q_err = _CLAMP_MARGIN * (q + abs(shift) * math.sqrt(sw) * math.sqrt(q))
         unclamped = denom > 0 and q - (k - 1) + q_err > 0.0
         if unclamped and q_err > _TAU2_NOISE * denom * (1.0 / w[top] + tau2):
-            tau2 = _tau2_double_double(pairs, top, tau2)
+            tau2 = _tau2_double_double(pairs, top)
         wr = [1.0 / (s * s + tau2) for _, s in pairs]
         swr = math.fsum(wr)
         random_mean = math.fsum(wi * y for wi, (y, _) in zip(wr, pairs)) / swr
@@ -304,7 +305,7 @@ def _pool(
         raise _overflow_error(top, pairs[top][1])
     random_se = swr ** -0.5
     i2 = max(0.0, (q - (k - 1)) / q) if q > 0 else 0.0
-    result = PoolResult(
+    pooled = PoolResult(
         k=k,
         fixed_mean=fixed,
         q=q,
@@ -315,7 +316,7 @@ def _pool(
         weights_fixed=tuple(wi / sw for wi in w),
         weights_random=tuple(wi / swr for wi in wr),
     )
-    return result, w, sw, top, dev, wr, outside[top]
+    return pooled, w, sw, top, dev, wr, outside[top]
 
 
 # Double-double arithmetic: a value is a pair (hi, lo) of doubles whose sum
@@ -331,13 +332,18 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     return s, (a - (s - t)) + (b - t)
 
 
+def _split(a: float) -> tuple[float, float]:
+    if abs(a) > 2.0**995:  # _VELTKAMP * a would overflow; scale by 2^28 exactly
+        hi, lo = _split(a * 2.0**-28)
+        return hi * 2.0**28, lo * 2.0**28
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
 def _two_product(a: float, b: float) -> tuple[float, float]:
     p = a * b
-    c = _VELTKAMP * a
-    a_hi = c - (c - a)
-    c = _VELTKAMP * b
-    b_hi = c - (c - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
@@ -369,10 +375,9 @@ def _dd_sum(values: Iterable[tuple[float, float]]) -> tuple[float, float]:
     return total
 
 
-def _tau2_double_double(pairs: list[tuple[float, float]], top: int, tau2: float) -> float:
+def _tau2_double_double(pairs: list[tuple[float, float]], top: int) -> float:
     """DL tau^2 with the weights, the fixed mean, Q and the denominator in
-    double-double, as :func:`pool_dl` forms them in double; ``tau2`` where
-    an intermediate leaves the range of a double."""
+    double-double, as :func:`pool_dl` forms them in double."""
     w = [_dd_div((1.0, 0.0), _two_product(s, s)) for _, s in pairs]
     dev = [_two_sum(y, -pairs[top][0]) for y, _ in pairs]
     sw = _dd_sum(w)
@@ -382,9 +387,8 @@ def _tau2_double_double(pairs: list[tuple[float, float]], top: int, tau2: float)
     q = _dd_sum(_dd_mul(wi, _dd_mul(r, r)) for wi, r in zip(w, spread))
     outside = [_dd_add(sw, (-wi[0], -wi[1])) for wi in w]
     outside[top] = _dd_sum(w[:top] + w[top + 1 :])
-    denom = _dd_div(_dd_sum(map(_dd_mul, w, outside)), sw)
-    exact = _dd_div(_dd_add(q, (1.0 - len(pairs), 0.0)), denom)[0]
-    return max(0.0, exact) if math.isfinite(exact) else tau2
+    denom = _dd_sum(_dd_mul(wi, _dd_div(o, sw)) for wi, o in zip(w, outside))
+    return max(0.0, _dd_div(_dd_add(q, (1.0 - len(pairs), 0.0)), denom)[0])
 
 
 # loo_influence trusts a downdated sum only while cancellation costs it at most

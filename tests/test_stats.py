@@ -405,7 +405,8 @@ def test_pool_dl_tau2_exact_at_the_clamp():
     assert influence == pytest.approx(_loo_mp_oracle(_AT_CLAMP, [0])[0], rel=1e-12)
 
 
-@pytest.mark.parametrize("dominant_se", [1e-3, 1e-5, 1e-8])
+# at se 1e-152 the weight 1e304 is split for TwoProduct without overflowing
+@pytest.mark.parametrize("dominant_se", [1e-3, 1e-5, 1e-8, 1e-152])
 @pytest.mark.parametrize("k", [3, 11, 40])
 def test_pool_dl_tau2_exact_when_q_is_scaled_to_the_clamp(k, dominant_se):
     rng = np.random.default_rng(k)
@@ -425,9 +426,9 @@ def test_pool_dl_takes_double_double_sums_only_near_the_clamp(monkeypatch, soy):
     calls = []
     exact = stats_module._tau2_double_double
 
-    def counted(pairs, top, tau2):
+    def counted(pairs, top):
         calls.append(len(pairs))
-        return exact(pairs, top, tau2)
+        return exact(pairs, top)
 
     monkeypatch.setattr(stats_module, "_tau2_double_double", counted)
     pool_dl(effects_from_dataset(soy))
