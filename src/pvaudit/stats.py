@@ -12,7 +12,7 @@ usually unwound in practice; both choices can be overridden.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import Dataset, DerivedDataset, DerivedStats, StudyRecord
 
@@ -291,7 +291,9 @@ def _pool(
         q_err = _CLAMP_MARGIN * (q + abs(shift) * math.sqrt(sw) * math.sqrt(q))
         unclamped = denom > 0 and q - (k - 1) + q_err > 0.0
         if unclamped and q_err > _TAU2_NOISE * denom * (1.0 / w[top] + tau2):
-            tau2 = _tau2_double_double(pairs, top)
+            from ._doubledouble import dl_tau2
+
+            tau2 = dl_tau2(pairs, top)
         wr = [1.0 / (s * s + tau2) for _, s in pairs]
         swr = math.fsum(wr)
         random_mean = math.fsum(wi * y for wi, (y, _) in zip(wr, pairs)) / swr
@@ -317,78 +319,6 @@ def _pool(
         weights_random=tuple(wi / swr for wi in wr),
     )
     return pooled, w, sw, top, dev, wr, outside[top]
-
-
-# Double-double arithmetic: a value is a pair (hi, lo) of doubles whose sum
-# carries about 106 bits. TwoProduct splits each factor by Veltkamp's method,
-# since math.fma exists only from Python 3.13 (Dekker 1971, Numer. Math.
-# 18:224; Ogita, Rump & Oishi 2005, SIAM J. Sci. Comput. 26:1955).
-_VELTKAMP = 2.0**27 + 1.0
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _split(a: float) -> tuple[float, float]:
-    if abs(a) > 2.0**995:  # _VELTKAMP * a would overflow; scale by 2^28 exactly
-        hi, lo = _split(a * 2.0**-28)
-        return hi * 2.0**28, lo * 2.0**28
-    c = _VELTKAMP * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    s, e = _two_sum(x[0], y[0])
-    t, f = _two_sum(x[1], y[1])
-    s, e = _two_sum(s, e + t)
-    return _two_sum(s, e + f)
-
-
-def _dd_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    p, e = _two_product(x[0], y[0])
-    return _two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
-
-
-def _dd_div(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    # three quotient digits, each from the remainder the last one leaves
-    digits = []
-    for _ in range(3):
-        digits.append(x[0] / y[0])
-        x = _dd_add(x, _dd_mul((-digits[-1], 0.0), y))
-    return _dd_add(_two_sum(digits[0], digits[1]), (digits[2], 0.0))
-
-
-def _dd_sum(values: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    total = (0.0, 0.0)
-    for x in values:
-        total = _dd_add(total, x)
-    return total
-
-
-def _tau2_double_double(pairs: list[tuple[float, float]], top: int) -> float:
-    """DL tau^2 with the weights, the fixed mean, Q and the denominator in
-    double-double, as :func:`pool_dl` forms them in double."""
-    w = [_dd_div((1.0, 0.0), _two_product(s, s)) for _, s in pairs]
-    dev = [_two_sum(y, -pairs[top][0]) for y, _ in pairs]
-    sw = _dd_sum(w)
-    shift = _dd_div(_dd_sum(map(_dd_mul, w, dev)), sw)
-    shift = (-shift[0], -shift[1])
-    spread = [_dd_add(d, shift) for d in dev]
-    q = _dd_sum(_dd_mul(wi, _dd_mul(r, r)) for wi, r in zip(w, spread))
-    outside = [_dd_add(sw, (-wi[0], -wi[1])) for wi in w]
-    outside[top] = _dd_sum(w[:top] + w[top + 1 :])
-    denom = _dd_sum(_dd_mul(wi, _dd_div(o, sw)) for wi, o in zip(w, outside))
-    return max(0.0, _dd_div(_dd_add(q, (1.0 - len(pairs), 0.0)), denom)[0])
 
 
 # loo_influence trusts a downdated sum only while cancellation costs it at most

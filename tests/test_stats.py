@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from pvaudit import _doubledouble
 from pvaudit import stats as stats_module
 from pvaudit import (
     Dataset,
@@ -424,13 +425,13 @@ def test_pool_dl_tau2_exact_when_q_is_scaled_to_the_clamp(k, dominant_se):
 
 def test_pool_dl_takes_double_double_sums_only_near_the_clamp(monkeypatch, soy):
     calls = []
-    exact = stats_module._tau2_double_double
+    exact = _doubledouble.dl_tau2
 
     def counted(pairs, top):
         calls.append(len(pairs))
         return exact(pairs, top)
 
-    monkeypatch.setattr(stats_module, "_tau2_double_double", counted)
+    monkeypatch.setattr(_doubledouble, "dl_tau2", counted)
     pool_dl(effects_from_dataset(soy))
     # at the clamp but with even weights, Q's rounding moves no weight
     half = math.sqrt(0.5)
