@@ -64,8 +64,10 @@ def _dd_sum(values: Iterable[tuple[float, float]]) -> tuple[float, float]:
 
 
 def dl_tau2(pairs: list[tuple[float, float]], top: int) -> float:
-    """DL tau^2 with the weights, the fixed mean, Q and the denominator in
-    double-double, as :func:`pool_dl` forms them in double."""
+    """DL tau^2 of float (effect, se) pairs with the weights, the fixed mean,
+    Q and the denominator in double-double, formed as
+    :func:`pvaudit.stats.pool_dl` forms them in double: effects less that of
+    the heaviest study ``top``, and its outside weight summed directly."""
     w = [_dd_div((1.0, 0.0), _two_product(s, s)) for _, s in pairs]
     dev = [_two_sum(y, -pairs[top][0]) for y, _ in pairs]
     sw = _dd_sum(w)
