@@ -419,9 +419,10 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
       as :func:`pool_dl` centres Q, so the rounding of the mean never meets
       the heaviest study's weight.
 
-    The power sums are taken once, so the cost is O(k M), with M at most 55
-    and about 11 on typical sets. Only a study the series cannot serve is
-    pooled directly with :func:`pool_dl`, at O(k): where ``r >= 1/2`` (as
+    Each power sum is taken once, the first time a study's series needs it,
+    so the cost is O(k M), with M at most 55 and about 11 on typical sets.
+    Only a study the series cannot serve is pooled directly with
+    :func:`pool_dl`, at O(k): where ``r >= 1/2`` (as
     when a homogeneous set, tau2 = 0, has a heterogeneous subset, or a subset
     clamps a large tau2 to zero), or where a downdate would lose more than
     ten bits to cancellation (the study that carries nearly all the weight
@@ -440,18 +441,6 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     rest = (w[top], outside_top, math.fsum(x * (x / w[top]) for x in others))
     u_max = max(u)
 
-    # Per study: the leave-one-out tau^2 and series length, or None to pool
-    # that study directly.
-    plan: list[tuple[float, int] | None] = []
-    for i, (wi, (yi, _)) in enumerate(zip(w, pairs)):
-        tau2_i = _downdated_tau2(k, sw, rest, full.fixed_mean, full.q, wi, yi, heaviest=i == top)
-        r = math.inf if tau2_i is None else abs(tau2_i - full.tau2) * u_max
-        if r < _MAX_SERIES_RATIO:
-            terms = 1 if r == 0.0 else math.ceil(_LOG_SERIES_TOL / math.log(r))
-            plan.append((tau2_i, terms))
-        else:
-            plan.append(None)
-
     # Deviations from the random mean as pool_dl takes Q's: off the heaviest
     # study's effect, less the random-weight shift, so no rounding of the mean
     # itself meets that study's weight. They are in units of the full-set
@@ -459,12 +448,8 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     scaled = powers = [x / u_max for x in u]
     shift = math.fsum(x * d for x, d in zip(scaled, dev)) / math.fsum(scaled)
     centred = [(d - shift) / full.random_se for d in dev]
-    p_sums: list[float] = []
-    y_sums: list[float] = []
-    for _ in range(max((step[1] for step in plan if step is not None), default=1)):
-        p_sums.append(math.fsum(powers))
-        y_sums.append(math.fsum(c * x for c, x in zip(centred, powers)))
-        powers = [x * s for x, s in zip(powers, scaled)]
+    p_sums = [math.fsum(powers)]
+    y_sums = [math.fsum(c * x for c, x in zip(centred, powers))]
 
     # The full mean less the centre, which is only the shift's rounding. The
     # subset's mean less the full mean is then formed from the series terms
@@ -472,15 +457,19 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     # rounding of the first term, however large, meets a small shift.
     offset = y_sums[0] / p_sums[0]
     out = []
-    for i, step in enumerate(plan):
-        if step is not None:
-            tau2_i, terms = step
-            ratio = (tau2_i - full.tau2) * u_max
+    for i, (wi, (yi, se)) in enumerate(zip(w, pairs)):
+        tau2_i = _downdated_tau2(k, sw, rest, full.fixed_mean, full.q, wi, yi, heaviest=i == top)
+        ratio = math.inf if tau2_i is None else (tau2_i - full.tau2) * u_max
+        if abs(ratio) < _MAX_SERIES_RATIO:
+            terms = 1 if ratio == 0.0 else math.ceil(_LOG_SERIES_TOL / math.log(abs(ratio)))
+            while len(p_sums) < terms:
+                powers = [x * s for x, s in zip(powers, scaled)]
+                p_sums.append(math.fsum(powers))
+                y_sums.append(math.fsum(c * x for c, x in zip(centred, powers)))
             b = a = 0.0
             for m in reversed(range(1, terms)):
                 b = -ratio * (p_sums[m] + b)
                 a = -ratio * (y_sums[m] + a)
-            se = pairs[i][1]
             own = 1.0 / ((se * se + tau2_i) * u_max)
             b_i = p_sums[0] + b - own
             if own <= _MAX_CANCELLATION * b_i:
