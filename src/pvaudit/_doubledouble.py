@@ -63,11 +63,12 @@ def _dd_sum(values: Iterable[tuple[float, float]]) -> tuple[float, float]:
     return total
 
 
-def dl_tau2(pairs: list[tuple[float, float]], top: int) -> float:
-    """DL tau^2 of float (effect, se) pairs with the weights, the fixed mean,
-    Q and the denominator in double-double, formed as
+def dl_tau2(pairs: list[tuple[float, float]], top: int) -> tuple[float, float]:
+    """DL tau^2 and I^2 of float (effect, se) pairs with the weights, the
+    fixed mean, Q and the denominator in double-double, formed as
     :func:`pvaudit.stats.pool_dl` forms them in double: effects less that of
-    the heaviest study ``top``, and its outside weight summed directly."""
+    the heaviest study ``top``, and its outside weight summed directly. Both
+    divide the same excess ``Q - (k-1)``."""
     w = [_dd_div((1.0, 0.0), _two_product(s, s)) for _, s in pairs]
     dev = [_two_sum(y, -pairs[top][0]) for y, _ in pairs]
     sw = _dd_sum(w)
@@ -78,4 +79,5 @@ def dl_tau2(pairs: list[tuple[float, float]], top: int) -> float:
     outside = [_dd_add(sw, (-wi[0], -wi[1])) for wi in w]
     outside[top] = _dd_sum(w[:top] + w[top + 1 :])
     denom = _dd_sum(_dd_mul(wi, _dd_div(o, sw)) for wi, o in zip(w, outside))
-    return max(0.0, _dd_div(_dd_add(q, (1.0 - len(pairs), 0.0)), denom)[0])
+    excess = _dd_add(q, (1.0 - len(pairs), 0.0))
+    return max(0.0, _dd_div(excess, denom)[0]), max(0.0, _dd_div(excess, q)[0])

@@ -241,8 +241,8 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
     depend on summation order beyond honest rounding. Where Q is so near k-1
     that its rounding could move tau^2 by more than 2^-40 of the heaviest
     study's random variance (a study carrying nearly all the weight, at the
-    clamp), tau^2 is taken from the weights, fixed mean, Q and denominator
-    recomputed in double-double arithmetic.
+    clamp), tau^2 and I^2 are taken from the weights, fixed mean, Q and
+    denominator recomputed in double-double arithmetic.
     """
     return _pool([(float(y), float(s)) for y, s in effects])[0]
 
@@ -284,6 +284,7 @@ def _pool(
         outside[top] = math.fsum(w[:top] + w[top + 1 :])
         denom = math.fsum(wi * (o / sw) for wi, o in zip(w, outside))
         tau2 = max(0.0, (q - (k - 1)) / denom) if denom > 0 else 0.0
+        i2 = max(0.0, (q - (k - 1)) / q) if q > 0 else 0.0
         # Q's rounding error is below q_err: a few ulps of q, and of the
         # shift times the spread. Unless it clamps tau^2 for certain, tau^2 is
         # taken from double-double sums where that error could move it by
@@ -293,7 +294,7 @@ def _pool(
         if unclamped and q_err > _TAU2_NOISE * denom * (1.0 / w[top] + tau2):
             from ._doubledouble import dl_tau2
 
-            tau2 = dl_tau2(pairs, top)
+            tau2, i2 = dl_tau2(pairs, top)
         wr = [1.0 / (s * s + tau2) for _, s in pairs]
         swr = math.fsum(wr)
         random_mean = math.fsum(wi * y for wi, (y, _) in zip(wr, pairs)) / swr
@@ -306,7 +307,6 @@ def _pool(
     if not sums_finite:
         raise _overflow_error(top, pairs[top][1])
     random_se = swr ** -0.5
-    i2 = max(0.0, (q - (k - 1)) / q) if q > 0 else 0.0
     pooled = PoolResult(
         k=k,
         fixed_mean=fixed,

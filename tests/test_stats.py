@@ -400,7 +400,7 @@ def test_pool_dl_tau2_exact_at_the_clamp():
     got = pool_dl(_AT_CLAMP)
     want = _pool_fraction_oracle(_AT_CLAMP)
     assert float(want["q"]) - 10 == pytest.approx(1.73e-15, rel=0.01)
-    for name in ("tau2", "random_mean", "random_se"):
+    for name in ("tau2", "random_mean", "random_se", "i2"):
         assert abs(getattr(got, name) - float(want[name])) <= 1e-12 * float(want[name]), name
     influence = loo_influence(_AT_CLAMP)[0]
     assert influence == pytest.approx(_loo_mp_oracle(_AT_CLAMP, [0])[0], rel=1e-12)
@@ -419,7 +419,7 @@ def test_pool_dl_tau2_exact_when_q_is_scaled_to_the_clamp(k, dominant_se):
     got = pool_dl(effects)
     want = _pool_fraction_oracle(effects)
     assert abs(float(want["q"]) / (k - 1) - 1) < 1e-14
-    for name in ("tau2", "random_mean", "random_se"):
+    for name in ("tau2", "random_mean", "random_se", "i2"):
         assert abs(getattr(got, name) - float(want[name])) <= 1e-12 * abs(float(want[name])), name
 
 
