@@ -188,7 +188,7 @@ def effects_from_dataset(ds: DerivedDataset) -> list[tuple[float, float]]:
 class PoolResult(NamedTuple):
     """Fixed- and random-effects summary of k (effect, se) pairs.
 
-    ``weights_fixed`` and ``weights_normalized`` counterparts each sum to one.
+    ``weights_fixed`` and ``weights_random`` each sum to one.
     ``tau2`` is the moment estimate of between-study variance, clamped at
     zero, and ``i2`` the familiar heterogeneity fraction in [0, 1).
     """
@@ -242,7 +242,7 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
     that its rounding could move tau^2 by more than 2^-40 of the heaviest
     study's random variance (a study carrying nearly all the weight, at the
     clamp), tau^2 and I^2 are taken from the weights, fixed mean, Q and
-    denominator recomputed in double-double arithmetic.
+    denominator recomputed in decimal arithmetic to 40 significant digits.
     """
     return _pool([(float(y), float(s)) for y, s in effects])[0]
 
@@ -287,14 +287,12 @@ def _pool(
         i2 = max(0.0, (q - (k - 1)) / q) if q > 0 else 0.0
         # Q's rounding error is below q_err: a few ulps of q, and of the
         # shift times the spread. Unless it clamps tau^2 for certain, tau^2 is
-        # taken from double-double sums where that error could move it by
+        # taken from 40-digit decimal sums where that error could move it by
         # more than _TAU2_NOISE of the heaviest study's random variance.
         q_err = _CLAMP_MARGIN * (q + abs(shift) * math.sqrt(sw) * math.sqrt(q))
         unclamped = denom > 0 and q - (k - 1) + q_err > 0.0
         if unclamped and q_err > _TAU2_NOISE * denom * (1.0 / w[top] + tau2):
-            from ._doubledouble import dl_tau2
-
-            tau2, i2 = dl_tau2(pairs, top)
+            tau2, i2 = _tau2_at_clamp(pairs, top)
         wr = [1.0 / (s * s + tau2) for _, s in pairs]
         swr = math.fsum(wr)
         random_mean = math.fsum(wi * y for wi, (y, _) in zip(wr, pairs)) / swr
@@ -321,6 +319,36 @@ def _pool(
     return pooled, w, sw, top, dev, wr, outside[top]
 
 
+def _tau2_at_clamp(pairs: list[tuple[float, float]], top: int) -> tuple[float, float]:
+    """DL tau^2 and I^2 of float (effect, se) pairs with the weights, the
+    fixed mean, Q and the denominator taken in decimal to 40 digits, formed as
+    :func:`_pool` forms them in double: effects less that of the heaviest
+    study ``top``, and its outside weight summed directly. Both divide the
+    same excess ``Q - (k-1)``. The context sets every field that can change
+    a result, so the caller's ``decimal`` context moves neither value."""
+    from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
+    from decimal import DivisionByZero, InvalidOperation, Overflow, localcontext
+
+    context = Context(
+        prec=40, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX,
+        traps=[DivisionByZero, InvalidOperation, Overflow],
+    )
+    with localcontext(context):
+        # squares as products, which decimal rounds correctly; ** 2 need not be
+        w = [1 / (Decimal(s) * Decimal(s)) for _, s in pairs]
+        centre = Decimal(pairs[top][0])
+        dev = [Decimal(y) - centre for y, _ in pairs]
+        sw = sum(w)
+        shift = sum(wi * d for wi, d in zip(w, dev)) / sw
+        spread = [d - shift for d in dev]
+        q = sum(wi * (r * r) for wi, r in zip(w, spread))
+        outside = [sw - wi for wi in w]
+        outside[top] = sum(w[:top] + w[top + 1 :])
+        denom = sum(wi * (o / sw) for wi, o in zip(w, outside))
+        excess = q - (len(pairs) - 1)
+        return max(0.0, float(excess / denom)), max(0.0, float(excess / q))
+
+
 # loo_influence trusts a downdated sum only while cancellation costs it at most
 # ten bits more than summing the subset directly would, and a q_i this far
 # (relative to its rounding scale) below k-2 clamps tau^2 for certain. The
@@ -329,7 +357,7 @@ def _pool(
 _MAX_CANCELLATION = 2.0**10
 _CLAMP_MARGIN = 2.0**-48
 # A tau^2 that Q's rounding could move by more than this share of the heaviest
-# study's random variance is taken from double-double sums.
+# study's random variance is taken from 40-digit decimal sums.
 _TAU2_NOISE = 2.0**-40
 _MAX_SERIES_RATIO = 0.5
 _LOG_SERIES_TOL = -55.0 * math.log(2.0)
@@ -378,7 +406,7 @@ def _downdated_tau2(
         return 0.0
     tau2_i = max(0.0, (q_i - (k - 2)) / denom)
     # pooled directly where the subset's own pooling would take tau^2 from
-    # double-double sums; its heaviest weight is at most s1
+    # decimal sums; its heaviest weight is at most s1
     heaviest_variance = 1.0 / (s1 if heaviest else w_t)
     if _CLAMP_MARGIN * q_i > _TAU2_NOISE * denom * (heaviest_variance + tau2_i):
         return None
@@ -427,7 +455,7 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     clamps a large tau2 to zero), or where a downdate would lose more than
     ten bits to cancellation (the study that carries nearly all the weight
     or nearly all of Q, or a set near the tau2 clamp), or where the subset's
-    own pooling would take tau2 from double-double sums; its subset mean,
+    own pooling would take tau2 from decimal sums; its subset mean,
     too, is read off the centre above, from :func:`pool_dl`'s random weights.
     Where one study carries nearly all the weight and tau2 = 0, per-subset
     pooling returns mostly the rounding of the mean; these values do not.

@@ -841,7 +841,7 @@ def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
         f"rc = pvaudit.cli.main(['audit', '--input', {str(soy)!r}, "
         f"'--influence-threshold', '0.2', '--output', {str(report)!r}])\n"
         "assert rc == 0, rc\n"
-        "assert not {'statistics', 'pvaudit.sim'} & set(sys.modules), sorted(sys.modules)\n"
+        "assert not {'decimal', 'statistics', 'pvaudit.sim'} & set(sys.modules), sorted(sys.modules)\n"
         "rc = pvaudit.cli.main(['simulate', '--n', '30', '--hack-k', '2', "
         f"'--replicates', '5', '--seed', '3', '--output', {str(sim_report)!r}])\n"
         "assert rc == 0, rc\n"

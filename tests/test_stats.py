@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import decimal
 import math
+import random
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -11,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from pvaudit import _doubledouble
 from pvaudit import stats as stats_module
 from pvaudit import (
     Dataset,
@@ -396,42 +397,80 @@ def test_pool_dl_tau2_survives_squared_weight_overflow():
 _AT_CLAMP = [(1.0, 1e-5)] + [(1.0, 1.0)] * 9 + [(4.1622776603264935, 1.0)]
 
 
+def _assert_exact_at_the_clamp(effects):
+    # tau^2 and I^2 are the exact DL values correctly rounded
+    got = pool_dl(effects)
+    want = _pool_fraction_oracle(effects)
+    assert (got.tau2, got.i2) == (float(want["tau2"]), float(want["i2"])), effects
+    for name in ("random_mean", "random_se"):
+        assert abs(getattr(got, name) - float(want[name])) <= 1e-12 * abs(float(want[name])), name
+    return want
+
+
+def _scaled_to_the_clamp(effects):
+    # each effect moved about the fixed mean so that Q = k-1 to rounding
+    full = pool_dl(effects)
+    scale = math.sqrt((len(effects) - 1) / full.q)
+    return [(full.fixed_mean + scale * (y - full.fixed_mean), se) for y, se in effects]
+
+
 def test_pool_dl_tau2_exact_at_the_clamp():
-    got = pool_dl(_AT_CLAMP)
-    want = _pool_fraction_oracle(_AT_CLAMP)
+    want = _assert_exact_at_the_clamp(_AT_CLAMP)
     assert float(want["q"]) - 10 == pytest.approx(1.73e-15, rel=0.01)
-    for name in ("tau2", "random_mean", "random_se", "i2"):
-        assert abs(getattr(got, name) - float(want[name])) <= 1e-12 * float(want[name]), name
     influence = loo_influence(_AT_CLAMP)[0]
     assert influence == pytest.approx(_loo_mp_oracle(_AT_CLAMP, [0])[0], rel=1e-12)
+    # A seeded batch with the dominant study anywhere. The other se are whole
+    # 64ths, which keeps the oracle's denominators small enough to be quick.
+    rng = random.Random(30)
+    for _ in range(100):
+        k = rng.randint(3, 40)
+        effects = [(rng.gauss(0.0, 1.0), rng.randint(13, 64) / 64) for _ in range(k)]
+        effects[rng.randrange(k)] = (rng.gauss(0.0, 1.0), 10.0 ** -rng.uniform(3.0, 152.0))
+        _assert_exact_at_the_clamp(_scaled_to_the_clamp(effects))
 
 
-# at se 1e-152 the weight 1e304 is split for TwoProduct without overflowing
-@pytest.mark.parametrize("dominant_se", [1e-3, 1e-5, 1e-8, 1e-152])
-@pytest.mark.parametrize("k", [3, 11, 40])
-def test_pool_dl_tau2_exact_when_q_is_scaled_to_the_clamp(k, dominant_se):
+def _clamp_set(k, dominant_se):
     rng = np.random.default_rng(k)
     effects = [(float(rng.normal(0, 1)), float(rng.uniform(0.2, 1.0))) for _ in range(k)]
     effects[0] = (effects[0][0], dominant_se)
-    full = pool_dl(effects)
-    scale = math.sqrt((k - 1) / full.q)
-    effects = [(full.fixed_mean + scale * (y - full.fixed_mean), se) for y, se in effects]
-    got = pool_dl(effects)
-    want = _pool_fraction_oracle(effects)
+    return _scaled_to_the_clamp(effects)
+
+
+@pytest.mark.parametrize("dominant_se", [1e-3, 1e-5, 1e-8, 1e-152])
+@pytest.mark.parametrize("k", [3, 11, 40])
+def test_pool_dl_tau2_exact_when_q_is_scaled_to_the_clamp(k, dominant_se):
+    want = _assert_exact_at_the_clamp(_clamp_set(k, dominant_se))
     assert abs(float(want["q"]) / (k - 1) - 1) < 1e-14
-    for name in ("tau2", "random_mean", "random_se", "i2"):
-        assert abs(getattr(got, name) - float(want[name])) <= 1e-12 * abs(float(want[name])), name
 
 
-def test_pool_dl_takes_double_double_sums_only_near_the_clamp(monkeypatch, soy):
+def test_pool_dl_at_the_clamp_ignores_the_callers_decimal_context():
+    sets = [_AT_CLAMP, _clamp_set(11, 1e-152)]
+    want = [pool_dl(effects) for effects in sets]
+    # Context() copies each field it is not given from DefaultContext
+    default, current = decimal.DefaultContext, decimal.getcontext()
+    saved = default.copy()
+    try:
+        default.prec, default.rounding, default.Emin, default.Emax = 5, decimal.ROUND_FLOOR, -50, 50
+        default.traps[decimal.Inexact] = True
+        decimal.setcontext(decimal.Context())
+        got = [pool_dl(effects) for effects in sets]
+    finally:
+        default.prec, default.rounding = saved.prec, saved.rounding
+        default.Emin, default.Emax = saved.Emin, saved.Emax
+        default.traps[decimal.Inexact] = saved.traps[decimal.Inexact]
+        decimal.setcontext(current)
+    assert got == want
+
+
+def test_pool_dl_takes_decimal_sums_only_near_the_clamp(monkeypatch, soy):
     calls = []
-    exact = _doubledouble.dl_tau2
+    exact = stats_module._tau2_at_clamp
 
     def counted(pairs, top):
         calls.append(len(pairs))
         return exact(pairs, top)
 
-    monkeypatch.setattr(_doubledouble, "dl_tau2", counted)
+    monkeypatch.setattr(stats_module, "_tau2_at_clamp", counted)
     pool_dl(effects_from_dataset(soy))
     # at the clamp but with even weights, Q's rounding moves no weight
     half = math.sqrt(0.5)
