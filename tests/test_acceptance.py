@@ -9,7 +9,6 @@ import json
 import math
 import random
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,6 +29,8 @@ from pvaudit.datasets import (
     soy_ldl_search_space_csv,
     soy_ldl_studies_csv,
 )
+
+from dl_oracles import pool_fraction
 
 
 def _ok(line: str) -> None:
@@ -157,36 +158,16 @@ def test_c5_outlier_flags_and_volcano_structure(golden_rows, soy_ranked):
     )
 
 
-def _pool_oracle(effects, ses):
-    k = len(effects)
-    e = [Fraction(x) for x in effects]
-    w = [1 / Fraction(s) ** 2 for s in ses]
-    sw = sum(w)
-    fixed = sum(wi * ei for wi, ei in zip(w, e)) / sw
-    q = sum(wi * (ei - fixed) ** 2 for wi, ei in zip(w, e))
-    denom = sw - sum(wi ** 2 for wi in w) / sw
-    tau2 = max(Fraction(0), (q - (k - 1)) / denom) if denom > 0 else Fraction(0)
-    wstar = [1 / (1 / wi + tau2) for wi in w]
-    sws = sum(wstar)
-    rmean = sum(wi * ei for wi, ei in zip(wstar, e)) / sws
-    rse = 1 / math.sqrt(float(sws))
-    i2 = max(Fraction(0), (q - (k - 1)) / q) if q > 0 else Fraction(0)
-    return fixed, q, tau2, rmean, rse, i2
-
-
 def test_c6_pooling_matches_exact_arithmetic():
     rng = random.Random(20240817)
     for trial in range(100):
         k = rng.randint(2, 10)
         effects = [round(rng.uniform(-2.0, 2.0), 6) for _ in range(k)]
         ses = [round(rng.uniform(0.05, 2.0), 6) for _ in range(k)]
-        res = pool_dl(list(zip(effects, ses)))
-        exact = _pool_oracle(effects, ses)
-        got = (res.fixed_mean, res.q, res.tau2, res.random_mean, res.random_se, res.i2)
-        for name, g, x in zip(
-            ("fixed_mean", "q", "tau2", "random_mean", "random_se", "i2"), got, exact
-        ):
-            x = float(x)
+        pairs = list(zip(effects, ses))
+        res, exact = pool_dl(pairs), pool_fraction(pairs)
+        for name in ("fixed_mean", "q", "tau2", "random_mean", "random_se", "i2"):
+            g, x = getattr(res, name), float(exact[name])
             if x == 0.0:
                 assert g == 0.0, (trial, name, g)
             else:

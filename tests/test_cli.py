@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import ast
 import csv
-import hashlib
 import importlib
 import inspect
 import io
@@ -40,6 +39,8 @@ from pvaudit.diagnostics import SHAPE_THRESHOLDS
 from pvaudit.model import format_number
 from pvaudit.report import dumps
 from pvaudit.stats import P_FLOOR
+
+from pins import COUNT_EDGE_ROWS, COUNT_HEADER
 
 TOY = (
     "author,year,comment,ref,rr,cl_low,cl_high\n"
@@ -608,34 +609,6 @@ def test_audit_report_roundtrip_bytes(workdir):
     assert dumps(json.loads(text)) == text
 
 
-# sha256 of the stdout of each call on the bundled tables, recorded before
-# DerivedStats and SearchSpaceEntry took their fields in report order; they
-# pin the key order of the audit's ``studies`` rows and ``entries`` too. The
-# derive digest was recorded before derive and count shared one CSV writer.
-REPORT_DIGESTS = {
-    "audit": "8933940a21d24c05893d6dbe5085c7db9f539aeddc88acb55a720d1ca97d65a6",
-    "count": "290f9057ff6f73185fbc15ca085e717199acbe105501d92d024481065b8af128",
-    "derive": "069de2d5ba8e277838a8fd8b23c71546ca5a0a16f44433a745fbec8c8efee07d",
-}
-
-
-@pytest.mark.parametrize(
-    "command, args",
-    [
-        ("audit", ["--input", "soy.csv", "--counting", "counts.csv",
-                   "--profile", "paper-reproduction"]),
-        ("count", ["--input", "counts.csv"]),
-        ("derive", ["--input", "soy.csv"]),
-    ],
-)
-def test_report_bytes_pinned(workdir, capsys, monkeypatch, command, args):
-    monkeypatch.chdir(workdir)
-    assert main([command, *args]) == EXIT_OK
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_DIGESTS[command]
-
-
 @pytest.mark.parametrize("flag", [None, "0.2", "inf", "-inf"])
 def test_audit_influence_threshold_flag(workdir, flag):
     out = workdir / "infl.json"
@@ -854,6 +827,18 @@ def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
     flagged = _read_json(report)["outliers"]["flagged"]
     assert any(f["reason"] == "high_influence" for f in flagged)
     assert len(_read_json(sim_report)["replicates"]) == 5
+
+
+def test_pins_load_no_test_extra():
+    proc = _fresh_python(
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import pins\n"
+        "extra = {'pytest', 'hypothesis', 'numpy', 'scipy', 'mpmath'}\n"
+        "print(sorted(extra & {m.split('.')[0] for m in sys.modules}))\n"
+        "from importlib.util import find_spec\n"
+        "assert all(map(find_spec, extra)), 'the guard needs each importable'"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 COLD_START_EXCLUDED = ("dataclasses", "inspect", "urllib", "http", "ssl", "email", "xml")
@@ -1106,48 +1091,17 @@ def test_count_empty_input(workdir):
     assert main(["count", "--input", str(empty)]) == EXIT_NO_RECORDS
 
 
-COUNT_HEADER = "ref,author,year,outcomes,causes,covariates\n"
-# Valid edge rows: blank identity cells, zero outcomes, 62 covariates, a
-# quoted author holding a comma, padded cells, and counts above 2**64.
-COUNT_EDGE_ROWS = (
-    "1,Bakhit,2003,8,5,3\n"
-    ",,,4,1,0\n"
-    "3,Zero,2005,0,5,2\n"
-    "4,Wide,2006,1,1,62\n"
-    '5,"Smith, J.",2007,2,3,1\n'
-    " 6 , Pad , 2008 , 7 , 2 , 1 \n"
-    "7,Big,2009,1180591620717411303424,36893488147419103235,0\n"
-)
-# sha256 of the stdout of each call on the edge rows, recorded before the
-# counting parser built its entries in one place.
-COUNT_EDGE_DIGESTS = {
-    "count": "6af8bbbf747ee8e45abf156d139cfc3dced624d3d56af85b919833644105034c",
-    "audit": "4d081b45bcfb237ee31d0c477cbdf9c3fc2bd1b55faa1384e5f662d41c1669ca",
-}
-
-
-@pytest.mark.parametrize(
-    "command, args",
-    [
-        ("count", ["--input", "edge.csv"]),
-        ("audit", ["--input", "soy.csv", "--counting", "edge.csv"]),
-    ],
-)
-def test_count_edge_rows_pinned(workdir, capsys, monkeypatch, command, args):
+def test_count_edge_rows_output_file_equals_stdout(workdir, capsys, monkeypatch):
+    # the stdout bytes are pinned as edge-count in pins.py
     monkeypatch.chdir(workdir)
     (workdir / "edge.csv").write_text(COUNT_HEADER + COUNT_EDGE_ROWS, encoding="utf-8")
-    assert main([command, *args]) == EXIT_OK
+    assert main(["count", "--input", "edge.csv"]) == EXIT_OK
     out, err = capsys.readouterr()
     assert err == ""
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == COUNT_EDGE_DIGESTS[command]
-    if command == "count":
-        assert main([command, *args, "--output", "out.csv"]) == EXIT_OK
-        assert (workdir / "out.csv").read_text(encoding="utf-8") == out
-        assert capsys.readouterr() == (
-            "space: n=7 median=28 min=0 "
-            "max=43556142965880123326853724613418564976640\n",
-            "",
-        )
+    assert main(["count", "--input", "edge.csv", "--output", "out.csv"]) == EXIT_OK
+    assert (workdir / "out.csv").read_text(encoding="utf-8") == out
+    assert capsys.readouterr() == (
+        "space: n=7 median=28 min=0 max=43556142965880123326853724613418564976640\n", "")
 
 
 # The first fault of each row, in the order the parser checks them: the
@@ -1330,31 +1284,3 @@ def test_simulate_names_the_first_invalid_field_under_a_preset(capsys):
     rc = main(["simulate", "--n", "0", "--hack-k", "0", "--censor-preset", "greenwald"])
     assert rc == EXIT_USAGE
     assert capsys.readouterr() == ("", "error: n_studies must be at least 1, got 0\n")
-
-
-# sha256 of simulate's stdout, recorded before the simulator computed several
-# replicates' Philox lanes at once. They pin every printed p-value and KS
-# figure, which the benchmark's verdict digests leave out.
-@pytest.mark.parametrize(
-    "args, digest",
-    [
-        # the benchmark's sim-mixture call at seed 1
-        (["--n", "100", "--effect-fraction", "0.2", "--noncentrality", "3.0",
-          "--censor-rate", "0.3", "--replicates", "600", "--seed", "1"],
-         "cce8a6f566b279bf4d0e122e32ccbca2cc0caeddd6550e3c60c9abd03d08ad6a"),
-        # 185 words a replicate (not a whole number of four-word blocks), and
-        # more replicates than one batch of lanes holds
-        (["--n", "37", "--hack-k", "3", "--censor-preset", "greenwald",
-          "--replicates", "130", "--seed", "9"],
-         "0a785725718a5662b6dc3c732c1d73e724267b82ce0435c65cd41db8a730af92"),
-        # too few studies to classify: every replicate is indeterminate
-        (["--n", "4", "--replicates", "60"],
-         "2367c9b5f88b3d807314458a61262b955b66607f666b7a6de2eef9429b5b4056"),
-    ],
-    ids=["sim-mixture", "batch-crossing", "indeterminate"],
-)
-def test_simulate_bytes_pinned(capsys, args, digest):
-    assert main(["simulate", *args]) == EXIT_OK
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

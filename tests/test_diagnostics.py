@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import math
 from itertools import accumulate
 
@@ -15,15 +14,12 @@ from pvaudit import (
     Dataset,
     DerivedDataset,
     DerivedStats,
-    SimConfig,
     StudyRecord,
     classify_pvalues,
     classify_shape,
     derive_dataset,
     expectation_plot,
     flag_outliers,
-    generate_literature,
-    greenwald_censor_rate,
     ks_uniform,
     pvalue_plot,
     smallest_p_marker,
@@ -411,47 +407,6 @@ def test_classify_rejects_any_invalid_value(bad, position):
         classify_pvalues(ps)
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         classify_pvalues(ps[::-1])
-
-
-def _verdict_digest(cfg: SimConfig) -> str:
-    """sha256 over every replicate's verdict fields and two-segment fit."""
-    h = hashlib.sha256()
-    for r in range(cfg.replicates):
-        ps = generate_literature(cfg, r)
-        fields = list(classify_pvalues(ps))
-        if len(ps) >= 5:
-            fields += _two_segment_fit(_centred(sorted(ps)))
-        h.update(
-            (",".join(v.hex() if isinstance(v, float) else repr(v) for v in fields) + "\n")
-            .encode()
-        )
-    return h.hexdigest()
-
-
-_MIXTURE = dict(n_studies=100, effect_fraction=0.2, noncentrality=3.0, censor_rate=0.3,
-                replicates=200)
-
-
-@pytest.mark.parametrize(
-    "cfg, digest",
-    [
-        (SimConfig(**_MIXTURE, seed=0),
-         "f618949c1873de9770fdc912f58ddff0c904c0dc3496a20ed483563b9243334c"),
-        (SimConfig(**_MIXTURE, seed=5),
-         "2bfb5051dae1cb5e87a834bfe107d8ecc905c65c04585b5261dbd83f1c5c5b94"),
-        (SimConfig(n_studies=100, effect_fraction=0.2, noncentrality=3.0, hack_k=3,
-                   censor_rate=greenwald_censor_rate(3), replicates=200, seed=8),
-         "1c12987b5e0c77dd18df7991cfd310a1418124b7a4235e7d902113266a4285f7"),
-        (SimConfig(n_studies=12, effect_fraction=0.5, noncentrality=3.0, censor_rate=0.3,
-                   replicates=200, seed=21),
-         "cebd031b0d8e2956915f495e28b12e26f585cb9aaca98095bf10bcb798325358"),
-    ],
-)
-def test_classifier_pinned_on_simulated_literatures(cfg, digest):
-    # Every verdict field and every chosen breakpoint (with its slopes and
-    # SSE, bilinear or not), bit for bit, as the per-call hinge moments
-    # and the separate KS sort produced them.
-    assert _verdict_digest(cfg) == digest
 
 
 def test_classify_is_permutation_invariant():

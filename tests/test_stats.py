@@ -3,7 +3,6 @@ from __future__ import annotations
 import decimal
 import math
 import random
-from fractions import Fraction
 from statistics import NormalDist
 
 import mpmath as mp
@@ -27,6 +26,8 @@ from pvaudit import (
     rank_pvalues,
     two_sided_critical_value,
 )
+
+from dl_oracles import loo_mp, loo_per_subset, pool_fraction
 
 mp.mp.dps = 40
 
@@ -272,29 +273,6 @@ def test_rank_permutation_property(zs):
 
 # ------------------------------------------------------------------ pooling
 
-def _pool_fraction_oracle(effects):
-    """DerSimonian-Laird with exact rational arithmetic."""
-    ys = [Fraction(y) for y, _ in effects]
-    ws = [1 / (Fraction(s) * Fraction(s)) for _, s in effects]
-    k = len(ys)
-    sw = sum(ws)
-    fixed = sum(w * y for w, y in zip(ws, ys)) / sw
-    q = sum(w * (y - fixed) ** 2 for w, y in zip(ws, ys))
-    denom = sw - sum(w * w for w in ws) / sw
-    tau2 = max(Fraction(0), (q - (k - 1)) / denom)
-    wr = [1 / (Fraction(s) * Fraction(s) + tau2) for _, s in effects]
-    swr = sum(wr)
-    rmean = sum(w * y for w, y in zip(wr, ys)) / swr
-    return {
-        "fixed_mean": fixed,
-        "q": q,
-        "tau2": tau2,
-        "random_mean": rmean,
-        "random_se": 1 / math.sqrt(float(swr)),
-        "i2": max(Fraction(0), (q - (k - 1)) / q) if q > 0 else Fraction(0),
-    }
-
-
 def test_pool_dl_two_study_textbook_case():
     result = pool_dl([(0.0, 0.1), (1.0, 0.1)])
     assert result.k == 2
@@ -333,7 +311,7 @@ def test_pool_dl_matches_fraction_oracle():
             for _ in range(k)
         ]
         got = pool_dl(effects)
-        want = _pool_fraction_oracle(effects)
+        want = pool_fraction(effects)
         for name in ("fixed_mean", "q", "tau2", "random_mean", "i2"):
             target = float(want[name])
             assert getattr(got, name) == pytest.approx(target, rel=1e-10, abs=1e-12), name
@@ -377,7 +355,7 @@ def test_pool_dl_tau2_exact_with_a_dominant_study(dominant_se):
     ]
     effects[0] = (0.1, dominant_se)
     got = pool_dl(effects)
-    want = _pool_fraction_oracle(effects)
+    want = pool_fraction(effects)
     assert want["tau2"] > 0
     for name in ("tau2", "random_mean", "random_se"):
         assert getattr(got, name) == pytest.approx(float(want[name]), rel=1e-12), name
@@ -400,7 +378,7 @@ _AT_CLAMP = [(1.0, 1e-5)] + [(1.0, 1.0)] * 9 + [(4.1622776603264935, 1.0)]
 def _assert_exact_at_the_clamp(effects):
     # tau^2 and I^2 are the exact DL values correctly rounded
     got = pool_dl(effects)
-    want = _pool_fraction_oracle(effects)
+    want = pool_fraction(effects)
     assert (got.tau2, got.i2) == (float(want["tau2"]), float(want["i2"])), effects
     for name in ("random_mean", "random_se"):
         assert abs(getattr(got, name) - float(want[name])) <= 1e-12 * abs(float(want[name])), name
@@ -418,7 +396,7 @@ def test_pool_dl_tau2_exact_at_the_clamp():
     want = _assert_exact_at_the_clamp(_AT_CLAMP)
     assert float(want["q"]) - 10 == pytest.approx(1.73e-15, rel=0.01)
     influence = loo_influence(_AT_CLAMP)[0]
-    assert influence == pytest.approx(_loo_mp_oracle(_AT_CLAMP, [0])[0], rel=1e-12)
+    assert influence == pytest.approx(loo_mp(_AT_CLAMP, [0])[0], rel=1e-12)
     # A seeded batch with the dominant study anywhere. The other se are whole
     # 64ths, which keeps the oracle's denominators small enough to be quick.
     rng = random.Random(30)
@@ -542,22 +520,7 @@ def test_loo_influence_outlier_dominates():
 
 def test_loo_influence_matches_direct_recomputation():
     effects = [(0.12, 0.06), (-0.05, 0.11), (0.33, 0.09), (0.02, 0.2), (0.18, 0.07)]
-    full = pool_dl(effects)
-    values = loo_influence(effects)
-    for i in range(len(effects)):
-        rest = effects[:i] + effects[i + 1 :]
-        expected = abs(full.random_mean - pool_dl(rest).random_mean) / full.random_se
-        assert values[i] == pytest.approx(expected, rel=1e-12)
-
-
-def _loo_oracle(effects):
-    """Leave-one-out influence by pooling every subset from scratch."""
-    full = pool_dl(effects)
-    return [
-        abs(full.random_mean - pool_dl(effects[:i] + effects[i + 1 :]).random_mean)
-        / full.random_se
-        for i in range(len(effects))
-    ]
+    assert loo_influence(effects) == pytest.approx(loo_per_subset(effects), rel=1e-12)
 
 
 _LOO_KINDS = ("spread", "homogeneous", "clamp", "dominant", "overwhelming", "quiet", "repeated")
@@ -619,38 +582,6 @@ def _loo_sets(draw, kinds=_LOO_KINDS):
     return list(zip(ys, ses))
 
 
-def _loo_mp_oracle(effects, rows=None):
-    """Leave-one-out DL influence of ``rows`` (default all) in mpmath.
-
-    Carries 40 digits beyond twice the largest decimal exponent of an se, and
-    takes every effect as its exact deviation from the heaviest study's, so
-    the mean's own magnitude costs nothing and equal effects give exactly 0.
-    """
-    digits = 40 + 2 * math.ceil(max(abs(math.log10(s)) for _, s in effects))
-    with mp.workdps(digits):
-        vs = [mp.mpf(s) ** 2 for _, s in effects]
-        top = min(range(len(effects)), key=vs.__getitem__)
-        devs = [mp.mpf(y) - mp.mpf(effects[top][0]) for y, _ in effects]
-
-        def dl(keep):
-            w = [1 / vs[j] for j in keep]
-            d = [devs[j] for j in keep]
-            sw = mp.fsum(w)
-            fixed = mp.fsum(a * b for a, b in zip(w, d)) / sw
-            q = mp.fsum(a * (b - fixed) ** 2 for a, b in zip(w, d))
-            denom = sw - mp.fsum(a * a for a in w) / sw
-            tau2 = max(mp.mpf(0), (q - (len(keep) - 1)) / denom) if denom > 0 else 0
-            u = [1 / (vs[j] + tau2) for j in keep]
-            return mp.fsum(a * b for a, b in zip(u, d)) / mp.fsum(u), mp.fsum(u)
-
-        k = len(effects)
-        mean, su = dl(range(k))
-        return [
-            float(abs(dl([j for j in range(k) if j != i])[0] - mean) * mp.sqrt(su))
-            for i in (range(k) if rows is None else rows)
-        ]
-
-
 def _mean_is_mostly_rounding(full):
     """tau^2 is 0 and a rounding unit of the pooled mean exceeds 2^-42 of its
     standard error: per-subset pooling then returns mostly that rounding."""
@@ -673,11 +604,10 @@ def test_loo_influence_matches_per_subset_pooling(effects):
     # there, exact DL arithmetic is, with no absolute slack.
     got = loo_influence(effects)
     if _mean_is_mostly_rounding(pool_dl(effects)):
-        want, slack = _loo_mp_oracle(effects), 0.0
+        want, slack = loo_mp(effects), 0.0
     else:
-        want, slack = _loo_oracle(effects), 1e-12
-    assert len(got) == len(want)
-    for i, (g, w) in enumerate(zip(got, want)):
+        want, slack = loo_per_subset(effects), 1e-12
+    for i, (g, w) in enumerate(zip(got, want, strict=True)):
         assert abs(g - w) <= 1e-10 * abs(w) + slack, (i, g, w)
 
 
@@ -690,7 +620,7 @@ def test_loo_influence_exact_at_the_clamp_with_a_dominant_study(effects):
     # Per-subset pooling returns mostly the rounding of the mean here, and
     # the clamp decides study 0's weight; exact DL arithmetic is the oracle.
     got = loo_influence(effects)
-    want = _loo_mp_oracle(effects)
+    want = loo_mp(effects)
     for i, (g, w) in enumerate(zip(got, want)):
         assert abs(g - w) <= 1e-10 * abs(w), (i, g, w)
 
@@ -735,13 +665,11 @@ def test_loo_influence_stays_linear_with_a_dominant_study(
     monkeypatch.undo()
     assert len(calls) <= most_calls, len(calls)
     rows = (0, 1, 2, 777, 1499)
-    full = pool_dl(effects)
-    if _mean_is_mostly_rounding(full):
-        assert homogeneous
-        for i, want in zip(rows, _loo_mp_oracle(effects, rows)):
-            assert abs(values[i] - want) <= 1e-10 * want, (i, values[i], want)
-        return
-    for i in rows:
-        want = abs(full.random_mean - pool_dl(effects[:i] + effects[i + 1 :]).random_mean)
-        want /= full.random_se
-        assert abs(values[i] - want) <= 1e-10 * want + 1e-12, (i, values[i], want)
+    rounding = _mean_is_mostly_rounding(pool_dl(effects))
+    assert homogeneous or not rounding
+    if rounding:
+        want, slack = loo_mp(effects, rows), 0.0
+    else:
+        want, slack = loo_per_subset(effects, rows), 1e-12
+    for i, w in zip(rows, want):
+        assert abs(values[i] - w) <= 1e-10 * w + slack, (i, values[i], w)

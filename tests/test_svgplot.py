@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -65,50 +64,6 @@ def test_svg_escapes_text(soy):
     # quotes stay as they are; an entity's & is escaped like any other
     svg = render_series(pvalue_plot(soy), title="""A & <b> "q" 'r' &amp;""")
     assert """>A &amp; &lt;b&gt; "q" 'r' &amp;amp;</text>""" in svg
-
-
-# sha256 of each SVG, recorded before the renderer was rewritten to write
-# each element form once; the first is also the bundled-session pvalue.svg.
-# one-expectation has no identity line, which misses its plot area. The
-# sidecar CSVs of the three kinds were recorded before they shared the
-# derive and count CSV writer.
-SVG_DIGESTS = {
-    "soy-pvalue": "22796dc8be9eabbf6fa62c1edabfacdf4081ed1e7a4c202f8d82cc46b9f8f5e9",
-    "soy-expectation-escaped": "31f0e8bba9c8b3d64b970eb2dce533920c3346658d1b34c380dba26ab43e0791",
-    "soy-volcano": "933ce981b4ee833e0a005913d34c204755a4840d75b8ab1d50f9c294e113b3b5",
-    "soy-volcano-exclude": "c3c4cd5d7335a3eac8cc69bd58f2f597f09be0a82b6a2ac8d94c83f677e9826a",
-    "one-volcano": "a08ab48d96925241ad1f9c3d0bdc8674ccc218a69cb4bf380a79974da41f3d8e",
-    "one-expectation": "082e0fe6d52f2a87dec19fe93bbf676b4cf1c677f9b03192a33641786d10fd60",
-    "constant-pvalue": "0bf793141fa1ed988f42d8e93bf676bfaae34ca815c95aa5dc8887621db2bfc8",
-    "soy-pvalue.csv": "06ffe4f48d6f1bb405cbe49c7046cdcd4908a033e3accd8ab265ef7905ac8906",
-    "soy-pvalue.ref.csv": "35a64a662d1b0f36a130784b297a0df07d9a6f75e4485c736592164dac44473b",
-    "soy-expectation.csv": "5f1917c7a741823f97b1018128074a6f83a173e81f4f0eb93e732cae03995cd4",
-    "soy-expectation.ref.csv": "91cc15b7577899e3cfff0158a1146d8cca9bb2d233ae26623c74ad79d111e6c9",
-    "soy-volcano.csv": "5307ae5d3dec1a628658999cab438bda891e7b0db523fa9cea5478f3cf75d18c",
-    "soy-volcano.ref.csv": "e096f393f57232c05348c4a19970d7355c71be755e8f59a19f53a90674393492",
-}
-
-
-def test_svg_bytes_pinned(soy):
-    one = derive_dataset(Dataset((StudyRecord("A", 2000, 1, 1.3, 1.1, 1.6),)))
-    constant = derive_dataset(
-        Dataset(tuple(StudyRecord(f"S{i}", 2000, i, 1.3, 1.1, 1.6) for i in range(3)))
-    )
-    svgs = {
-        "soy-pvalue": render_series(pvalue_plot(soy), title="soy: pvalue"),
-        "soy-expectation-escaped": render_series(expectation_plot(soy), title="a & <b> 'q'"),
-        "soy-volcano": render_series(volcano_plot(soy)),
-        "soy-volcano-exclude": render_series(volcano_plot(soy, exclude=(0, 5))),
-        "one-volcano": render_series(volcano_plot(one)),
-        "one-expectation": render_series(expectation_plot(one)),
-        "constant-pvalue": render_series(pvalue_plot(constant)),
-    }
-    for kind, plot in (("pvalue", pvalue_plot), ("expectation", expectation_plot),
-                       ("volcano", volcano_plot)):
-        svgs[f"soy-{kind}.csv"] = series_csv(plot(soy))
-        svgs[f"soy-{kind}.ref.csv"] = reference_lines_csv(plot(soy))
-    digests = {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in svgs.items()}
-    assert digests == SVG_DIGESTS
 
 
 def _rows(*rr_limits):
