@@ -1040,6 +1040,12 @@ def test_perfbench_traced_pipeline_finds_no_problems(workload, tmp_path, monkeyp
     # The test above sees names and calls, not the attributes perfbench reads
     # off what those calls return (``PlotSeries.n``, ``OutlierReport`` fields):
     # run each workload's traced pipeline once, on inputs written to tmp_path.
+    # perfbench imports its modules by bare name: set aside any module the
+    # session holds under one of them, and drop perfbench's when done
+    # (undoing setitem restores the old module or removes the new one).
+    for name in ("traced", "workloads", "oracles", "harness"):
+        monkeypatch.setitem(sys.modules, name, None)
+        del sys.modules[name]
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import traced
     import workloads

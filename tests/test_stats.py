@@ -3,6 +3,7 @@ from __future__ import annotations
 import decimal
 import math
 import random
+from fractions import Fraction
 from statistics import NormalDist
 
 import mpmath as mp
@@ -544,6 +545,11 @@ def _loo_sets(draw, kinds=_LOO_KINDS):
     Edge sets sit there on purpose: one study carries nearly all the weight
     (se 1e-3 down to 1e-8, the others at least e^-3) and Q is scaled to k-1,
     so tau^2 is within rounding of the clamp.
+
+    Tiered sets have two or three dominant studies, each with se 10^-U(1, 10),
+    at rows spread over the set; the others have se at least e^-3. Their
+    effects are spread as plain sets', or scaled as homogeneous or clamp sets'
+    are. Downdating one dominant study then cancels against the others.
     """
     k = draw(st.integers(min_value=3, max_value=30))
     kind = draw(st.sampled_from(kinds))
@@ -560,6 +566,12 @@ def _loo_sets(draw, kinds=_LOO_KINDS):
     elif kind in ("overwhelming", "quiet", "edge"):
         exponent = draw(st.floats(min_value=3.0, max_value=8.0 if kind == "edge" else 100.0))
         ses = [10.0 ** -exponent] + [max(se, math.exp(-3.0)) for se in ses[1:]]
+    elif kind == "tiered":
+        ses = [max(se, math.exp(-3.0)) for se in ses]
+        heavy = draw(st.integers(min_value=2, max_value=min(3, k - 1)))
+        for n in range(heavy):
+            ses[n * k // heavy] = 10.0 ** -draw(st.floats(min_value=1.0, max_value=10.0))
+        kind = draw(st.sampled_from(("spread", "homogeneous", "clamp")))
     if kind in ("homogeneous", "clamp", "quiet", "edge"):
         centre = ys[0]
         shifts = draw(
@@ -596,9 +608,16 @@ def _mean_is_mostly_rounding(full):
 @example([(0.3, 1e-8), (0.1, 1.0), (-0.4, 0.7), (0.5, 1.2), (0.2, 0.9)])
 # tau^2 = 0, but leaving out the last study gives Q = 2.1 > k-2: tau^2 > 0
 @example([(0.3, 1e-8), (0.3 + 1.2**0.5, 1.0), (0.3 - 0.9**0.5, 1.0), (0.3 + 0.1**0.5, 0.5)])
-# two equal dominant weights: downdating the heavier, or the other, loses more
-# than ten bits, so both go to direct pooling
+# two equal dominant weights: leaving out either clamps tau^2 to 0, a step
+# the series cannot take, so both go to direct pooling
 @example([(0.1, 1e-3), (0.3, 1e-3), (0.5, 1.0), (-0.2, 1.0), (0.9, 2.0)])
+# study 0 is left out near the clamp: Q's downdate rounds on the scale of Q and
+# the fixed mean, far above q_i, so study 0's tau^2 noise is judged on that scale
+@example([(-0.75, 1e-8), (0.5, 0.07), (-0.4, 0.12), (0.2, 0.26), (-0.5, 0.07),
+          (-0.4, 0.11), (0.35, 0.17), (-0.35, 0.06), (-0.1, 0.08)])
+# leaving out study 1 leaves weights 1e-10 beside study 0's 1e300: the others'
+# sum rounds to 0 and so does the denominator, so that subset is pooled directly
+@example([(0.0, 1e-150), (0.5, 1e-5), (0.1, 1e5), (0.2, 1e5)])
 def test_loo_influence_matches_per_subset_pooling(effects):
     # Per-subset pooling is the oracle except where it returns rounding;
     # there, exact DL arithmetic is, with no absolute slack.
@@ -623,6 +642,61 @@ def test_loo_influence_exact_at_the_clamp_with_a_dominant_study(effects):
     want = loo_mp(effects)
     for i, (g, w) in enumerate(zip(got, want)):
         assert abs(g - w) <= 1e-10 * abs(w), (i, g, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_loo_sets(kinds=("tiered",)))
+def test_loo_influence_exact_with_two_or_three_dominant_studies(effects):
+    got = loo_influence(effects)
+    want = loo_mp(effects)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-10 * abs(w), (i, g, w)
+
+
+def test_downdated_tau2_stays_within_its_noise_budget(monkeypatch):
+    # Study 1 carries all but about 1e-9 of the weight outside study 0, so
+    # leaving out either one cancels about 30 bits of the subset's
+    # denominator. Every tau^2 the downdate returns is within 2^-40 of the
+    # subset's heaviest random variance of the exact value.
+    effects = [(0.0, 1e-7), (0.0, 1e-4), (-3.0, 2.9)]
+    returned = []
+    downdate = stats_module._downdated_tau2
+
+    def recorded(*args, **kwargs):
+        returned.append(downdate(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(stats_module, "_downdated_tau2", recorded)
+    loo_influence(effects)
+    assert len(returned) == 3
+    for i, tau2 in enumerate(returned):
+        subset = effects[:i] + effects[i + 1 :]
+        exact = pool_fraction(subset)["tau2"]
+        budget = 2.0**-40 * (min(Fraction(se) ** 2 for _, se in subset) + exact)
+        assert tau2 is None or abs(Fraction(tau2) - exact) <= budget, (i, tau2, exact)
+
+
+def test_loo_influence_series_ratio_trades_passes_for_terms(monkeypatch):
+    # _MAX_SERIES_RATIO trades pooling passes for series terms: at the shipped
+    # 1/2 one study of this set leaves the series for an O(k) pooling pass of
+    # its own, beside the full set's; at 0.1 nine do. Near 1 a series would
+    # need hundreds of terms.
+    rng = random.Random(4)
+    effects = [(rng.gauss(0.0, 0.3), rng.uniform(0.05, 0.5)) for _ in range(30)]
+    passes = []
+    pool = stats_module._pool
+
+    def counted(pairs):
+        passes.append(len(pairs))
+        return pool(pairs)
+
+    monkeypatch.setattr(stats_module, "_pool", counted)
+    loo_influence(effects)
+    assert passes == [30, 29]
+    passes.clear()
+    monkeypatch.setattr(stats_module, "_MAX_SERIES_RATIO", 0.1)
+    loo_influence(effects)
+    assert passes == [30] + [29] * 9
 
 
 def _dominated_set(dominant_se, homogeneous=False):
