@@ -217,6 +217,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_key(path: str) -> tuple[int, int] | str:
+    """The file a path names: its device and inode where it exists, so a
+    second hard link matches too, else the resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
+def _refuse_overwrite(
+    reads: tuple[str | None, ...],
+    writes: tuple[str | None, ...],
+    message: str = "--output must not name a file the command reads",
+) -> None:
+    """Raise a usage error, before anything is read or written, if a file the
+    command writes is one it reads or one it writes twice. None is stdout."""
+    outs = [_file_key(path) for path in writes if path is not None]
+    ins = {_file_key(path) for path in reads if path is not None}
+    if len(set(outs)) < len(outs) or ins.intersection(outs):
+        raise _UsageError(message)
+
+
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as f:
         return f.read()
@@ -312,6 +335,7 @@ def _exact_number(x: float) -> str:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    _refuse_overwrite((args.input,), (args.output,))
     ds, _ = _resolve(args)
     rows = (
         [_exact_number(v) if isinstance(v, float) else v for v in record_values(rec)]
@@ -327,12 +351,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
     from .svgplot import reference_lines_csv, render_series, series_csv
 
     base = os.path.splitext(args.output)[0]
-    paths = (args.input, args.output, base + ".csv", base + ".ref.csv")
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
-        raise _UsageError(
-            f"--input, --output and the sidecars {base}.csv and {base}.ref.csv "
-            "must be four different files"
-        )
+    _refuse_overwrite(
+        (args.input,),
+        (args.output, base + ".csv", base + ".ref.csv"),
+        f"--input, --output and the sidecars {base}.csv and {base}.ref.csv "
+        "must be four different files",
+    )
     if args.kind != "volcano" and (args.exclude.strip() or args.exclude_flagged):
         raise _UsageError("--exclude and --exclude-flagged apply only to --kind volcano")
     rule_flags = [
@@ -374,6 +398,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from .diagnostics import classify_shape, flag_outliers
     from .report import build_audit_report, dumps
 
+    _refuse_overwrite((args.input, args.counting), (args.output,))
     ds, rules = _resolve(args)
     shape = classify_shape(ds)
     outliers = flag_outliers(ds, **rules)
@@ -393,6 +418,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     from .counting import serialize_search_space_csv, summarize_spaces
 
+    _refuse_overwrite((args.input,), (args.output,))
     entries = _load_entries(args.input)
     text = serialize_search_space_csv(entries)
     summary = summarize_spaces(entries)

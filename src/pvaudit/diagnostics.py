@@ -241,15 +241,37 @@ def ks_uniform(pvalues) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=64)
-def _ks_grid(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The ECDF steps of n points: i/n and (i-1)/n for i = 1..n."""
-    return tuple(i / n for i in range(1, n + 1)), tuple(i / n for i in range(n))
+def _grid(n: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """What every fit and KS test of n points shares, computed once per n.
+
+    Returns the centred ranks i - (n+1)/2, the ECDF steps i/n and (i-1)/n
+    (i = 1..n), and for each candidate join b = 2..n-2 the moments of the
+    hinge columns u_i = min(i-b, 0), v_i = max(i-b, 0): (sum u, sum u^2,
+    sum v, sum v^2, d) with d the Schur complement
+    n - (sum u)^2/sum u^2 - (sum v)^2/sum v^2 of the intercept, which is at
+    least 1 there.
+    """
+    tbar = (n + 1) / 2.0
+    hinges = []
+    for b in range(2, n - 1):
+        m = n - b
+        su = -(b - 1) * b / 2.0
+        suu = (b - 1) * b * (2 * b - 1) / 6.0
+        sv = m * (m + 1) / 2.0
+        svv = m * (m + 1) * (2 * m + 1) / 6.0
+        hinges.append((su, suu, sv, svv, n - su * su / suu - sv * sv / svv))
+    return (
+        tuple(i - tbar for i in range(1, n + 1)),
+        tuple(i / n for i in range(1, n + 1)),
+        tuple(i / n for i in range(n)),
+        tuple(hinges),
+    )
 
 
 def _ks_sorted(ps: list[float]) -> tuple[float, float]:
     """:func:`ks_uniform` of values already sorted and checked."""
     n = len(ps)
-    above, below = _ks_grid(n)
+    _, above, below, _ = _grid(n)
     d = max(max(map(sub, above, ps)), max(map(sub, ps, below)))
     return d, _kolmogorov_sf(math.sqrt(n) * d)
 
@@ -289,48 +311,20 @@ def _centred(y: list[float]) -> list[float]:
     return [v - ybar for v in y]
 
 
-@lru_cache(maxsize=64)
-def _rank_offsets(n: int) -> tuple[float, ...]:
-    """The centred ranks i - (n+1)/2 of n points, i = 1..n."""
-    tbar = (n + 1) / 2.0
-    return tuple(i - tbar for i in range(1, n + 1))
-
-
 def _line_fit(c: list[float]) -> tuple[float, float]:
     """Least-squares line through sorted values against x_i = i/(n+1).
 
     Takes the values centred by :func:`_centred` and returns (slope, sse).
-    The sums run over centred ranks (:func:`_rank_offsets`) and values with
+    The sums run over centred ranks (:func:`_grid`) and values with
     ``math.fsum``; sum((i - (n+1)/2)^2) = n(n^2 - 1)/12 exactly.
     """
     n = len(c)
-    offsets = _rank_offsets(n)
+    offsets = _grid(n)[0]
     slope = math.fsum(map(mul, offsets, c)) / (n * (n * n - 1) / 12.0)
     # ``** 2``, not ``r * r``: the two round differently for some doubles,
     # and the printed SSE must not move
     sse = math.fsum([(v - slope * t) ** 2 for t, v in zip(offsets, c)])
     return slope * (n + 1), sse
-
-
-def _hinge_moments(n: int, b: int) -> tuple[float, float, float, float, float]:
-    """Moments of the hinge columns u_i = min(i-b, 0), v_i = max(i-b, 0).
-
-    Returns (sum u, sum u^2, sum v, sum v^2, d) with d the Schur complement
-    n - (sum u)^2/sum u^2 - (sum v)^2/sum v^2 of the intercept, which is at
-    least 1 for 2 <= b <= n-2.
-    """
-    m = n - b
-    su = -(b - 1) * b / 2.0
-    suu = (b - 1) * b * (2 * b - 1) / 6.0
-    sv = m * (m + 1) / 2.0
-    svv = m * (m + 1) * (2 * m + 1) / 6.0
-    return su, suu, sv, svv, n - su * su / suu - sv * sv / svv
-
-
-@lru_cache(maxsize=64)
-def _hinge_table(n: int) -> tuple[tuple[float, float, float, float, float], ...]:
-    """:func:`_hinge_moments` of n points for every candidate b = 2..n-2."""
-    return tuple(_hinge_moments(n, b) for b in range(2, n - 1))
 
 
 def _two_segment_fit(c: list[float]) -> tuple[int, float, float, float]:
@@ -351,10 +345,10 @@ def _two_segment_fit(c: list[float]) -> tuple[int, float, float, float]:
         e = P r1/U + Q r2/V,
 
     with P, U, Q, V the sums of u, u^2, v, v^2 (closed-form in n and b),
-    d as in :func:`_hinge_moments`, and r1 = sum u*c, r2 = sum v*c read in
+    d as in :func:`_grid`, and r1 = sum u*c, r2 = sum v*c read in
     O(1) from prefix sums of c and i*c. One pass over b is O(n) in total.
     The moments depend on n and b only, so they are computed once per n
-    (:func:`_hinge_table`) and shared by every fit of that many values.
+    (:func:`_grid`) and shared by every fit of that many values.
     The prefix-sum SSE loses digits to cancellation, so the chosen
     breakpoint is refit: its coefficients come from ``math.fsum`` moments
     and its SSE from the explicit residuals.
@@ -364,7 +358,7 @@ def _two_segment_fit(c: list[float]) -> tuple[int, float, float, float]:
     cum_ic = list(accumulate(map(mul, range(1, n + 1), c)))
     total_c, total_ic = cum_c[-1], cum_ic[-1]
     scc = math.fsum(map(mul, c, c))
-    table = _hinge_table(n)
+    table = _grid(n)[3]
 
     best_b, best_sse = 0, math.inf
     # candidate b reads the prefix sums through rank b, at index b - 1

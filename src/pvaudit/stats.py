@@ -77,9 +77,16 @@ def two_sided_critical_value(confidence_level: float) -> float:
     _check_level(confidence_level)
     if abs(confidence_level - 0.95) < 1e-12:
         return DEFAULT_CRITICAL_VALUE
+    # within about 1.1e-16 of 0 or of 1, q rounds to 0.5 or 1: z* would be 0 or inf
+    q = 0.5 + confidence_level / 2.0
+    if not 0.5 < q < 1.0:
+        raise ValueError(
+            f"confidence_level {confidence_level!r} is too close to {0 if q == 0.5 else 1} "
+            "for a positive, finite critical value"
+        )
     from statistics import NormalDist
 
-    return NormalDist().inv_cdf(0.5 + confidence_level / 2.0)
+    return NormalDist().inv_cdf(q)
 
 
 def _reconstruct(rec: StudyRecord, zstar: float, scale: str) -> tuple[float, float, float, bool]:

@@ -12,6 +12,7 @@ import site
 import subprocess
 import sys
 from pathlib import Path
+from importlib.util import find_spec
 from types import ModuleType
 from statistics import NormalDist
 
@@ -184,6 +185,15 @@ def test_a_level_outside_0_1_is_refused_with_a_critical_value(workdir, capsys, c
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: confidence_level must be in (0, 1), got 1.5\n"
+
+
+@pytest.mark.parametrize("level, edge", [("1e-17", 0), ("0.9999999999999999", 1)])
+def test_a_level_with_no_finite_positive_critical_value_is_named(workdir, capsys, level, edge):
+    capsys.readouterr()
+    rc = main(["derive", "--input", str(workdir / "toy.csv"), "--confidence-level", level])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr() == ("", f"error: confidence_level {level} is too close to {edge} "
+                                       "for a positive, finite critical value\n")
 
 
 @pytest.mark.parametrize(
@@ -506,6 +516,26 @@ def test_plot_refuses_to_overwrite_its_input_or_its_svg(workdir, capsys, monkeyp
 
 
 @pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["derive", "--input", "soy.csv"], "../{dir}/soy.csv"),
+        (["derive", "--input", "soy.csv"], "linked.csv"),
+        (["count", "--input", "counts.csv"], "../{dir}/counts.csv"),
+        (["audit", "--input", "soy.csv"], "../{dir}/soy.csv"),
+        (["audit", "--input", "soy.csv", "--counting", "counts.csv"], "../{dir}/counts.csv"),
+    ],
+    ids=["derive", "derive-hard-link", "count", "audit", "audit-counting"],
+)
+def test_a_command_refuses_to_write_over_a_file_it_reads(workdir, capsys, monkeypatch, argv, output):
+    monkeypatch.chdir(workdir)
+    os.link("soy.csv", "linked.csv")  # a second name of the same file
+    before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    assert main([*argv, "--output", output.format(dir=workdir.name)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --output must not name a file the command reads\n")
+    assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+
+@pytest.mark.parametrize(
     "rows, kind",
     [
         # every p is floored at 5e-324: a tenth of it underflows to 0
@@ -784,7 +814,7 @@ def test_floored_pvalues_warn_once(workdir, capsys):
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
+def _fresh_python(code: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     # -S: no site hooks, whose .pth files may preload modules (pathlib, say)
     # that a clean interpreter would load only for pvaudit. site-packages stays
     # on the path (PYTHONPATH runs no .pth file), so a guarded optional import
@@ -795,6 +825,7 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
     )
     return subprocess.run(
         [sys.executable, "-S", "-c", code],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
@@ -802,105 +833,116 @@ def _fresh_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_cli_import_loads_neither_numpy_nor_scipy(tmp_path):
-    # Also runs an audit with influence screening and a simulation: neither
-    # leave-one-out nor the simulator needs numpy or scipy.
-    soy = tmp_path / "soy.csv"
-    soy.write_text(soy_ldl_studies_csv(), encoding="utf-8")
-    report = tmp_path / "report.json"
-    sim_report = tmp_path / "sim.json"
-    proc = _fresh_python(
-        "import sys, pvaudit, pvaudit.cli\n"
-        f"rc = pvaudit.cli.main(['audit', '--input', {str(soy)!r}, "
-        f"'--influence-threshold', '0.2', '--output', {str(report)!r}])\n"
-        "assert rc == 0, rc\n"
-        "assert not {'decimal', 'statistics', 'pvaudit.sim'} & set(sys.modules), sorted(sys.modules)\n"
-        "rc = pvaudit.cli.main(['simulate', '--n', '30', '--hack-k', '2', "
-        f"'--replicates', '5', '--seed', '3', '--output', {str(sim_report)!r}])\n"
-        "assert rc == 0, rc\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
-        "from importlib.util import find_spec\n"
-        "assert find_spec('numpy') and find_spec('scipy'), 'the guard needs both importable'"
-    )
+TEST_EXTRA = {"hypothesis", "mpmath", "numpy", "pytest", "scipy"}
+# No command loads these: the test extra, and standard-library packages
+# that only add to a command's cold start.
+CLI_EXCLUDED = TEST_EXTRA | {"dataclasses", "email", "http", "inspect", "ssl", "urllib", "xml"}
+CLI = {"cli", "model", "stats"}  # the submodules every command loads
+
+
+# Each entry point, run alone in a fresh interpreter: a statement, or the
+# argv of one command run on the bundled tables. Then the pvaudit submodules
+# it loads, whether statistics (for the simulator, and for a critical value
+# at any level but 0.95) and json (for a report) load. A command loads none
+# of CLI_EXCLUDED; the pins module, whose pathlib brings urllib.parse, and the
+# other statements load no test extra.
+@pytest.mark.parametrize(
+    "entry, loads, statistics, json_loads",
+    [
+        pytest.param("import pvaudit", set(), False, False, id="import"),
+        pytest.param("from pvaudit import cli", CLI, False, False, id="cli"),
+        # a public name loads the modules of pvaudit._MODULES in order
+        pytest.param(
+            "from pvaudit import cli\nfrom pvaudit import parse_search_space_csv",
+            CLI | {"counting", "diagnostics"}, False, False, id="cli-then-name",
+        ),
+        pytest.param(
+            "from pvaudit import SimConfig, run_experiment\n"
+            "assert run_experiment(SimConfig(n_studies=5)).config.n_studies == 5",
+            {"counting", "diagnostics", "model", "sim", "stats"}, True, False, id="sim-names",
+        ),
+        pytest.param(
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\nimport pins",
+            CLI | {"datasets", "diagnostics", "sim", "svgplot"}, True, False, id="pins",
+        ),
+        pytest.param(["derive", "--input", "soy.csv"], CLI, False, False, id="derive"),
+        pytest.param(
+            ["derive", "--input", "soy.csv", "--confidence-level", "0.9"],
+            CLI, True, False, id="derive-level-0.9",
+        ),
+        pytest.param(
+            ["count", "--input", "counts.csv"], CLI | {"counting"}, False, False, id="count",
+        ),
+        pytest.param(
+            ["plot", "--input", "soy.csv", "--kind", "volcano", "--exclude-flagged",
+             "--output", "v.svg"],
+            CLI | {"diagnostics", "svgplot"}, False, False, id="plot",
+        ),
+        pytest.param(
+            ["audit", "--input", "soy.csv", "--counting", "counts.csv"],
+            CLI | {"counting", "diagnostics", "report"}, False, True, id="audit",
+        ),
+        pytest.param(
+            ["simulate", "--n", "20", "--replicates", "2"],
+            CLI | {"diagnostics", "report", "sim"}, True, True, id="simulate",
+        ),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(workdir, entry, loads, statistics, json_loads):
+    command = isinstance(entry, list)
+    code = f"from pvaudit.cli import main\nassert main({entry!r}) == 0" if command else entry
+    proc = _fresh_python(f"import sys\n{code}\nprint(sorted(sys.modules))", cwd=workdir)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-    flagged = _read_json(report)["outliers"]["flagged"]
-    assert any(f["reason"] == "high_influence" for f in flagged)
-    assert len(_read_json(sim_report)["replicates"]) == 5
+    modules = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    packages = {m.split(".")[0] for m in modules}
+    assert {m for m in modules if m.split(".")[0] == "pvaudit"} == {
+        "pvaudit", *(f"pvaudit.{m}" for m in loads)
+    }
+    assert ("statistics" in modules, "json" in modules) == (statistics, json_loads)
+    # statistics imports decimal; pvaudit itself does only at the tau^2 clamp
+    assert "decimal" not in modules or "statistics" in modules
+    excluded = CLI_EXCLUDED if command else TEST_EXTRA
+    assert not packages & excluded, sorted(packages & excluded)
+    # a module that cannot be found could never show as loaded
+    assert all(map(find_spec, excluded))
 
 
-def test_pins_load_no_test_extra():
+def test_cli_import_loads_neither_numpy_nor_scipy(workdir):
+    # An audit with influence screening and a simulation in one interpreter:
+    # neither leave-one-out nor the simulator needs numpy or scipy.
     proc = _fresh_python(
-        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import pins\n"
-        "extra = {'pytest', 'hypothesis', 'numpy', 'scipy', 'mpmath'}\n"
-        "print(sorted(extra & {m.split('.')[0] for m in sys.modules}))\n"
-        "from importlib.util import find_spec\n"
-        "assert all(map(find_spec, extra)), 'the guard needs each importable'"
+        "import sys\n"
+        "from pvaudit.cli import main\n"
+        "assert main(['audit', '--input', 'soy.csv', '--influence-threshold', '0.2', "
+        "'--output', 'audit.json']) == 0\n"
+        "assert not {'decimal', 'statistics', 'pvaudit.sim'} & set(sys.modules)\n"
+        "assert main(['simulate', '--n', '30', '--hack-k', '2', '--replicates', '5', "
+        "'--seed', '3', '--output', 'sim.json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))",
+        cwd=workdir,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    assert find_spec("numpy") and find_spec("scipy"), "the guard needs both importable"
+    flagged = _read_json(workdir / "audit.json")["outliers"]["flagged"]
+    assert any(f["reason"] == "high_influence" for f in flagged)
+    assert len(_read_json(workdir / "sim.json")["replicates"]) == 5
 
 
-COLD_START_EXCLUDED = ("dataclasses", "inspect", "urllib", "http", "ssl", "email", "xml")
-
-
-def test_cli_import_and_plot_load_no_dataclasses_or_http_stack(tmp_path):
-    # Modules the interpreter loaded before pvaudit are not pvaudit's;
-    # anything loaded after is.
-    soy = tmp_path / "soy.csv"
-    soy.write_text(soy_ldl_studies_csv(), encoding="utf-8")
-    svg = tmp_path / "volcano.svg"
+def test_cli_import_and_plot_load_no_dataclasses_or_http_stack(workdir):
+    # A titled volcano plot loads no cold-start package, and escapes its title.
     proc = _fresh_python(
         "import sys\n"
-        "before = set(sys.modules)\n"
-        "import pvaudit.cli\n"
-        f"rc = pvaudit.cli.main(['plot', '--input', {str(soy)!r}, '--kind', 'volcano', "
-        f"'--exclude-flagged', '--title', 'a & <b>', '--output', {str(svg)!r}])\n"
-        "assert rc == 0, rc\n"
-        f"print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in {COLD_START_EXCLUDED!r}))"
+        "from pvaudit.cli import main\n"
+        "assert main(['plot', '--input', 'soy.csv', '--kind', 'volcano', '--exclude-flagged', "
+        "'--title', 'a & <b>', '--output', 'v.svg']) == 0\n"
+        "print(sorted(sys.modules))",
+        cwd=workdir,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-    assert ">a &amp; &lt;b&gt;</text>" in svg.read_text(encoding="utf-8")
-
-
-_BASE_MODULES = {"pvaudit", "pvaudit.cli", "pvaudit.model", "pvaudit.stats"}
-
-
-# statistics loads with the simulator, and for a critical value at any
-# level other than 0.95
-@pytest.mark.parametrize(
-    "argv, loads, statistics",
-    [
-        (["derive", "--input", "soy.csv"], set(), False),
-        (["derive", "--input", "soy.csv", "--confidence-level", "0.9"], set(), True),
-        (["count", "--input", "counts.csv"], {"counting"}, False),
-        (["plot", "--input", "soy.csv", "--kind", "volcano", "--exclude-flagged",
-          "--output", "v.svg"], {"diagnostics", "svgplot"}, False),
-        (["audit", "--input", "soy.csv", "--counting", "counts.csv"],
-         {"counting", "diagnostics", "report"}, False),
-        (["simulate", "--n", "20", "--replicates", "2"],
-         {"diagnostics", "report", "sim"}, True),
-    ],
-    ids=["derive", "derive-level-0.9", "count", "plot", "audit", "simulate"],
-)
-def test_each_command_loads_only_the_modules_it_runs(workdir, argv, loads, statistics):
-    proc = _fresh_python(
-        "import os, sys\n"
-        f"os.chdir({str(workdir)!r})\n"
-        "import pvaudit.cli\n"
-        f"rc = pvaudit.cli.main({argv!r})\n"
-        "assert rc == 0, rc\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pvaudit'))\n"
-        "print('statistics' in sys.modules)\n"
-        "print('json' in sys.modules)"
-    )
-    assert proc.returncode == 0, proc.stderr
-    modules, statistics_loaded, json_loaded = proc.stdout.splitlines()[-3:]
-    assert modules == repr(sorted(_BASE_MODULES | {f"pvaudit.{m}" for m in loads}))
-    assert statistics_loaded == repr(statistics)
-    # CSV input never needs the JSON mirror; only the report writer loads json
-    assert json_loaded == repr(argv[0] in ("audit", "simulate"))
+    packages = {m.split(".")[0] for m in ast.literal_eval(proc.stdout.splitlines()[-1])}
+    assert not packages & CLI_EXCLUDED, sorted(packages & CLI_EXCLUDED)
+    assert ">a &amp; &lt;b&gt;</text>" in (workdir / "v.svg").read_text(encoding="utf-8")
 
 
 PACKAGE_ALL = [
@@ -922,38 +964,17 @@ PACKAGE_ALL = [
 
 
 def test_package_names_load_on_first_use():
-    # A bare import loads no submodule; a submodule and each public name then
-    # resolve on the package, and dir() lists every name in __all__.
-    proc = _fresh_python(
-        "import sys, pvaudit\n"
-        "print(sorted(m for m in sys.modules if m.startswith('pvaudit.')))\n"
-        "print(pvaudit.stats.pool_dl.__module__, pvaudit.SimConfig.__module__)\n"
-        "print(sorted(set(pvaudit.__all__) - set(dir(pvaudit))))"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "pvaudit.stats pvaudit.sim", "[]"]
+    # Which modules each name loads is checked in a fresh interpreter above;
+    # here each name resolves on the package, and dir() lists every name in
+    # __all__.
     import pvaudit
 
     assert pvaudit.__all__ == PACKAGE_ALL
     assert set(PACKAGE_ALL) <= set(dir(pvaudit))
+    assert pvaudit.stats.pool_dl.__module__ == "pvaudit.stats"
+    assert pvaudit.SimConfig.__module__ == "pvaudit.sim"
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         pvaudit.nope
-
-
-def test_a_submodule_name_loads_that_module_and_a_public_name_loads_in_order():
-    proc = _fresh_python(
-        "import sys\n"
-        "from pvaudit import cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('pvaudit.')))\n"
-        "from pvaudit import parse_search_space_csv\n"
-        "print(sorted(m for m in sys.modules if m.startswith('pvaudit.')))"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "['pvaudit.cli', 'pvaudit.model', 'pvaudit.stats']",
-        "['pvaudit.cli', 'pvaudit.counting', 'pvaudit.diagnostics', 'pvaudit.model', "
-        "'pvaudit.stats']",
-    ]
 
 
 def test_every_public_name_resolves():
@@ -1053,15 +1074,6 @@ def test_perfbench_traced_pipeline_finds_no_problems(workload, tmp_path, monkeyp
     wl = getattr(workloads, workload)(1)
     wl.make_inputs(tmp_path)
     assert traced.Pipeline(wl, tmp_path, traced.Tracer()).run() == []
-
-
-def test_sim_names_still_import_from_the_package():
-    proc = _fresh_python(
-        "from pvaudit import SimConfig, run_experiment\n"
-        "print(run_experiment(SimConfig(n_studies=5)).config.n_studies)"
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "5"
 
 
 def test_readme_library_example_prints_what_its_comments_say(capsys):

@@ -30,7 +30,7 @@ from pvaudit.diagnostics import (
     VERDICTS,
     ShapeVerdict,
     _centred,
-    _hinge_table,
+    _grid,
     _kolmogorov_sf,
     _line_fit,
     _two_segment_fit,
@@ -471,7 +471,7 @@ def _reference_classify(pvalues) -> ShapeVerdict:
         cum_ic = list(accumulate(i * v for i, v in enumerate(c, 1)))
         total_c, total_ic = cum_c[-1], cum_ic[-1]
         scc = math.fsum(v * v for v in c)
-        table = _hinge_table(n)
+        table = _grid(n)[3]
         best_b, best_sse = 0, math.inf
         for b, (su, suu, sv, svv, d), ic, cc in zip(
             range(2, n - 1), table, cum_ic[1:], cum_c[1:]

@@ -101,6 +101,12 @@ def test_critical_value_convention_and_exact():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             two_sided_critical_value(bad)
+    # 0.5 + level/2 rounds to 0.5 or to 1 within about 1.1e-16 of either end
+    assert two_sided_critical_value(1.2e-16) > 0.0
+    assert two_sided_critical_value(1.0 - 2.0**-52) < math.inf
+    for edge, level in ((0, 1e-17), (0, 1.1e-16), (1, 1.0 - 2.0**-53)):
+        with pytest.raises(ValueError, match=rf"^confidence_level {level!r} .* to {edge} for"):
+            two_sided_critical_value(level)
 
 
 def test_exact_critical_value_matches_scipy_ndtri():
@@ -674,6 +680,69 @@ def test_downdated_tau2_stays_within_its_noise_budget(monkeypatch):
         exact = pool_fraction(subset)["tau2"]
         budget = 2.0**-40 * (min(Fraction(se) ** 2 for _, se in subset) + exact)
         assert tau2 is None or abs(Fraction(tau2) - exact) <= budget, (i, tau2, exact)
+
+
+def _tiered_set(rng: random.Random) -> list[tuple[float, float]]:
+    """A set of _loo_sets' tiered kind, drawn from ``rng``."""
+    k = rng.randint(3, 30)
+    ses = [max(math.exp(rng.uniform(-6.0, 1.0)), math.exp(-3.0)) for _ in range(k)]
+    ys = [rng.uniform(-1.0, 1.0) for _ in range(k)]
+    heavy = rng.randint(2, min(3, k - 1))
+    for n in range(heavy):
+        ses[n * k // heavy] = 10.0 ** -rng.uniform(1.0, 10.0)
+    kind = rng.choice(("spread", "homogeneous", "clamp"))
+    if kind != "spread":
+        spread = [rng.uniform(-1.0, 1.0) * se for se in ses]
+        q = pool_dl(list(zip(spread, ses))).q
+        if q > 1e-3:
+            if kind == "clamp":
+                target = rng.uniform(k - 1.5, k - 0.5)
+            else:
+                target = rng.uniform(0.0, 0.9) * (k - 1)
+            ys = [ys[0] + math.sqrt(target / q) * d for d in spread]
+        else:
+            ys = [ys[0]] * k
+    return list(zip(ys, ses))
+
+
+def test_heaviest_studys_tau2_off_its_budget_is_pooled_directly(monkeypatch):
+    # The noise budget does not hold for the heaviest study itself: its
+    # y_t - f is below the rounding of the fixed mean, which q_scale counts
+    # only to first order. Wherever its downdated tau^2 is off by more than
+    # the budget, the series must not read it: that study is pooled directly.
+    downdate, pool = stats_module._downdated_tau2, stats_module.pool_dl
+    returned, pooled = [], []
+
+    def recorded(*args, heaviest):
+        tau2 = downdate(*args, heaviest=heaviest)
+        if heaviest:
+            returned.append(tau2)
+        return tau2
+
+    def counted(pairs):
+        pooled.append(pairs)
+        return pool(pairs)
+
+    monkeypatch.setattr(stats_module, "_downdated_tau2", recorded)
+    monkeypatch.setattr(stats_module, "pool_dl", counted)
+    rng = random.Random(0)
+    missed = 0
+    for _ in range(400):
+        effects = _tiered_set(rng)
+        returned.clear()
+        pooled.clear()
+        loo_influence(effects)
+        (tau2,) = returned
+        if tau2 is None:
+            continue
+        top = min(range(len(effects)), key=lambda j: effects[j][1])
+        subset = effects[:top] + effects[top + 1 :]
+        exact = pool_fraction(subset)["tau2"]
+        budget = 2.0**-40 * (min(Fraction(se) ** 2 for _, se in subset) + exact)
+        if abs(Fraction(tau2) - exact) > budget:
+            missed += 1
+            assert subset in pooled, (effects, tau2, exact)
+    assert missed > 0
 
 
 def test_loo_influence_series_ratio_trades_passes_for_terms(monkeypatch):
