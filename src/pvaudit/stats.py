@@ -359,9 +359,7 @@ def _tau2_at_clamp(pairs: list[tuple[float, float]], top: int) -> tuple[float, f
 # A q_i this far (relative to its rounding scale) below k-2 clamps tau^2 for
 # certain. The random-weight series is used only while each term is at most
 # half the last, and cut once r**M is below 2**-55, where its tail is under a
-# rounding unit; a study's own term is taken off only while that cancels at
-# most ten bits.
-_MAX_CANCELLATION = 2.0**10
+# rounding unit.
 _CLAMP_MARGIN = 2.0**-48
 # A tau^2 that rounding could move by more than this share of the heaviest
 # study's random variance is taken from 40-digit decimal sums by pool_dl, and
@@ -372,36 +370,25 @@ _LOG_SERIES_TOL = -55.0 * math.log(2.0)
 
 
 def _downdated_tau2(
-    k: int,
-    sw: float,
-    rest: tuple[float, float, float],
-    fixed: float,
-    q: float,
-    wi: float,
-    yi: float,
-    heaviest: bool,
+    k: int, sw: float, rest: tuple[float, float, float], full: PoolResult, wi: float, yi: float
 ) -> float | None:
-    """DL tau^2 of the k-1 studies left without (yi, wi), from full-set sums.
+    """DL tau^2 of the k-1 studies left without (yi, wi), which is not the
+    heaviest study t, from full-set sums.
 
-    ``rest`` is the heaviest weight ``w_t`` with, over every other study, the
-    sums of ``w`` and of ``w (w / w_t)``. Forming the denominator from them
-    cancels nothing when one study carries nearly all the weight.
+    ``rest`` is ``w_t`` with, over every other study, the sums of ``w`` and
+    of ``w (w / w_t)``. Forming the denominator from them cancels nothing
+    when study t carries nearly all the weight.
 
     Returns None where the denominator is not positive, or where its rounding
     and Q's (as ``q_scale`` gauges it) could move tau^2 by more than
     _TAU2_NOISE; the caller then pools the subset directly.
     """
     w_t, s1, s2 = rest
-    if not s1 > 0.0:  # every other weight underflowed to zero
-        return None
-    if heaviest:
-        sw_i = s1
-        denom = s1 - s2 * (w_t / s1)
-    else:
-        r1 = s1 - wi
-        sw_i = w_t + r1
-        # (sw_i^2 - w_t^2 - sum of the others' w^2) / sw_i, with w_t^2 cancelled
-        denom = r1 + w_t / sw_i * (r1 - (s2 - wi * (wi / w_t)))
+    fixed, q = full.fixed_mean, full.q
+    r1 = s1 - wi
+    sw_i = w_t + r1
+    # (sw_i^2 - w_t^2 - sum of the others' w^2) / sw_i, with w_t^2 cancelled
+    denom = r1 + w_t / sw_i * (r1 - (s2 - wi * (wi / w_t)))
     if not denom > 0.0:
         return None
     g = wi * sw / sw_i * abs(yi - fixed)
@@ -411,10 +398,9 @@ def _downdated_tau2(
     if q_i - (k - 2) + _CLAMP_MARGIN * q_scale < 0.0:
         return 0.0
     tau2_i = max(0.0, (q_i - (k - 2)) / denom)
-    # the denominator's rounding is a few ulps of s1; the subset's heaviest
-    # weight is at most s1
+    # the denominator's rounding is a few ulps of s1
     error = _CLAMP_MARGIN * (q_scale + tau2_i * s1)
-    if error > _TAU2_NOISE * denom * (1.0 / (s1 if heaviest else w_t) + tau2_i):
+    if error > _TAU2_NOISE * denom * (1.0 / w_t + tau2_i):
         return None
     return tau2_i
 
@@ -430,41 +416,42 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     Notes
     -----
     The values are the DerSimonian-Laird influences, found without pooling
-    every subset:
+    every subset. The heaviest study t's subset is pooled directly; for each
+    other study:
 
-    - Fixed part, by downdating the full-set sums in O(1) per study:
+    - Fixed part, by downdating the full-set sums in O(1):
       ``W_i = W - w_i``, ``Q_i = Q - w_i (y_i - f)^2 W / W_i`` and
       ``tau2_i = max(0, (Q_i - (k-2)) / (W_i - (sum w^2 - w_i^2) / W_i))``,
       clamped as in :func:`pool_dl`. The denominator is downdated from sums
-      taken without the heaviest study t, in which ``w_t^2`` cancels
-      exactly, so a study carrying nearly all the weight costs the others no
-      precision.
+      taken without study t, in which ``w_t^2`` cancels exactly, so a study
+      carrying nearly all the weight costs the others no precision.
     - Random part, by a power series around the full-set ``tau2``. With
       ``u_j = 1/(v_j + tau2)`` and ``d = tau2_i - tau2``,
       ``sum_j 1/(v_j + tau2_i) = sum_m (-d)^m sum_j u_j^(m+1)``, and the
       sum weighted by ``y_j - mean`` has the same form. Terms shrink by
       ``r = |d| max u`` each, so M terms with ``r^M < 2^-55`` reach rounding;
-      the study's own term is then subtracted. (The power sums are taken of
+      the study's own term is then subtracted, which cancels at most one
+      bit: study t's term is at least as large. (The power sums are taken of
       ``u_j / max u``, which cannot overflow; the scale cancels in the mean.)
       ``y_j - mean`` is taken as ``(y_j - y_t) - sum u (y - y_t) / sum u``,
       as :func:`pool_dl` centres Q, so the rounding of the mean never meets
       the heaviest study's weight.
 
     Each power sum is taken once, the first time a study's series needs it,
-    so the cost is O(k M), with M at most 55 and about 11 on typical sets.
-    A study is pooled directly with :func:`pool_dl`, at O(k), only where
-    ``r >= 1/2`` (as when a homogeneous set, tau2 = 0, has a heterogeneous
-    subset, or a subset clamps a large tau2 to zero), where its own term
-    cancels more than ten bits, or where the rounding of Q or of the
-    denominator could move tau2_i by more than 2^-40 of the subset's
-    heaviest random variance, the budget :func:`pool_dl` keeps (a study with
-    nearly all the weight or of Q, or a set near the tau2 clamp). Its
-    subset mean, too, is read off the centre above, from the random weights.
+    so the cost is O(k M), with M at most 55 and about 11 on typical sets,
+    beside study t's O(k) pooling pass. Another study is pooled directly
+    with :func:`pool_dl` only where ``r >= 1/2`` (as when a homogeneous set,
+    tau2 = 0, has a heterogeneous subset, or a subset clamps a large tau2 to
+    zero), or where the rounding of Q or of the denominator could move
+    tau2_i by more than 2^-40 of the subset's heaviest random variance, the
+    budget :func:`pool_dl` keeps (a study with nearly all of Q, or a set
+    near the tau2 clamp). Each pooled subset's mean, too, is read off the
+    centre above, from the random weights.
     Where one study carries nearly all the weight and tau2 = 0, per-subset
     pooling returns mostly the rounding of the mean; these values do not. On
     3,000 seeded sets with two or three dominant studies every value matched
-    exact DL (mpmath) to 2e-12 relative where it exceeds 1e-3, and to 2e-15
-    absolute below.
+    exact DL (mpmath) to 2e-12 relative where it exceeds 1e-3, and to 1e-10
+    relative plus 2e-15 absolute below.
     """
     pairs = [(float(y), float(s)) for y, s in effects]
     k = len(pairs)
@@ -492,7 +479,7 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     offset = y_sums[0] / p_sums[0]
     out = []
     for i, (wi, (yi, se)) in enumerate(zip(w, pairs)):
-        tau2_i = _downdated_tau2(k, sw, rest, full.fixed_mean, full.q, wi, yi, heaviest=i == top)
+        tau2_i = None if i == top else _downdated_tau2(k, sw, rest, full, wi, yi)
         ratio = math.inf if tau2_i is None else (tau2_i - full.tau2) * u_max
         if abs(ratio) < _MAX_SERIES_RATIO:
             terms = 1 if ratio == 0.0 else math.ceil(_LOG_SERIES_TOL / math.log(abs(ratio)))
@@ -505,11 +492,9 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
                 b = -ratio * (p_sums[m] + b)
                 a = -ratio * (y_sums[m] + a)
             own = 1.0 / ((se * se + tau2_i) * u_max)
-            b_i = p_sums[0] + b - own
-            if own <= _MAX_CANCELLATION * b_i:
-                shift_i = (a - offset * b - own * (centred[i] - offset)) / b_i
-                out.append(abs(shift_i))
-                continue
+            shift_i = (a - offset * b - own * (centred[i] - offset)) / (p_sums[0] + b - own)
+            out.append(abs(shift_i))
+            continue
         # pooled directly; its mean, too, is taken off the centre
         try:
             weights = pool_dl(pairs[:i] + pairs[i + 1 :]).weights_random
