@@ -28,7 +28,6 @@ from .model import (
     parse_dataset,
     record_values,
 )
-from .stats import P_FLOOR, derive_dataset, effects_from_dataset, pool_dl
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -285,6 +284,8 @@ def _resolve(args: argparse.Namespace) -> tuple[DerivedDataset, dict]:
     win); what neither sets is left to ``derive_dataset`` and
     ``flag_outliers``. The rules are keyword arguments of ``flag_outliers``.
     """
+    from .stats import P_FLOOR, derive_dataset
+
     profile = PROFILES.get(args.profile or "", {})
     critical_value = (
         args.critical_value
@@ -394,9 +395,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    from .counting import summarize_spaces
     from .diagnostics import classify_shape, flag_outliers
     from .report import build_audit_report, dumps
+    from .stats import effects_from_dataset, pool_dl
 
     _refuse_overwrite((args.input, args.counting), (args.output,))
     ds, rules = _resolve(args)
@@ -405,6 +406,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     pool = pool_dl(effects_from_dataset(ds)) if len(ds) >= 2 else None
     space_entries = space_summary = None
     if args.counting:
+        from .counting import summarize_spaces
+
         space_entries = _load_entries(args.counting)
         space_summary = summarize_spaces(space_entries)
     config = {"manual_rows": list(rules["manual"]), "profile": args.profile}

@@ -439,14 +439,14 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
 
     Each power sum is taken once, the first time a study's series needs it,
     so the cost is O(k M), with M at most 55 and about 11 on typical sets,
-    beside study t's O(k) pooling pass. Another study is pooled directly
-    with :func:`pool_dl` only where ``r >= 1/2`` (as when a homogeneous set,
-    tau2 = 0, has a heterogeneous subset, or a subset clamps a large tau2 to
-    zero), or where the rounding of Q or of the denominator could move
-    tau2_i by more than 2^-40 of the subset's heaviest random variance, the
-    budget :func:`pool_dl` keeps (a study with nearly all of Q, or a set
-    near the tau2 clamp). Each pooled subset's mean, too, is read off the
-    centre above, from the random weights.
+    beside study t's O(k) pooling pass. Another study is pooled directly,
+    by the same ``_pool`` pass, only where ``r >= 1/2`` (as when a
+    homogeneous set, tau2 = 0, has a heterogeneous subset, or a subset
+    clamps a large tau2 to zero), or where the rounding of Q or of the
+    denominator could move tau2_i by more than 2^-40 of the subset's heaviest
+    random variance, the budget :func:`pool_dl` keeps (a study with nearly
+    all of Q, or a set near the tau2 clamp). Each pooled subset's mean, too,
+    is read off the centre above, from the random weights.
     Where one study carries nearly all the weight and tau2 = 0, per-subset
     pooling returns mostly the rounding of the mean; these values do not. On
     3,000 seeded sets with two or three dominant studies every value matched
@@ -467,9 +467,9 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     # itself meets that study's weight. They are in units of the full-set
     # standard error, so a small weight times a small deviation stays normal.
     scaled = powers = [x / u_max for x in u]
-    shift = math.fsum(x * d for x, d in zip(scaled, dev)) / math.fsum(scaled)
+    p_sums = [math.fsum(scaled)]
+    shift = math.fsum(x * d for x, d in zip(scaled, dev)) / p_sums[0]
     centred = [(d - shift) / full.random_se for d in dev]
-    p_sums = [math.fsum(powers)]
     y_sums = [math.fsum(c * x for c, x in zip(centred, powers))]
 
     # The full mean less the centre, which is only the shift's rounding. The
@@ -497,7 +497,7 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
             continue
         # pooled directly; its mean, too, is taken off the centre
         try:
-            weights = pool_dl(pairs[:i] + pairs[i + 1 :]).weights_random
+            weights = _pool(pairs[:i] + pairs[i + 1 :])[0].weights_random
         except ValueError:
             # the subset's sums overflow; name its heaviest study by input row
             j = max((j for j in range(k) if j != i), key=w.__getitem__)

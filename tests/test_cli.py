@@ -837,7 +837,7 @@ TEST_EXTRA = {"hypothesis", "mpmath", "numpy", "pytest", "scipy"}
 # No command loads these: the test extra, and standard-library packages
 # that only add to a command's cold start.
 CLI_EXCLUDED = TEST_EXTRA | {"dataclasses", "email", "http", "inspect", "ssl", "urllib", "xml"}
-CLI = {"cli", "model", "stats"}  # the submodules every command loads
+CLI = {"cli", "model"}  # the submodules every command loads
 
 
 # Each entry point, run alone in a fresh interpreter: a statement, or the
@@ -854,7 +854,7 @@ CLI = {"cli", "model", "stats"}  # the submodules every command loads
         # a public name loads the modules of pvaudit._MODULES in order
         pytest.param(
             "from pvaudit import cli\nfrom pvaudit import parse_search_space_csv",
-            CLI | {"counting", "diagnostics"}, False, False, id="cli-then-name",
+            CLI | {"counting", "diagnostics", "stats"}, False, False, id="cli-then-name",
         ),
         pytest.param(
             "from pvaudit import SimConfig, run_experiment\n"
@@ -863,12 +863,12 @@ CLI = {"cli", "model", "stats"}  # the submodules every command loads
         ),
         pytest.param(
             f"sys.path.insert(0, {str(Path(__file__).parent)!r})\nimport pins",
-            CLI | {"datasets", "diagnostics", "sim", "svgplot"}, True, False, id="pins",
+            CLI | {"datasets", "diagnostics", "sim", "stats", "svgplot"}, True, False, id="pins",
         ),
-        pytest.param(["derive", "--input", "soy.csv"], CLI, False, False, id="derive"),
+        pytest.param(["derive", "--input", "soy.csv"], CLI | {"stats"}, False, False, id="derive"),
         pytest.param(
             ["derive", "--input", "soy.csv", "--confidence-level", "0.9"],
-            CLI, True, False, id="derive-level-0.9",
+            CLI | {"stats"}, True, False, id="derive-level-0.9",
         ),
         pytest.param(
             ["count", "--input", "counts.csv"], CLI | {"counting"}, False, False, id="count",
@@ -876,15 +876,19 @@ CLI = {"cli", "model", "stats"}  # the submodules every command loads
         pytest.param(
             ["plot", "--input", "soy.csv", "--kind", "volcano", "--exclude-flagged",
              "--output", "v.svg"],
-            CLI | {"diagnostics", "svgplot"}, False, False, id="plot",
+            CLI | {"diagnostics", "stats", "svgplot"}, False, False, id="plot",
         ),
         pytest.param(
             ["audit", "--input", "soy.csv", "--counting", "counts.csv"],
-            CLI | {"counting", "diagnostics", "report"}, False, True, id="audit",
+            CLI | {"counting", "diagnostics", "report", "stats"}, False, True, id="audit",
+        ),
+        pytest.param(
+            ["audit", "--input", "soy.csv", "--influence-threshold", "0.2"],
+            CLI | {"diagnostics", "report", "stats"}, False, True, id="audit-influence",
         ),
         pytest.param(
             ["simulate", "--n", "20", "--replicates", "2"],
-            CLI | {"diagnostics", "report", "sim"}, True, True, id="simulate",
+            CLI | {"diagnostics", "report", "sim", "stats"}, True, True, id="simulate",
         ),
     ],
 )
