@@ -14,6 +14,7 @@ import math
 import random
 import sys
 import tempfile
+import xml.dom.minidom
 from pathlib import Path
 
 from pvaudit.cli import main as cli_main
@@ -22,7 +23,7 @@ from pvaudit.diagnostics import _centred, _two_segment_fit, classify_pvalues
 from pvaudit.diagnostics import expectation_plot, pvalue_plot, volcano_plot
 from pvaudit.model import Dataset, StudyRecord
 from pvaudit.sim import SimConfig, generate_literature, greenwald_censor_rate
-from pvaudit.stats import derive_dataset, loo_influence
+from pvaudit.stats import derive_dataset, loo_influence, pool_dl
 from pvaudit.svgplot import reference_lines_csv, render_series, series_csv
 
 
@@ -42,26 +43,66 @@ COUNT_EDGE_ROWS = (
     " 6 , Pad , 2008 , 7 , 2 , 1 \n"
     "7,Big,2009,1180591620717411303424,36893488147419103235,0\n"
 )
+# Q sits at k-1 within rounding, and study 0 carries nearly all the weight:
+# exact DL gives tau^2 = 8.7e-17, which moves study 0's weight by 8.7e-7.
+AT_CLAMP = [(1.0, 1e-5)] + [(1.0, 1.0)] * 9 + [(4.1622776603264935, 1.0)]
+# Each input file by name; the last two are what derive and count write of the bundled tables.
 _INPUTS = {
     "soy.csv": soy_ldl_studies_csv,
     "counts.csv": soy_ldl_search_space_csv,
     "edge.csv": lambda: COUNT_HEADER + COUNT_EDGE_ROWS,
+    "underscore.csv": lambda: COUNT_HEADER + "1,A,2000,1_5,1,0\n",
+    "derived.csv": lambda: _outputs("derive", "--input", "soy.csv",
+                                    "--output", "derived.csv")[1]["derived.csv"],
+    "spaces.csv": lambda: _outputs("count", "--input", "counts.csv",
+                                   "--output", "spaces.csv")[1]["spaces.csv"],
 }
 
 
-def _cli(*args: str) -> str:
-    """The stdout of ``pvaudit *args`` run in-process, which must exit 0 with an empty stderr.
-    An argument naming one of ``_INPUTS`` is that file's absolute path in a temporary directory."""
+def _run(*args: str) -> tuple[int, str, str, dict[str, str]]:
+    """The exit code, stdout, stderr and each file written, by name, of ``pvaudit *args``
+    run in-process in a temporary directory. An argument naming one of ``_INPUTS`` is that
+    file, written there first; the name after ``--output`` is a path there too."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in _INPUTS.items():
-            Path(tmp, name).write_text(text(), encoding="utf-8")
-        argv = [str(Path(tmp, a)) if a in _INPUTS else a for a in args]
+        argv, inputs = [], set()
+        for before, arg in zip(("",) + args, args):
+            if arg in _INPUTS and before != "--output":
+                Path(tmp, arg).write_text(_INPUTS[arg](), encoding="utf-8")
+                inputs.add(arg)
+            argv.append(str(Path(tmp, arg)) if arg in inputs or before == "--output" else arg)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli_main(argv)
-    if rc != 0 or err.getvalue():
-        raise AssertionError(f"pvaudit {' '.join(args)}: exit {rc}, stderr {err.getvalue()!r}")
-    return out.getvalue()
+        written = {path.name: path.read_text(encoding="utf-8")
+                   for path in sorted(Path(tmp).iterdir()) if path.name not in inputs}
+    return rc, out.getvalue(), err.getvalue(), written
+
+
+def _outputs(*args: str) -> tuple[str, dict[str, str]]:
+    """The stdout and written files of ``pvaudit *args`` (see ``_run``), which must exit 0
+    with an empty stderr, and each SVG of which must parse as XML."""
+    rc, out, err, written = _run(*args)
+    if rc != 0 or err:
+        raise AssertionError(f"pvaudit {' '.join(args)}: exit {rc}, stderr {err!r}")
+    for name, text in written.items():
+        if name.endswith(".svg"):
+            xml.dom.minidom.parseString(text)
+    return out, written
+
+
+def _cli(*args: str) -> str:
+    """The stdout of ``pvaudit *args`` (see ``_outputs``), then each file it wrote, by name."""
+    out, written = _outputs(*args)
+    return out + "".join(f"==> {name} <==\n{text}" for name, text in written.items())
+
+
+def _refused(code: int, *args: str) -> str:
+    """``exit code`` and the stderr of ``pvaudit *args`` (see ``_run``), which must exit
+    ``code`` with an empty stdout."""
+    rc, out, err, _ = _run(*args)
+    if rc != code or out:
+        raise AssertionError(f"pvaudit {' '.join(args)}: exit {rc}, stdout {out!r}")
+    return f"exit {rc}\n{err}"
 
 
 _MIXTURE = dict(n_studies=100, effect_fraction=0.2, noncentrality=3.0, censor_rate=0.3)
@@ -162,6 +203,29 @@ PINS = {
         "290f9057ff6f73185fbc15ca085e717199acbe105501d92d024481065b8af128"),
     "report-derive": (lambda: _cli("derive", "--input", "soy.csv"),
         "069de2d5ba8e277838a8fd8b23c71546ca5a0a16f44433a745fbec8c8efee07d"),
+    # Deriving derive's output again, or counting count's, reproduces it byte for byte: these
+    # have report-derive's and report-count's digests.
+    "report-rederive": (lambda: _cli("derive", "--input", "derived.csv"),
+        "069de2d5ba8e277838a8fd8b23c71546ca5a0a16f44433a745fbec8c8efee07d"),
+    "report-recount": (lambda: _cli("count", "--input", "spaces.csv"),
+        "290f9057ff6f73185fbc15ca085e717199acbe105501d92d024481065b8af128"),
+    # Each plot kind as the CLI writes it: the SVG, parsed as XML, then its two sidecars.
+    "report-plot-pvalue": (lambda: _cli("plot", "--input", "soy.csv", "--kind", "pvalue",
+                                        "--output", "pvalue.svg"),
+        "b182e220f7d34af8837e1c728f0fccec1d1726feb63bb068dc8804963ca6d2bd"),
+    "report-plot-expectation": (lambda: _cli("plot", "--input", "soy.csv", "--kind",
+                                             "expectation", "--output", "expectation.svg"),
+        "6064d7d5ff0c5d26ef73827571784f14f1766d8b2575c44c3869484b754b996a"),
+    "report-plot-volcano": (lambda: _cli("plot", "--input", "soy.csv", "--kind", "volcano",
+                                         "--output", "volcano.svg"),
+        "b47f339540f763c54ba578e583bbd79752bfa5ba61d401d3856b3a219c1acbc9"),
+    # "\udcff" is what the interpreter makes of an argv byte 0xFF: the report's label holds
+    # U+FFFD in its place.
+    "report-audit-label": (lambda: _cli("audit", "--input", "soy.csv", "--label", "a\udcffb"),
+        "a128dbcc9dcc193feefd2e0958d912e76372c40bafffe2647357072dd3855f29"),
+    # A count cell with a digit-group underscore is malformed (exit 5).
+    "report-count-underscore": (lambda: _refused(5, "count", "--input", "underscore.csv"),
+        "add57fa4a51ddfbac619352acd6f9b7f35027749f5a70da0033337733b53c9ab"),
     # stdout of each call on the edge rows, recorded before the counting parser built its
     # entries in one place.
     "edge-count": (lambda: _cli("count", "--input", "edge.csv"),
@@ -238,6 +302,10 @@ PINS = {
     # Leave-one-out influence of 300 small seeded sets and one in the shape of large-audit,
     # recorded when the heaviest study's subset was first always pooled directly. From a tree
     # that differed by that alone, only the heaviest study's double moved, in 171 of the 301 sets.
+    # Every field of a set at the tau^2 clamp, where tau^2 and I^2 are the exact DL values
+    # correctly rounded (the double sums alone give 0 and 0).
+    "pool-at-clamp": (lambda: repr(pool_dl(AT_CLAMP)),
+        "2c8f4eaf09e8d731ddc433bda1b1cfbfa6d9f6e93410c4dc4046eb465831047a"),
     "loo-influence": (_loo,
         "0646cb68c53813ee72ec381481a947bc86578e165830aa94b62f74812e660807"),
 }

@@ -29,6 +29,7 @@ from pvaudit import (
 )
 
 from dl_oracles import loo_mp, loo_per_subset, pool_fraction
+from pins import AT_CLAMP
 
 mp.mp.dps = 40
 
@@ -377,11 +378,6 @@ def test_pool_dl_tau2_survives_squared_weight_overflow():
         assert getattr(tiny, name) == pytest.approx(getattr(small, name), rel=1e-12), name
 
 
-# Q sits at k-1 within rounding, and study 0 carries nearly all the weight:
-# exact DL gives tau^2 = 8.7e-17, which moves study 0's weight by 8.7e-7.
-_AT_CLAMP = [(1.0, 1e-5)] + [(1.0, 1.0)] * 9 + [(4.1622776603264935, 1.0)]
-
-
 def _assert_exact_at_the_clamp(effects):
     # tau^2 and I^2 are the exact DL values correctly rounded
     got = pool_dl(effects)
@@ -400,10 +396,10 @@ def _scaled_to_the_clamp(effects):
 
 
 def test_pool_dl_tau2_exact_at_the_clamp():
-    want = _assert_exact_at_the_clamp(_AT_CLAMP)
+    want = _assert_exact_at_the_clamp(AT_CLAMP)
     assert float(want["q"]) - 10 == pytest.approx(1.73e-15, rel=0.01)
-    influence = loo_influence(_AT_CLAMP)[0]
-    assert influence == pytest.approx(loo_mp(_AT_CLAMP, [0])[0], rel=1e-12)
+    influence = loo_influence(AT_CLAMP)[0]
+    assert influence == pytest.approx(loo_mp(AT_CLAMP, [0])[0], rel=1e-12)
     # A seeded batch with the dominant study anywhere. The other se are whole
     # 64ths, which keeps the oracle's denominators small enough to be quick.
     rng = random.Random(30)
@@ -429,7 +425,7 @@ def test_pool_dl_tau2_exact_when_q_is_scaled_to_the_clamp(k, dominant_se):
 
 
 def test_pool_dl_at_the_clamp_ignores_the_callers_decimal_context():
-    sets = [_AT_CLAMP, _clamp_set(11, 1e-152)]
+    sets = [AT_CLAMP, _clamp_set(11, 1e-152)]
     want = [pool_dl(effects) for effects in sets]
     # Context() copies each field it is not given from DefaultContext
     default, current = decimal.DefaultContext, decimal.getcontext()
@@ -468,7 +464,7 @@ def test_pool_dl_takes_decimal_sums_only_near_the_clamp(monkeypatch, soy):
     half = math.sqrt(0.5)
     assert pool_dl([(1.0, 1.0), (-1.0, 1.0), (half, 1.0), (-half, 1.0)]).q == 3.0
     assert calls == []
-    pool_dl(_AT_CLAMP)
+    pool_dl(AT_CLAMP)
     assert [len(args[0]) for args, _ in calls] == [11]
 
 
@@ -645,7 +641,7 @@ def test_loo_influence_matches_per_subset_pooling(effects):
 
 @settings(max_examples=100, deadline=None)
 @given(_loo_sets(kinds=("edge",)))
-@example(_AT_CLAMP)
+@example(AT_CLAMP)
 # the set and its subset without study 9 are both at their clamp
 @example([(1.0, 1e-5)] + [(1.0, 1.0)] * 8 + [(2.00000000035, 1.0), (4.00000000015, 1.0)])
 def test_loo_influence_exact_at_the_clamp_with_a_dominant_study(effects):
