@@ -244,8 +244,9 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
     - I^2         = max(0, (Q - (k-1)) / Q), zero when Q is zero.
 
     A homogeneous set (Q <= k-1) collapses to the fixed-effect answer with
-    ``tau2 == 0``. Sums are accumulated with ``math.fsum`` so results do not
-    depend on summation order beyond honest rounding. Where Q is so near k-1
+    ``tau2 == 0``. Sums are accumulated with ``math.fsum``, and ties in the
+    heaviest weight go to the larger effect, so reordering the studies
+    reorders the weights and moves no other value. Where Q is so near k-1
     that its rounding could move tau^2 by more than 2^-40 of the heaviest
     study's random variance (a study carrying nearly all the weight, at the
     clamp), tau^2 and I^2 are taken from the weights, fixed mean, Q and
@@ -273,7 +274,8 @@ def _pool(
                 f"study {i}: se {s!r} is too small to pool (1/se^2 overflows)"
             )
     w = [1.0 / (s * s) for _, s in pairs]
-    top = max(range(k), key=w.__getitem__)
+    # ties in weight go to the larger effect (then se), so row order never moves the centre
+    top = max(range(k), key=lambda j: (w[j], pairs[j]))
     try:
         sw = math.fsum(w)
         # Q from deviations off the heaviest study's effect, so the fixed mean's
@@ -345,13 +347,14 @@ def _tau2_at_clamp(pairs: list[tuple[float, float]], top: int) -> tuple[float, f
         w = [1 / (Decimal(s) * Decimal(s)) for _, s in pairs]
         centre = Decimal(pairs[top][0])
         dev = [Decimal(y) - centre for y, _ in pairs]
-        sw = sum(w)
-        shift = sum(wi * d for wi, d in zip(w, dev)) / sw
+        # each sum in sorted order, so row order moves no rounding
+        sw = sum(sorted(w))
+        shift = sum(sorted(wi * d for wi, d in zip(w, dev))) / sw
         spread = [d - shift for d in dev]
-        q = sum(wi * (r * r) for wi, r in zip(w, spread))
+        q = sum(sorted(wi * (r * r) for wi, r in zip(w, spread)))
         outside = [sw - wi for wi in w]
-        outside[top] = sum(w[:top] + w[top + 1 :])
-        denom = sum(wi * (o / sw) for wi, o in zip(w, outside))
+        outside[top] = sum(sorted(w[:top] + w[top + 1 :]))
+        denom = sum(sorted(wi * (o / sw) for wi, o in zip(w, outside)))
         excess = q - (len(pairs) - 1)
         return max(0.0, float(excess / denom)), max(0.0, float(excess / q))
 
@@ -416,8 +419,8 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     Notes
     -----
     The values are the DerSimonian-Laird influences, found without pooling
-    every subset. The heaviest study t's subset is pooled directly; for each
-    other study:
+    every subset. The heaviest study t's subset is pooled directly, and a
+    copy of study t takes its influence; for each other study:
 
     - Fixed part, by downdating the full-set sums in O(1):
       ``W_i = W - w_i``, ``Q_i = Q - w_i (y_i - f)^2 W / W_i`` and
@@ -479,6 +482,10 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     offset = y_sums[0] / p_sums[0]
     out = []
     for i, (wi, (yi, se)) in enumerate(zip(w, pairs)):
+        if i > top and pairs[i] == pairs[top]:
+            # a copy of study t has study t's subset, whatever the row order
+            out.append(out[top])
+            continue
         tau2_i = None if i == top else _downdated_tau2(k, sw, rest, full, wi, yi)
         ratio = math.inf if tau2_i is None else (tau2_i - full.tau2) * u_max
         if abs(ratio) < _MAX_SERIES_RATIO:

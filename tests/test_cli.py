@@ -771,6 +771,39 @@ def test_leave_one_out_overflow_names_input_rows(workdir, capsys):
     assert "without study 0;" in err and "(study 1, se 1.0204081632653062e+200," in err
 
 
+def test_reversed_rows_reverse_the_studies_and_move_no_pooled_value(workdir):
+    # Three rows share the narrowest interval and two of those the same
+    # effect, so the heaviest weight is tied; other se are tied in pairs.
+    rows = [
+        "A,2001,,1,0.95,0.85,1.05", "B,2002,,2,0.80,0.70,0.90", "C,2003,,3,0.95,0.85,1.05",
+        "D,2004,,4,1.10,0.90,1.30", "E,2005,,5,0.70,0.50,0.90", "F,2006,,6,1.00,0.80,1.20",
+        "G,2007,,7,0.60,0.30,0.90", "H,2008,,8,1.20,0.90,1.50", "I,2009,,9,0.85,0.55,1.15",
+    ]
+    reports = []
+    for name, order in (("tied", rows), ("reversed", rows[::-1])):
+        src = workdir / f"{name}.csv"
+        src.write_text("\n".join([TOY.splitlines()[0], *order]) + "\n", encoding="utf-8")
+        out = workdir / f"{name}.json"
+        rc = main(["audit", "--input", str(src), "--influence-threshold", "0.05",
+                   "--counting", str(workdir / "counts.csv"), "--output", str(out)])
+        assert rc == EXIT_OK
+        reports.append(_read_json(out))
+    tied, back = reports
+    for name in ("config", "shape", "search_space"):
+        assert back[name] == tied[name], name
+    for name in ("weights_fixed", "weights_random"):
+        assert back["pool"].pop(name) == tied["pool"].pop(name)[::-1], name
+    assert back["pool"] == tied["pool"]
+    # ties in rank still go by row, so only the rank of a tied p moves
+    assert [dict(s, rank=0) for s in back["studies"]] == [
+        dict(s, rank=0) for s in tied["studies"][::-1]
+    ]
+    last = len(rows) - 1
+    flagged = [dict(f, row=last - f["row"]) for f in tied["outliers"].pop("flagged")]
+    assert back["outliers"].pop("flagged") == sorted(flagged, key=lambda f: f["row"])
+    assert back["outliers"] == tied["outliers"]
+
+
 @pytest.mark.parametrize("command", ["audit", "derive", "plot"])
 def test_json_mirror_refuses_a_different_confidence_level(workdir, capsys, command):
     # The mirror records its own level; an explicit flag that disagrees with

@@ -555,6 +555,9 @@ def _loo_sets(draw, kinds=_LOO_KINDS):
     (se 1e-3 down to 1e-8, the others at least e^-3) and Q is scaled to k-1,
     so tau^2 is within rounding of the clamp.
 
+    Tied sets draw each se from at most three values, with effects as plain
+    sets'.
+
     Tiered sets have two or three dominant studies, each with se 10^-U(1, 10),
     at rows spread over the set; the others have se at least e^-3. Their
     effects are spread as plain sets', or scaled as homogeneous or clamp sets'
@@ -575,6 +578,9 @@ def _loo_sets(draw, kinds=_LOO_KINDS):
     elif kind in ("overwhelming", "quiet", "edge"):
         exponent = draw(st.floats(min_value=3.0, max_value=8.0 if kind == "edge" else 100.0))
         ses = [10.0 ** -exponent] + [max(se, math.exp(-3.0)) for se in ses[1:]]
+    elif kind == "tied":
+        few = draw(st.integers(min_value=1, max_value=3))
+        ses = [ses[i % few] for i in range(k)]
     elif kind == "tiered":
         ses = [max(se, math.exp(-3.0)) for se in ses]
         heavy = draw(st.integers(min_value=2, max_value=min(3, k - 1)))
@@ -690,8 +696,33 @@ def test_heaviest_studys_subset_is_pooled_directly(effects):
     with pytest.MonkeyPatch.context() as patch:
         calls = _spy(patch, "_pool")
         loo_influence(effects)
-    top = max(range(len(effects)), key=lambda j: 1.0 / (effects[j][1] * effects[j][1]))
+    # ties in weight go to the larger effect, then the larger se
+    weight = [1.0 / (se * se) for _, se in effects]
+    top = max(range(len(effects)), key=lambda j: (weight[j], effects[j]))
     assert effects[:top] + effects[top + 1 :] in [pairs for (pairs,), _ in calls]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _loo_sets(kinds=("repeated", "tied", "clamp", "edge")).flatmap(
+        lambda effects: st.tuples(st.just(effects), st.permutations(range(len(effects))))
+    )
+)
+# the two heaviest weights and their effects are equal, but not their se
+@example(([(0.3, 0.11699062008046185), (0.3, 0.11699062008046186), (0.38, 2.0),
+           (-0.68, 0.67), (0.97, 1.35)], [4, 3, 2, 1, 0]))
+def test_row_order_moves_no_pooled_or_leave_one_out_value(case):
+    # Reordering the studies reorders the weights and the influences, bit for
+    # bit, and leaves every other pooled value as it was: the centre is the
+    # heaviest study, tied weights going to the larger effect, then se.
+    effects, order = case
+    moved = [effects[j] for j in order]
+    full = pool_dl(effects)
+    want = full._replace(weights_fixed=tuple(full.weights_fixed[j] for j in order),
+                         weights_random=tuple(full.weights_random[j] for j in order))
+    assert repr(pool_dl(moved)) == repr(want)
+    influence = loo_influence(effects)
+    assert repr(loo_influence(moved)) == repr([influence[j] for j in order])
 
 
 def test_loo_influence_series_ratio_trades_passes_for_terms(monkeypatch):
