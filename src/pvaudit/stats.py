@@ -257,10 +257,11 @@ def pool_dl(effects: Sequence[tuple[float, float]]) -> PoolResult:
 
 def _pool(
     pairs: list[tuple[float, float]],
-) -> tuple[PoolResult, list[float], float, int, list[float], list[float], float]:
+) -> tuple[PoolResult, list[float], float, int, list[float], list[float], float, float, float]:
     """:func:`pool_dl` of float pairs, with the weights, their sum, the heaviest
-    study, each effect less its effect, the random weights and the sum of the
-    other weights."""
+    study, each effect less its effect, the random weights, the sum of the
+    other weights, and the excess ``Q - (k-1)`` that tau^2 was taken from
+    with a bound on its rounding error."""
     k = len(pairs)
     if k < 2:
         raise ValueError(f"pooling needs at least two studies, got {k}")
@@ -292,16 +293,17 @@ def _pool(
         outside = [sw - wi for wi in w]
         outside[top] = math.fsum(w[:top] + w[top + 1 :])
         denom = math.fsum(wi * (o / sw) for wi, o in zip(w, outside))
-        tau2 = max(0.0, (q - (k - 1)) / denom) if denom > 0 else 0.0
-        i2 = max(0.0, (q - (k - 1)) / q) if q > 0 else 0.0
+        excess = q - (k - 1)
+        i2 = max(0.0, excess / q) if q > 0 else 0.0
         # Q's rounding error is below q_err: a few ulps of q, and of the
-        # shift times the spread. Unless it clamps tau^2 for certain, tau^2 is
-        # taken from 40-digit decimal sums where that error could move it by
-        # more than _TAU2_NOISE of the heaviest study's random variance.
+        # shift times the spread. Where _tau2 finds that it could move tau^2
+        # too far, the excess is taken from 40-digit decimal sums.
         q_err = _CLAMP_MARGIN * (q + abs(shift) * math.sqrt(sw) * math.sqrt(q))
-        unclamped = denom > 0 and q - (k - 1) + q_err > 0.0
-        if unclamped and q_err > _TAU2_NOISE * denom * (1.0 / w[top] + tau2):
-            tau2, i2 = _tau2_at_clamp(pairs, top)
+        tau2 = _tau2(excess, q_err, denom, 1.0 / w[top], 0.0) if denom > 0 else 0.0
+        if tau2 is None:
+            # 40 digits hold the excess to far better than its double's rounding
+            tau2, i2, excess = _tau2_at_clamp(pairs, top)
+            q_err = _CLAMP_MARGIN * abs(excess)
         wr = [1.0 / (s * s + tau2) for _, s in pairs]
         swr = math.fsum(wr)
         random_mean = math.fsum(wi * y for wi, (y, _) in zip(wr, pairs)) / swr
@@ -325,16 +327,17 @@ def _pool(
         weights_fixed=tuple(wi / sw for wi in w),
         weights_random=tuple(wi / swr for wi in wr),
     )
-    return pooled, w, sw, top, dev, wr, outside[top]
+    return pooled, w, sw, top, dev, wr, outside[top], excess, q_err
 
 
-def _tau2_at_clamp(pairs: list[tuple[float, float]], top: int) -> tuple[float, float]:
+def _tau2_at_clamp(pairs: list[tuple[float, float]], top: int) -> tuple[float, float, float]:
     """DL tau^2 and I^2 of float (effect, se) pairs with the weights, the
     fixed mean, Q and the denominator taken in decimal to 40 digits, formed as
     :func:`_pool` forms them in double: effects less that of the heaviest
     study ``top``, and its outside weight summed directly. Both divide the
-    same excess ``Q - (k-1)``. The context sets every field that can change
-    a result, so the caller's ``decimal`` context moves neither value."""
+    same excess ``Q - (k-1)``, returned third. The context sets every field
+    that can change a result, so the caller's ``decimal`` context moves no
+    value."""
     from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
     from decimal import DivisionByZero, InvalidOperation, Overflow, localcontext
 
@@ -356,56 +359,69 @@ def _tau2_at_clamp(pairs: list[tuple[float, float]], top: int) -> tuple[float, f
         outside[top] = sum(sorted(w[:top] + w[top + 1 :]))
         denom = sum(sorted(wi * (o / sw) for wi, o in zip(w, outside)))
         excess = q - (len(pairs) - 1)
-        return max(0.0, float(excess / denom)), max(0.0, float(excess / q))
+        return max(0.0, float(excess / denom)), max(0.0, float(excess / q)), float(excess)
 
 
-# A q_i this far (relative to its rounding scale) below k-2 clamps tau^2 for
-# certain. The random-weight series is used only while each term is at most
-# half the last, and cut once r**M is below 2**-55, where its tail is under a
-# rounding unit.
+# Rounding errors are bounded by this share of the values that round: well
+# above a few ulps. The random-weight series is used only while each term is
+# at most half the last, and cut once r**M is below 2**-55, where its tail is
+# under a rounding unit.
 _CLAMP_MARGIN = 2.0**-48
 # A tau^2 that rounding could move by more than this share of the heaviest
-# study's random variance is taken from 40-digit decimal sums by pool_dl, and
-# pooled directly by loo_influence.
+# study's random variance fails _tau2's budget: pool_dl then takes the excess
+# from 40-digit decimal sums, and loo_influence pools the subset directly.
 _TAU2_NOISE = 2.0**-40
 _MAX_SERIES_RATIO = 0.5
 _LOG_SERIES_TOL = -55.0 * math.log(2.0)
 
 
-def _downdated_tau2(
-    k: int, sw: float, rest: tuple[float, float, float], full: PoolResult, wi: float, yi: float
-) -> float | None:
-    """DL tau^2 of the k-1 studies left without (yi, wi), which is not the
+def _tau2(excess: float, error: float, denom: float, var_t: float,
+          denom_error: float) -> float | None:
+    """DL tau^2 of a set or of a leave-one-out subset: its excess of Q over
+    the degrees of freedom, known to within ``error``, over the denominator
+    ``denom``, known to within ``denom_error`` per unit of tau^2. ``var_t`` is
+    the heaviest study's variance. The one clamp rule of both.
+
+    0 where even the error cannot lift the excess above 0. None where the
+    errors could move tau^2 by more than _TAU2_NOISE of the heaviest study's
+    random variance ``var_t + tau^2``.
+    """
+    if not excess + error > 0.0:
+        return 0.0
+    tau2 = max(0.0, excess / denom)
+    if error + denom_error * tau2 > _TAU2_NOISE * denom * (var_t + tau2):
+        return None
+    return tau2
+
+
+def _downdated_tau2(sw: float, rest: tuple[float, float, float], fixed: float, excess: float,
+                    error: float, wi: float, yi: float) -> float | None:
+    """DL tau^2 of the studies left without (yi, wi), which is not the
     heaviest study t, from full-set sums.
 
     ``rest`` is ``w_t`` with, over every other study, the sums of ``w`` and
     of ``w (w / w_t)``. Forming the denominator from them cancels nothing
-    when study t carries nearly all the weight.
+    when study t carries nearly all the weight. ``excess`` is the full set's
+    ``Q - (k-1)`` as :func:`_pool` took it, within ``error``.
 
-    Returns None where the denominator is not positive, or where its rounding
-    and Q's (as ``q_scale`` gauges it) could move tau^2 by more than
-    _TAU2_NOISE; the caller then pools the subset directly.
+    Returns None where the denominator is not positive, or where :func:`_tau2`
+    finds the rounding could move tau^2 too far; the caller then pools the
+    subset directly.
     """
     w_t, s1, s2 = rest
-    fixed, q = full.fixed_mean, full.q
     r1 = s1 - wi
     sw_i = w_t + r1
     # (sw_i^2 - w_t^2 - sum of the others' w^2) / sw_i, with w_t^2 cancelled
     denom = r1 + w_t / sw_i * (r1 - (s2 - wi * (wi / w_t)))
     if not denom > 0.0:
         return None
-    g = wi * sw / sw_i * abs(yi - fixed)
-    q_i = q - g * abs(yi - fixed)
-    # the scale of q_i's rounding error, the fixed mean's own error included
-    q_scale = q + g * (abs(yi - fixed) + 2.0 * abs(fixed))
-    if q_i - (k - 2) + _CLAMP_MARGIN * q_scale < 0.0:
-        return 0.0
-    tau2_i = max(0.0, (q_i - (k - 2)) / denom)
-    # the denominator's rounding is a few ulps of s1
-    error = _CLAMP_MARGIN * (q_scale + tau2_i * s1)
-    if error > _TAU2_NOISE * denom * (1.0 / w_t + tau2_i):
-        return None
-    return tau2_i
+    d = abs(yi - fixed)
+    g = wi * sw / sw_i * d
+    # The subset's Q - (k-2) is excess + 1 - g d. Beside the full set's error,
+    # the downdate rounds on the scale of 1, of g d and of the fixed mean's own
+    # error, and the denominator on that of s1.
+    error_i = error + _CLAMP_MARGIN * (1.0 + g * (d + 2.0 * abs(fixed)))
+    return _tau2(excess + 1.0 - g * d, error_i, denom, 1.0 / w_t, _CLAMP_MARGIN * s1)
 
 
 def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
@@ -423,11 +439,15 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     copy of study t takes its influence; for each other study:
 
     - Fixed part, by downdating the full-set sums in O(1):
-      ``W_i = W - w_i``, ``Q_i = Q - w_i (y_i - f)^2 W / W_i`` and
-      ``tau2_i = max(0, (Q_i - (k-2)) / (W_i - (sum w^2 - w_i^2) / W_i))``,
-      clamped as in :func:`pool_dl`. The denominator is downdated from sums
-      taken without study t, in which ``w_t^2`` cancels exactly, so a study
-      carrying nearly all the weight costs the others no precision.
+      ``W_i = W - w_i``, the excess
+      ``Q_i - (k-2) = (Q - (k-1)) + 1 - w_i (y_i - f)^2 W / W_i`` and
+      ``tau2_i = max(0, (Q_i - (k-2)) / (W_i - (sum w^2 - w_i^2) / W_i))``.
+      The full set's excess ``Q - (k-1)`` and its error bound are the ones
+      :func:`pool_dl` took, in decimal where it took decimal sums, and
+      ``tau2_i`` is clamped and budgeted by the same rule as its tau^2. The
+      denominator is downdated from sums taken without study t, in which
+      ``w_t^2`` cancels exactly, so a study carrying nearly all the weight
+      costs the others no precision.
     - Random part, by a power series around the full-set ``tau2``. With
       ``u_j = 1/(v_j + tau2)`` and ``d = tau2_i - tau2``,
       ``sum_j 1/(v_j + tau2_i) = sum_m (-d)^m sum_j u_j^(m+1)``, and the
@@ -445,11 +465,13 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     beside study t's O(k) pooling pass. Another study is pooled directly,
     by the same ``_pool`` pass, only where ``r >= 1/2`` (as when a
     homogeneous set, tau2 = 0, has a heterogeneous subset, or a subset
-    clamps a large tau2 to zero), or where the rounding of Q or of the
-    denominator could move tau2_i by more than 2^-40 of the subset's heaviest
-    random variance, the budget :func:`pool_dl` keeps (a study with nearly
-    all of Q, or a set near the tau2 clamp). Each pooled subset's mean, too,
-    is read off the centre above, from the random weights.
+    clamps a large tau2 to zero), or where the rounding of its downdated
+    excess or of the denominator could move tau2_i by more than 2^-40 of the
+    subset's heaviest random variance, the budget :func:`pool_dl` keeps (a
+    study with nearly all of Q, or a subset whose own excess is within
+    rounding of 0). So near the clamp a set whose own tau2 needed decimal
+    sums pools no subset in decimal for that alone. Each pooled subset's
+    mean, too, is read off the centre above, from the random weights.
     Where one study carries nearly all the weight and tau2 = 0, per-subset
     pooling returns mostly the rounding of the mean; these values do not. On
     3,000 seeded sets with two or three dominant studies every value matched
@@ -460,7 +482,7 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
     k = len(pairs)
     if k < 3:
         raise ValueError(f"influence needs at least three studies, got {k}")
-    full, w, sw, top, dev, u, outside_top = _pool(pairs)
+    full, w, sw, top, dev, u, outside_top, excess, error = _pool(pairs)
     others = w[:top] + w[top + 1 :]
     rest = (w[top], outside_top, math.fsum(x * (x / w[top]) for x in others))
     u_max = max(u)
@@ -486,7 +508,8 @@ def loo_influence(effects: Sequence[tuple[float, float]]) -> list[float]:
             # a copy of study t has study t's subset, whatever the row order
             out.append(out[top])
             continue
-        tau2_i = None if i == top else _downdated_tau2(k, sw, rest, full, wi, yi)
+        tau2_i = (None if i == top
+                  else _downdated_tau2(sw, rest, full.fixed_mean, excess, error, wi, yi))
         ratio = math.inf if tau2_i is None else (tau2_i - full.tau2) * u_max
         if abs(ratio) < _MAX_SERIES_RATIO:
             terms = 1 if ratio == 0.0 else math.ceil(_LOG_SERIES_TOL / math.log(abs(ratio)))

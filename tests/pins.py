@@ -2,7 +2,8 @@
 
 Importing this module runs no pin. It needs only the standard library and pvaudit, so
 ``PYTHONPATH=src python -S tests/pins.py`` checks the pins without the test extra: it
-prints each pin that does not match and exits 1 if there is one, else 0.
+prints each pin that does not match, or whose call raises, and exits 1 if there is one,
+else 0.
 """
 
 from __future__ import annotations
@@ -304,23 +305,31 @@ PINS = {
     "pool-at-clamp": (lambda: repr(pool_dl(AT_CLAMP)),
         "2c8f4eaf09e8d731ddc433bda1b1cfbfa6d9f6e93410c4dc4046eb465831047a"),
     # Leave-one-out influence of 300 small seeded sets and one in the shape of large-audit,
-    # recorded when a tie in the heaviest weight first went to the larger effect, and each copy
-    # of the heaviest study took its value. From a tree that differed by that alone, only the
-    # large set moved: its heaviest study is now row 435 of 12 tied weights, and 7 doubles moved.
+    # recorded when the downdate first read the full set's excess Q - (k-1) from the pooling
+    # pass rather than forming each subset's from Q. From a tree that differed by that alone,
+    # 1,488 of 10,535 doubles moved by rounding, by at most 3.4e-12 relative.
     "loo-influence": (_loo,
-        "4f8039cef16ad32929cbf773018afa0ee3199cd47a5e4139462d21f26370c92a"),
+        "4c0ffa5d3d14a31ae112fef080082f503b489dfb9102caf2d94951642ba25746"),
 }
 
 
 def check(pins=PINS) -> list[str]:
-    """The names of the pins whose call's text does not have their digest."""
-    return [name for name, (call, want) in pins.items() if digest(call()) != want]
+    """The names of the pins whose call's text does not have their digest; a pin
+    whose call raises is named with the exception, and the later pins still run."""
+    failed = []
+    for name, (call, want) in pins.items():
+        try:
+            if digest(call()) != want:
+                failed.append(name)
+        except Exception as exc:
+            failed.append(f"{name}: {type(exc).__name__}: {exc}")
+    return failed
 
 
 def main(pins=PINS) -> int:
     failed = check(pins)
-    for name in failed:
-        print(f"MISMATCH {name}")
+    for entry in failed:
+        print(f"MISMATCH {entry}")
     print(f"{len(pins) - len(failed)} of {len(pins)} pins match")
     return 1 if failed else 0
 

@@ -35,6 +35,18 @@ def test_a_round_trip_keeps_its_digest():
     assert pins.PINS["report-recount"][1] == pins.PINS["report-count"][1]
 
 
+def test_a_row_that_raises_fails_alone(capsys):
+    # the exception is reported on the row's line, and the rows after it still run
+    call, want = pins.PINS["svg-one-volcano"]
+    table = {"refused": (lambda: pins._refused(5, "count", "--input", "counts.csv"), want),
+             "svg-one-volcano": (call, want)}
+    assert pins.main(table) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("MISMATCH refused: AssertionError: pvaudit count --input counts.csv:"
+                          " exit 0, stdout 'ref,")
+    assert (out.splitlines()[1:], err) == (["1 of 2 pins match"], "")
+
+
 def test_a_wrong_digest_a_nonzero_exit_or_any_stderr_fails(capsys, tmp_path):
     call, want = pins.PINS["svg-one-volcano"]
     altered = {"svg-one-volcano": (call, want[::-1])}

@@ -779,3 +779,48 @@ def test_loo_influence_stays_linear_with_a_dominant_study(monkeypatch, dominant_
         want, slack = loo_per_subset(effects, rows), 1e-12
     for i, w in zip(rows, want):
         assert abs(values[i] - w) <= 1e-10 * w + slack, (i, values[i], w)
+
+
+def _near_clamp_set(se_top, factor):
+    """1200 studies near the tau^2 clamp, then one far more precise study.
+
+    se is 0.025 * 14**U(0, 1) and each effect N(0, se^2), drawn from
+    ``random.Random(1)``. The deviations from the fixed mean are scaled so
+    that Q = factor (k-1) with k = 1201, and the last row is a study at the
+    fixed mean with se ``se_top``: a homogeneous-looking literature.
+    """
+    rng = random.Random(1)
+    effects = []
+    for _ in range(1200):
+        se = 0.025 * 14.0 ** rng.random()
+        effects.append((rng.gauss(0.0, se), se))
+    full = pool_dl(effects)
+    scale = math.sqrt(factor * 1200 / full.q)
+    fixed = full.fixed_mean
+    return [(fixed + scale * (y - fixed), se) for y, se in effects] + [(fixed, se_top)]
+
+
+@pytest.mark.parametrize(
+    "se_top, factor",
+    [(0.002, 1.0001), (0.002, 1.002), (0.002, 1.006), (1e-60, 1.002), (1e-60, 1.006)],
+)
+def test_loo_influence_pools_no_subset_for_the_full_sets_clamp(monkeypatch, se_top, factor):
+    # The full set's tau^2 needs decimal sums below Q = 1.006 (k-1). The
+    # downdate reads that decimal excess from the pooling pass, so no subset
+    # fails the budget for the full set's rounding alone. (A subset still
+    # leaves the series where it moves tau^2 by half of itself: once
+    # se_t^2 << tau^2, as at se 1e-60, that is most of them near the clamp.)
+    effects = _near_clamp_set(se_top, factor)
+    pools = _spy(monkeypatch, "_pool")
+    downdates = _spy(monkeypatch, "_downdated_tau2")
+    decimal_sums = _spy(monkeypatch, "_tau2_at_clamp")
+    values = loo_influence(effects)
+    if factor < 1.005:
+        assert 1201 in [len(pairs) for (pairs, _), _ in decimal_sums]
+        assert sum(tau2 is None for _, tau2 in downdates) <= 1
+    if (se_top, factor) == (0.002, 1.0001):
+        assert [len(pairs) for (pairs,), _ in pools] == [1201, 1200]
+    rows = (0, 1, 600, 1200)
+    for i, w in zip(rows, loo_mp(effects, rows)):
+        bound = 2e-12 * w if w > 1e-3 else 1e-10 * w + 2e-15
+        assert abs(values[i] - w) <= bound, (i, values[i], w)
