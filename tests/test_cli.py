@@ -41,6 +41,7 @@ from pvaudit.model import format_number
 from pvaudit.report import dumps
 from pvaudit.stats import P_FLOOR
 
+import pins
 from pins import COUNT_EDGE_ROWS, COUNT_HEADER
 
 TOY = (
@@ -869,7 +870,13 @@ def _fresh_python(code: str, cwd: Path | None = None) -> subprocess.CompletedPro
 TEST_EXTRA = {"hypothesis", "mpmath", "numpy", "pytest", "scipy"}
 # No command loads these: the test extra, and standard-library packages
 # that only add to a command's cold start.
-CLI_EXCLUDED = TEST_EXTRA | {"dataclasses", "email", "http", "inspect", "ssl", "urllib", "xml"}
+# The process and thread packages are among them: simulate splits its
+# replicates with os.fork and marshal alone, and reads threading only where
+# something else loaded it.
+CLI_EXCLUDED = TEST_EXTRA | {
+    "concurrent", "dataclasses", "email", "http", "inspect", "multiprocessing", "pickle",
+    "ssl", "subprocess", "threading", "urllib", "xml",
+}
 CLI = {"cli", "model"}  # the submodules every command loads
 
 
@@ -923,6 +930,11 @@ CLI = {"cli", "model"}  # the submodules every command loads
             ["simulate", "--n", "20", "--replicates", "2"],
             CLI | {"diagnostics", "report", "sim", "stats"}, True, True, id="simulate",
         ),
+        # two batches of 273 replicates: the forked path, where the process may use two CPUs
+        pytest.param(
+            ["simulate", "--n", "20", "--replicates", "546"],
+            CLI | {"diagnostics", "report", "sim", "stats"}, True, True, id="simulate-forked",
+        ),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(workdir, entry, loads, statistics, json_loads):
@@ -942,6 +954,29 @@ def test_each_command_loads_only_the_modules_it_runs(workdir, entry, loads, stat
     assert not packages & excluded, sorted(packages & excluded)
     # a module that cannot be found could never show as loaded
     assert all(map(find_spec, excluded))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_simulate_pins_on_one_cpu_match_the_default_run(monkeypatch):
+    # A fresh interpreter pinned to one CPU takes the serial path; its
+    # simulate pins match this process's default run, which forks on
+    # simulate-mixture where the process may use two CPUs.
+    names = [name for name in pins.PINS if name.startswith("simulate-")]
+    proc = _fresh_python(
+        f"import os, sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\nimport pins\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        f"texts = [pins.PINS[name][0]() for name in {names!r}]\n"
+        "print(repr((len(os.sched_getaffinity(0)), len(forks), texts)))"
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    cpus, forked, serial = ast.literal_eval(proc.stdout)
+    assert (cpus, forked, len(serial)) == (1, 0, 3)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert [pins.PINS[name][0]() for name in names] == serial
+    assert len(forks) == (len(os.sched_getaffinity(0)) > 1)
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy(workdir):

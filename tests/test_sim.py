@@ -1,6 +1,12 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -413,6 +419,169 @@ def test_run_experiment_reports_are_byte_identical():
     a = dumps(build_sim_report(run_experiment(cfg)))
     b = dumps(build_sim_report(run_experiment(cfg)))
     assert a == b
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make the CPU set, and the CPU count where that is read instead, hold
+    ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls to ``os.fork``, one entry each, with two CPUs in the CPU set;
+    after the test no child may be left unreaped."""
+    _cpus(monkeypatch, 2)
+    calls = []
+    fork = os.fork
+
+    def spy():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial(monkeypatch, cfg: SimConfig):
+    with monkeypatch.context() as m:
+        _cpus(m, 1)
+        return run_experiment(cfg)
+
+
+# 54 replicates of 100 studies fill a batch, so 108 is the fewest that fork.
+_AT_THRESHOLD = SimConfig(n_studies=100, effect_fraction=0.2, noncentrality=3.0,
+                          censor_rate=0.3, replicates=108, seed=1)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(_AT_THRESHOLD, id="threshold"),
+        pytest.param(_AT_THRESHOLD._replace(replicates=600, seed=5), id="hack1-censored"),
+        # 88 replicates a batch: an odd count, split at 90
+        pytest.param(SimConfig(n_studies=37, hack_k=3, censor_rate=greenwald_censor_rate(3),
+                               replicates=181, seed=9), id="hack3-odd"),
+        # 1,365 replicates a batch, every one indeterminate
+        pytest.param(SimConfig(n_studies=4, censor_rate=0.5, replicates=2730, seed=2), id="n4"),
+        # one replicate a batch: the child runs replicates 1 and 2
+        pytest.param(SimConfig(n_studies=6000, effect_fraction=0.5, noncentrality=2.0,
+                               replicates=3, seed=4), id="one-per-batch"),
+    ],
+)
+def test_forked_run_equals_serial_run(monkeypatch, forks, cfg):
+    serial = _serial(monkeypatch, cfg)
+    assert forks == []
+    forked = run_experiment(cfg)
+    assert forks == [os.getpid()]
+    assert forked == serial
+    assert dumps(build_sim_report(forked)) == dumps(build_sim_report(serial))
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "cpu-count", "cpu-count-unknown", "thread",
+                                  "no-fork", "below-threshold"])
+def test_serial_path_forks_nothing(monkeypatch, forks, case):
+    cfg = _AT_THRESHOLD._replace(replicates=107) if case == "below-threshold" else _AT_THRESHOLD
+    want = _serial(monkeypatch, cfg)
+    if case == "one-cpu":
+        _cpus(monkeypatch, 1)
+    elif case.startswith("cpu-count"):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1 if case == "cpu-count" else None)
+    elif case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    if case == "thread":
+        thread.start()
+    try:
+        assert run_experiment(cfg) == want
+    finally:
+        done.set()
+        if case == "thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+def test_cpu_count_is_read_without_an_affinity_call(monkeypatch, forks):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert run_experiment(_AT_THRESHOLD) == _serial(monkeypatch, _AT_THRESHOLD)
+    assert forks == [os.getpid()]
+
+
+def _failing_in(monkeypatch, side: str, how: str = "raises") -> None:
+    """Make shape classification fail in the forked child, or in the parent
+    (this process), by raising or, in the child alone, by a SIGKILL."""
+    parent = os.getpid()
+    classify = sim.classify_pvalues
+
+    def classify_or_fail(ps):
+        if (os.getpid() == parent) == (side == "parent"):
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError(f"fails in the {side}")
+        return classify(ps)
+
+    monkeypatch.setattr(sim, "classify_pvalues", classify_or_fail)
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_a_failed_child_gives_the_serial_result(monkeypatch, forks, how):
+    want = _serial(monkeypatch, _AT_THRESHOLD)
+    _failing_in(monkeypatch, "child", how)
+    assert run_experiment(_AT_THRESHOLD) == want
+    assert forks == [os.getpid()]
+
+
+def test_an_error_in_the_childs_span_surfaces_as_on_the_serial_path(monkeypatch, forks):
+    # Replicate 100 fails to classify, wherever it runs: the child fails, and
+    # the parent's run of the child's span raises the serial path's error.
+    bad = generate_literature(_AT_THRESHOLD, 100)
+    classify = sim.classify_pvalues
+    monkeypatch.setattr(sim, "classify_pvalues", lambda ps: 1 / 0 if ps == bad else classify(ps))
+    with monkeypatch.context() as m:
+        _cpus(m, 1)
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(_AT_THRESHOLD)
+    assert forks == []
+    with pytest.raises(ZeroDivisionError):
+        run_experiment(_AT_THRESHOLD)
+    assert forks == [os.getpid()]
+
+
+def test_an_error_in_the_parents_span_propagates(monkeypatch, forks):
+    # the child, still running or blocked on its pipe, is killed and reaped
+    _failing_in(monkeypatch, "parent")
+    with pytest.raises(RuntimeError, match="fails in the parent"):
+        run_experiment(_AT_THRESHOLD._replace(replicates=600))
+    assert forks == [os.getpid()]
+
+
+def test_unflushed_output_and_exit_handlers_run_once(tmp_path):
+    # In a fresh interpreter writing to a pipe, so stdout is block-buffered:
+    # text written before the fork, and an atexit handler, appear once each;
+    # the child writes nothing.
+    code = (
+        "import atexit, os, sys\n"
+        "from pvaudit.sim import SimConfig, run_experiment\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "atexit.register(print, 'exit handler')\n"
+        "sys.stdout.write('before')\n"
+        "outcome = run_experiment(SimConfig(n_studies=100, replicates=108))\n"
+        "print(f' forks {len(forks)}, replicates {len(outcome.replicates)}')\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(sim.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "before forks 1, replicates 108\nexit handler\n"
 
 
 def test_greenwald_preset_values():
